@@ -142,11 +142,7 @@ def convert_problem(p, td=None, path_mode=False):
         base = clique_tree(completed)
     wid = width(base)
     if path_mode:
-        deg = {t: 0 for t in base.nodes}
-        for a, b in base.edges:
-            deg[a] += 1
-            deg[b] += 1
-        if deg and max(deg.values()) > 2:
+        if not base.is_path():
             raise ValueError("decomposition is not a path; path mode unavailable")
         rooted = root_binary(base)
     else:

@@ -141,7 +141,7 @@ def _solver_params(args):
     over = {}
     if args.tol is not None:
         over["tol_primal"] = over["tol_dual"] = args.tol
-    for name in ("max_iter", "rho", "seed", "threads"):
+    for name in ("max_iter", "rho", "seed"):
         v = getattr(args, name)
         if v is not None:
             over[name] = v
@@ -175,14 +175,6 @@ def _cmd_solve(args):
     return 0
 
 
-def _tree_is_path(td):
-    deg = {t: 0 for t in td.nodes}
-    for a, b in td.edges:
-        deg[a] += 1
-        deg[b] += 1
-    return not deg or max(deg.values()) <= 2
-
-
 def _cmd_recover(args):
     blocks, _, ext = fileio.solution_from_dict(_read_json(args.extended_solution))
     if args.problem:
@@ -192,7 +184,7 @@ def _cmd_recover(args):
     bs = convert(ext)
     mode = args.mode
     if mode is None:
-        mode = "path" if _tree_is_path(ext.pattern.td) else "tree"
+        mode = "path" if ext.pattern.td.is_path() else "tree"
     # tolerances sized for first-order solver output
     sol, info = recover_low_rank(blocks, ext, bs, mode=mode,
                                  overlap_tol=1e-3, psd_tol=1e-4)
@@ -335,7 +327,6 @@ def _build_parser():
     sp.add_argument("--max-iter", type=int, default=None)
     sp.add_argument("--rho", type=float, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--stats", default=None)
     sp.set_defaults(func=_cmd_solve)

@@ -208,7 +208,6 @@ def params_to_dict(par):
         "tol_primal": par.tol_primal,
         "tol_dual": par.tol_dual,
         "seed": par.seed,
-        "threads": par.threads,
     }
 
 
@@ -221,7 +220,7 @@ def params_from_dict(d):
     return AdmmParams(rho=float(base["rho"]), max_iter=int(base["max_iter"]),
                       tol_primal=float(base["tol_primal"]),
                       tol_dual=float(base["tol_dual"]),
-                      seed=int(base["seed"]), threads=int(base["threads"]))
+                      seed=int(base["seed"]))
 
 
 def dump(d, fh):

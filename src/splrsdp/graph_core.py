@@ -77,6 +77,18 @@ class TreeDecomposition:
             adj[b].add(a)
         return adj
 
+    def degrees(self):
+        """Node id -> number of tree edges at the node."""
+        deg = {t: 0 for t in self.nodes}
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return deg
+
+    def is_path(self):
+        """True when no node has more than two tree neighbors."""
+        return max(self.degrees().values(), default=0) <= 2
+
     def _orient(self):
         if self.root is None:
             raise ValueError("decomposition is not rooted")
@@ -179,26 +191,19 @@ def validate_decomposition(td, g):
                 queue.append(u)
     if seen != nodes:
         return False
-    # bags live inside 1..n
-    for bag in td.bags.values():
-        for v in bag:
-            if not (1 <= v <= g.n):
-                return False
-    # vertex cover
-    covered = set()
-    for bag in td.bags.values():
-        covered |= bag
-    if covered != set(range(1, g.n + 1)):
-        return False
-    # edge cover
-    for i, j in g.edges:
-        if not any(i in bag and j in bag for bag in td.bags.values()):
-            return False
-    # running intersection: occurrences of each vertex induce a subtree
+    # vertex -> nodes whose bag holds it
     occ = {}
     for t in td.nodes:
         for v in td.bags[t]:
             occ.setdefault(v, set()).add(t)
+    # bags live inside 1..n and cover every vertex
+    if set(occ) != set(range(1, g.n + 1)):
+        return False
+    # edge cover
+    for i, j in g.edges:
+        if not occ.get(i, set()) & occ.get(j, set()):
+            return False
+    # running intersection: occurrences of each vertex induce a subtree
     for v, ts in occ.items():
         start = next(iter(ts))
         seen = {start}
@@ -351,11 +356,7 @@ def to_binary(td):
     nodes of degree <= 3, so each original offender is handled exactly once.
     Node count at most doubles and the width is preserved.
     """
-    adj = {t: set() for t in td.nodes}
-    for a, b in td.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    high = {t for t in td.nodes if len(adj[t]) >= 4}
+    high = {t for t, d in td.degrees().items() if d >= 4}
     out = td
     while high:
         x = min(high)
@@ -364,25 +365,17 @@ def to_binary(td):
     return out
 
 
-def _degrees(td):
-    deg = {t: 0 for t in td.nodes}
-    for a, b in td.edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
-
-
 def root_binary(td, root=None):
     """Pick a root of degree < 3 and orient the tree.
 
     Default: for a path, the smallest-id endpoint; otherwise the smallest id
     among nodes of degree < 3.  An explicit `root` must have degree < 3.
     """
-    deg = _degrees(td)
+    deg = td.degrees()
     if max(deg.values(), default=0) > 3:
         raise ValueError("decomposition is not binary (degree > 3)")
     if root is None:
-        if all(d <= 2 for d in deg.values()):
+        if td.is_path():
             ends = [t for t in td.nodes if deg[t] <= 1]
             root = min(ends)
         else:

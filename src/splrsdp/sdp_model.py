@@ -88,9 +88,6 @@ class SparseSymMatrix:
             s += v * x * (1.0 if i == j else 2.0)
         return s
 
-    def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=0.0)
-
 
 @dataclass(frozen=True)
 class Term:
@@ -192,22 +189,36 @@ def validate_problem(p):
             raise ValueError("constraint %d has upper = -inf" % (i + 1))
 
 
-def eval_term(p, term, sol):
-    """<A, X> for a term, using the factored forms on both sides.
+def _core_gram(p, sol):
+    """factor.T @ X @ factor, shared by every row at one point; None if ell = 0."""
+    if not p.ell:
+        return None
+    if isinstance(sol, FactoredSolution):
+        G = p.factor.T @ sol.factor
+        return G @ G.T
+    return p.factor.T @ np.asarray(sol) @ p.factor
+
+
+def _term_value(term, sol, core_gram):
+    """<A, X>: the sparse part against X plus core . core_gram (see _core_gram).
 
     `sol` may be a FactoredSolution or a dense symmetric matrix.
     """
     if isinstance(sol, FactoredSolution):
         val = term.sparse.inner_rows(sol.factor)
-        if p.ell:
-            G = p.factor.T @ sol.factor
-            val += float(np.sum(term.core * (G @ G.T)))
-        return val
-    X = np.asarray(sol)
-    val = term.sparse.inner_dense(X)
-    if p.ell:
-        val += float(np.sum(term.core * (p.factor.T @ X @ p.factor)))
+    else:
+        val = term.sparse.inner_dense(np.asarray(sol))
+    if core_gram is not None:
+        val += float(np.sum(term.core * core_gram))
     return val
+
+
+def eval_term(p, term, sol):
+    """<A, X> for a term, using the factored forms on both sides.
+
+    `sol` may be a FactoredSolution or a dense symmetric matrix.
+    """
+    return _term_value(term, sol, _core_gram(p, sol))
 
 
 def eval_constraint(p, i, sol):
@@ -224,9 +235,10 @@ def is_feasible(p, sol, tol=1e-8):
 
     Returns (ok, report) where report carries per-row violations.
     """
+    gram = _core_gram(p, sol)
     viol = []
     for c in p.constraints:
-        v = eval_term(p, c.term, sol)
+        v = _term_value(c.term, sol, gram)
         over = 0.0
         if v < c.lower:
             over = c.lower - v

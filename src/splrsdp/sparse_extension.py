@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, TreeDecomposition, validate_decomposition
-from .sdp_model import FactoredSolution, eval_term
+from .sdp_model import FactoredSolution, _core_gram, _term_value
 
 __all__ = [
     "BagPartition",
@@ -63,11 +63,6 @@ class ExtendedPattern:
     @property
     def n_ext(self):
         return self.n + self.k * self.ell
-
-    @property
-    def index_i(self):
-        """Indices of the original variable inside the extension."""
-        return tuple(range(1, self.n + 1))
 
     @property
     def index_j(self):
@@ -138,11 +133,7 @@ def canonical_relabel(td):
 def _check_rooted_binary(td):
     if td.root is None:
         raise ValueError("decomposition is not rooted")
-    deg = {t: 0 for t in td.nodes}
-    for a, b in td.edges:
-        deg[a] += 1
-        deg[b] += 1
-    if deg and max(deg.values()) > 3:
+    if max(td.degrees().values(), default=0) > 3:
         raise ValueError("decomposition is not binary")
     if len(td.children(td.root)) > 2:
         raise ValueError("root has more than two children")
@@ -251,17 +242,12 @@ def eval_extended(ext, ext_sol):
     """
     p = ext.base
     pat = ext.pattern
-    R = ext_sol.factor
-    rows_j = R[[x - 1 for x in pat.index_j], :]
-    block_j = rows_j @ rows_j.T
-
-    def value(term):
-        v = term.sparse.inner_rows(R)
-        if pat.ell:
-            v += float(np.sum(term.core * block_j))
-        return v
-
-    return value(p.objective), [value(c.term) for c in p.constraints]
+    gram = None
+    if pat.ell:
+        rows_j = ext_sol.factor[[x - 1 for x in pat.index_j], :]
+        gram = rows_j @ rows_j.T
+    return (_term_value(p.objective, ext_sol, gram),
+            [_term_value(c.term, ext_sol, gram) for c in p.constraints])
 
 
 def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
@@ -282,9 +268,10 @@ def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
         res = null_residuals(ext, lifted)
         worst_null = max(worst_null, max(res.values(), default=0.0))
         obj, vals = eval_extended(ext, lifted)
-        worst_val = max(worst_val, abs(obj - eval_term(p, p.objective, sol)))
+        gram = _core_gram(p, sol)
+        worst_val = max(worst_val, abs(obj - _term_value(p.objective, sol, gram)))
         for i, c in enumerate(p.constraints):
-            worst_val = max(worst_val, abs(vals[i] - eval_term(p, c.term, sol)))
+            worst_val = max(worst_val, abs(vals[i] - _term_value(c.term, sol, gram)))
         back = restrict_solution(lifted, ext)
         worst_restrict = max(worst_restrict, float(np.abs(back.factor - sol.factor).max()))
     return {

@@ -2,11 +2,16 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from splrsdp import fileio
+from splrsdp.chordal_conversion import convert_problem
 from splrsdp.cli import run
 from splrsdp.graph_core import Graph, write_graph
+from splrsdp.instances import gen_lb_tree
+from splrsdp.sdp_model import FactoredSolution
+from splrsdp.sparse_extension import extend_solution
 
 
 def _load(path):
@@ -30,6 +35,7 @@ def test_gen_convert_solve_recover_files(tmp_path):
                 "--out", str(r)]) == 0
     rec = _load(r)
     assert rec["schema"] == fileio.RECOVERED_SCHEMA
+    assert rec["mode"] == "path"
     assert rec["rank"] <= 2
     assert rec["rank"] <= rec["certified_bound"]
     assert rec["residuals"]["max_violation"] < 1e-5
@@ -82,6 +88,26 @@ def test_verify_passes_on_matching_pair_and_fails_on_mismatch(tmp_path):
     assert run(["verify", "--problem", str(pb), "--extension", str(ea),
                 "--samples", "25", "--out", str(tmp_path / "w.json")]) == 1
     assert _load(tmp_path / "w.json")["ok"] is False
+
+
+def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
+    # exact lift of a random point over the default decomposition of lb-tree,
+    # whose rooted tree has a two-child node
+    p = gen_lb_tree(1)
+    ext, bs, _ = convert_problem(p)
+    R = np.random.default_rng(0).standard_normal((p.n, 2))
+    L = extend_solution(ext, FactoredSolution(R)).factor
+    blocks = {}
+    for t, idx in bs.blocks.items():
+        rows = L[[v - 1 for v in idx]]
+        blocks[t] = rows @ rows.T
+    s = tmp_path / "s.json"
+    r = tmp_path / "r.json"
+    fileio.save(fileio.solution_to_dict(blocks, extended=ext), str(s))
+    assert run(["recover", "--extended-solution", str(s), "--out", str(r)]) == 0
+    rec = _load(r)
+    assert rec["mode"] == "tree"
+    assert rec["rank"] <= rec["certified_bound"]
 
 
 def test_solve_iteration_cap_returns_numerical_failure(tmp_path):
@@ -158,6 +184,12 @@ def test_bad_inputs_exit_1(tmp_path):
     assert run(["report", "--in", str(ok)]) == 1
     assert run(["convert", "--in", str(tmp_path / "missing.json")]) == 1
     assert run(["gen"]) == 1  # family required
+    # --threads was removed; on a valid input it is a usage error, not a
+    # capped solve (which would exit 2)
+    prob = tmp_path / "p.json"
+    assert run(["gen", "simex", "-n", "4", "--out", str(prob)]) == 0
+    assert run(["solve", "--in", str(prob), "--threads", "2", "--max-iter",
+                "1", "--out", str(tmp_path / "s.json")]) == 1
     assert run(["frobnicate"]) == 1
 
 

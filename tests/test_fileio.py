@@ -119,10 +119,13 @@ def test_params_defaults_and_unknown_keys():
     assert par.max_iter == AdmmParams().max_iter
     with pytest.raises(ValueError):
         fileio.params_from_dict({"rho": 1.0, "momentum": 0.9})
+    # the thread-pool option is gone; old params files naming it are refused
+    with pytest.raises(ValueError):
+        fileio.params_from_dict({"threads": 2})
     back = fileio.params_from_dict(_rt(fileio.params_to_dict(
-        AdmmParams(rho=0.5, max_iter=42, seed=3, threads=2))))
+        AdmmParams(rho=0.5, max_iter=42, seed=3))))
     assert back.rho == 0.5 and back.max_iter == 42
-    assert back.seed == 3 and back.threads == 2
+    assert back.seed == 3
 
 
 def test_sdpa_import_recovers_the_split(tmp_path):

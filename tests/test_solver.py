@@ -134,16 +134,6 @@ def test_admm_residual_trend():
     assert drops >= len(meds) * 0.6
 
 
-def test_admm_threads_bitwise_identical():
-    p = gen_simex(9)
-    ext, bs, rep = convert_problem(p, path_mode=True)
-    b1, s1 = admm_solve(bs, AdmmParams(max_iter=600, threads=1))
-    b2, s2 = admm_solve(bs, AdmmParams(max_iter=600, threads=3))
-    assert s1.iterations == s2.iterations
-    for t in b1:
-        assert np.array_equal(b1[t], b2[t])
-
-
 def test_admm_seed_moves_the_start():
     p = gen_simex(8)
     ext, bs, rep = convert_problem(p, path_mode=True)

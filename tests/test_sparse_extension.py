@@ -225,3 +225,20 @@ def test_build_extension_rejects_bad_decomposition():
     unrooted = singleton_path_td(4)
     with pytest.raises(ValueError):
         build_extension(p, unrooted)
+    # singleton bags on an edgeless pattern make every tree shape valid, so
+    # only the shape check can reject the next two
+    p5 = singleton_path_problem(5, np.ones(5), 1.0)
+    bags = {t: frozenset({t}) for t in range(1, 6)}
+    star = TreeDecomposition(nodes=tuple(range(1, 6)),
+                             edges=frozenset((1, t) for t in range(2, 6)),
+                             bags=bags, root=2)
+    assert validate_decomposition(star, p5.pattern)
+    with pytest.raises(ValueError, match="not binary"):
+        build_extension(p5, star)
+    # no node above degree 3, but the root has three children
+    claw = TreeDecomposition(nodes=(1, 2, 3, 4, 5),
+                             edges=frozenset({(1, 2), (1, 3), (1, 4), (4, 5)}),
+                             bags=bags, root=1)
+    assert validate_decomposition(claw, p5.pattern)
+    with pytest.raises(ValueError, match="root has more than two children"):
+        build_extension(p5, claw)
