@@ -40,6 +40,7 @@ from .chordal_conversion import assemble, convert, convert_problem, export_sdpa
 from .completion_rank import (
     AffineSlice,
     PartialMatrix,
+    RecoveryError,
     bp_bound,
     max_rank_for_constraints,
     psd_complete_min_rank,

@@ -168,10 +168,10 @@ def assemble(block_solution, bs, tol=1e-6):
     """Merge per-block matrices into one partial matrix on the block pattern.
 
     Writes parents before children (labels descend from the root k); entries
-    already written are kept, and a disagreement beyond `tol` is an error.
-    Returns a completion_rank.PartialMatrix.
+    already written are kept, and a disagreement beyond `tol` raises
+    completion_rank.RecoveryError.  Returns a completion_rank.PartialMatrix.
     """
-    from .completion_rank import PartialMatrix
+    from .completion_rank import PartialMatrix, RecoveryError
 
     entries = {}
     worst = 0.0
@@ -190,7 +190,8 @@ def assemble(block_solution, bs, tol=1e-6):
                 else:
                     entries[key] = v
     if worst > tol:
-        raise ValueError("blocks disagree on shared entries by %.3e" % worst)
+        raise RecoveryError("blocks disagree on shared entries by %.3e"
+                            % worst, worst)
     return PartialMatrix(n=bs.n_ext, entries=entries)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "PartialMatrix",
     "AffineSlice",
+    "RecoveryError",
     "bp_bound",
     "max_rank_for_constraints",
     "psd_complete_min_rank",
@@ -27,6 +28,15 @@ __all__ = [
 
 PINV_RCOND = 1e-10  # relative cut for pseudo-inverses and factor tails
 RANK_TOL = 1e-8  # relative eigenvalue cut when reporting ranks
+
+
+class RecoveryError(RuntimeError):
+    """A block solution too inexact to recover from; `disagreement` is the
+    worst mismatch between blocks on a shared entry."""
+
+    def __init__(self, message, disagreement):
+        super().__init__(message)
+        self.disagreement = disagreement
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """ADMM solvers for the block problem and a dense reference oracle.
 
-The block solver works on a consensus vector over the union of block entry
+The block solver works on a consensus vector x over the union of block entry
 positions (off-diagonal entries scaled by sqrt(2) so inner products are dot
-products).  Each iteration solves a prefactored least-squares system for the
-consensus, projects every block onto its null-constrained PSD face, clips
-row values into their interval bounds, and updates scaled duals.  The dense
-reference solver runs the same scheme on the full matrix of the original
-problem and shares no conversion code, which makes it usable as an
-independent cross-check.
+products).  Block iterates and their scaled duals are single stacked svec
+vectors, one slice per block, tied to x by a sparse 0/1 gather matrix G with
+G x the blocks' copies of x.  Each iteration solves a prefactored
+least-squares system for the consensus, projects every block slice onto its
+null-constrained PSD face, clips row values into their interval bounds, and
+updates scaled duals.  The dense reference solver runs the same scheme on
+the full matrix of the original problem and shares no conversion code, which
+makes it usable as an independent cross-check.
 """
 
 import warnings
@@ -111,72 +113,61 @@ def project_null_psd(M, null_vectors, tol=1e-10):
     return _face_project(M, _face_basis(null_vectors, M.shape[0], tol))
 
 
-def _row_vector(bs, pair_index, data):
-    """Sparse consensus-space coefficients of one data row."""
-    vec = {}
-    for t, C in data.items():
-        idx = bs.blocks[t]
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                v = C[a, b]
-                if v != 0.0:
-                    g = pair_index[(idx[a], idx[b])]
-                    vec[g] = vec.get(g, 0.0) + (v if a == b else np.sqrt(2.0) * v)
-    return vec
-
-
 def admm_solve(bs, params=None):
     """Solve the coupled block problem; returns ({t: Y_t}, SolveStats).
 
-    Divergence (combined residual growing past 1e6 times its starting value)
-    raises AdmmDivergence.
+    The block iterates y and the scaled duals lam are stacked svec vectors,
+    one slice per block in node order.  The 0/1 gather matrix G (stacked
+    entries x distinct index pairs) copies the consensus x into every block
+    holding a pair, so consensus means y = G x and G^T G is the diagonal of
+    pair multiplicities.  Divergence (combined residual growing past 1e6
+    times its starting value) raises AdmmDivergence.
     """
     params = params or AdmmParams()
-    order = sorted(bs.blocks)
-    sizes = {t: len(bs.blocks[t]) for t in order}
+    pair_index, cols, layout = {}, [], {}
+    for t in sorted(bs.blocks):
+        idx = bs.blocks[t]
+        d = len(idx)
+        layout[t] = (slice(len(cols), len(cols) + d * (d + 1) // 2), d,
+                     _face_basis(bs.null_mats[t], d))
+        cols += [pair_index.setdefault((idx[a], idx[b]), len(pair_index))
+                 for a in range(d) for b in range(a, d)]
+    L, N = len(cols), len(pair_index)
+    G = sp.csr_matrix((np.ones(L), (np.arange(L), cols)), shape=(L, N))
 
-    pair_index = {}
-    for t in order:
-        idx = bs.blocks[t]
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                pair_index.setdefault((idx[a], idx[b]), len(pair_index))
-    N = len(pair_index)
-    sel = {}
-    for t in order:
-        idx = bs.blocks[t]
-        sel[t] = np.array([pair_index[(idx[a], idx[b])]
-                           for a in range(len(idx))
-                           for b in range(a, len(idx))], dtype=int)
-    counts = np.zeros(N)
-    for t in order:
-        np.add.at(counts, sel[t], 1.0)
+    def data_rows(rows):
+        """Rows in consensus coordinates: each row's stacked svec times G."""
+        ri, ci, vals = [], [], []
+        for r, data in enumerate(rows):
+            for t, C in data.items():
+                v = _svec(C)
+                nz = np.flatnonzero(v)
+                ri.extend([r] * nz.size)
+                ci.extend(layout[t][0].start + nz)
+                vals.extend(v[nz])
+        return sp.csr_matrix((vals, (ri, ci)), shape=(len(rows), L)) @ G
+
+    def unstack(v):
+        return {t: _unsvec(v[s], d) for t, (s, d, _) in layout.items()}
 
     m = len(bs.constraints)
-    rows_ij, rows_v = ([], []), []
-    for r, data in enumerate(bs.constraints):
-        for g, v in sorted(_row_vector(bs, pair_index, data).items()):
-            rows_ij[0].append(r)
-            rows_ij[1].append(g)
-            rows_v.append(v)
-    A = sp.csr_matrix((rows_v, rows_ij), shape=(m, N))
-    c = np.zeros(N)
-    for g, v in _row_vector(bs, pair_index, bs.objective).items():
-        c[g] += v
+    A = data_rows(bs.constraints)
+    c = data_rows([bs.objective]).toarray().ravel()
     lo = np.array([b[0] for b in bs.bounds], dtype=float)
     hi = np.array([b[1] for b in bs.bounds], dtype=float)
 
-    solve = spla.factorized((sp.diags(counts) + (A.T @ A)).tocsc())
-
-    faces = {t: _face_basis(bs.null_mats[t], sizes[t]) for t in order}
+    solve = spla.factorized((G.T @ G + A.T @ A).tocsc())
+    # stored transposes: building a .T view costs more than the product
+    GT, AT = G.T.tocsr(), A.T.tocsr()
 
     rho = params.rho
     # identity times a seed-dependent scale, so reruns with other seeds probe
     # different basins while staying reproducible
     scale0 = float(2.0 ** np.random.default_rng(params.seed).uniform(-1.0, 1.0))
     x = np.zeros(N)
-    y = {t: _svec(scale0 * np.eye(sizes[t])) for t in order}
-    lam = {t: np.zeros_like(y[t]) for t in order}
+    y = np.concatenate([_svec(scale0 * np.eye(d))
+                        for _, d, _ in layout.values()])
+    lam = np.zeros(L)
     z = np.clip(np.zeros(m), lo, hi)
     w = np.zeros(m)
 
@@ -185,37 +176,25 @@ def admm_solve(bs, params=None):
     converged = False
     first_combined = None
     for it in range(1, params.max_iter + 1):
-        rhs = -c / rho + A.T @ (z - w)
-        for t in order:
-            np.add.at(rhs, sel[t], y[t] - lam[t])
-        x = solve(rhs)
+        x = solve(-c / rho + AT @ (z - w) + GT @ (y - lam))
+        Gx = G @ x
         Ax = A @ x
 
         y_old = y
-        y = {t: _svec(_face_project(_unsvec(x[sel[t]] + lam[t], sizes[t]),
-                                    faces[t]))
-             for t in order}
+        v = Gx + lam
+        y = np.concatenate([_svec(_face_project(_unsvec(v[s], d), Q))
+                            for s, d, Q in layout.values()])
         z_old = z
         z = np.clip(Ax + w, lo, hi)
 
-        for t in order:
-            lam[t] = lam[t] + x[sel[t]] - y[t]
+        lam = lam + Gx - y
         w = w + Ax - z
 
-        pri2 = float(sum(np.sum((x[sel[t]] - y[t]) ** 2) for t in order)
-                     + np.sum((Ax - z) ** 2))
-        den_pri = max(1.0,
-                      np.sqrt(float(sum(np.sum(x[sel[t]] ** 2) for t in order)
-                                    + np.sum(Ax ** 2))),
-                      np.sqrt(float(sum(np.sum(y[t] ** 2) for t in order)
-                                    + np.sum(z ** 2))))
-        dvec = A.T @ (z - z_old)
-        for t in order:
-            np.add.at(dvec, sel[t], y[t] - y_old[t])
-        uvec = A.T @ w
-        for t in order:
-            np.add.at(uvec, sel[t], lam[t])
-        pri = np.sqrt(pri2) / den_pri
+        pri = np.sqrt(np.sum((Gx - y) ** 2) + np.sum((Ax - z) ** 2))
+        pri /= max(1.0, np.sqrt(np.sum(Gx ** 2) + np.sum(Ax ** 2)),
+                   np.sqrt(np.sum(y ** 2) + np.sum(z ** 2)))
+        dvec = GT @ (y - y_old) + AT @ (z - z_old)
+        uvec = GT @ lam + AT @ w
         dua = rho * np.linalg.norm(dvec) / max(1.0, rho * np.linalg.norm(uvec))
         history.append((pri, dua))
 
@@ -226,31 +205,29 @@ def admm_solve(bs, params=None):
             converged = True
             break
         if combined > 1e6 * max(first_combined, 1.0):
-            stats = _block_stats(it, pri, dua, float(c @ x), y, sizes,
-                                 order, rho, False, history)
+            stats = _block_stats(it, pri, dua, float(c @ x), unstack(y), rho,
+                                 False, history)
             raise AdmmDivergence("residuals diverged at iteration %d" % it,
                                  stats)
         if it % 25 == 0:
             if pri > 10.0 * dua and rho < 1e6:
                 rho *= 2.0
-                for t in order:
-                    lam[t] /= 2.0
+                lam /= 2.0
                 w /= 2.0
             elif dua > 10.0 * pri and rho > 1e-6:
                 rho /= 2.0
-                for t in order:
-                    lam[t] *= 2.0
+                lam *= 2.0
                 w *= 2.0
 
-    blocks = {t: _unsvec(y[t], sizes[t]) for t in order}
+    blocks = unstack(y)
     stats = _block_stats(it, history[-1][0] if history else 0.0,
                          history[-1][1] if history else 0.0,
-                         float(c @ x), y, sizes, order, rho, converged, history)
+                         float(c @ x), blocks, rho, converged, history)
     return blocks, stats
 
 
-def _block_stats(it, pri, dua, obj, y, sizes, order, rho, converged, history):
-    ranks = {t: _block_rank(_unsvec(y[t], sizes[t])) for t in order}
+def _block_stats(it, pri, dua, obj, blocks, rho, converged, history):
+    ranks = {t: _block_rank(B) for t, B in blocks.items()}
     return SolveStats(iterations=it, primal_residual=float(pri),
                       dual_residual=float(dua), objective=float(obj),
                       block_ranks=ranks, rho=float(rho),

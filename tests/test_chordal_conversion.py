@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splrsdp.chordal_conversion import assemble, convert_problem, export_sdpa
+from splrsdp.completion_rank import RecoveryError
 from splrsdp.graph_core import Graph
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SplrSdp,
                                eval_constraint, eval_objective)
@@ -111,8 +112,9 @@ def test_assemble_matches_lift_and_flags_conflicts():
     pos = bs.blocks[t].index(u)
     bad = {s: B.copy() for s, B in blocks.items()}
     bad[t][pos, pos] += 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(RecoveryError) as err:
         assemble(bad, bs, tol=1e-3)
+    assert abs(err.value.disagreement - 1.0) < 1e-12
 
 
 def test_export_sdpa_round_trip():

@@ -123,6 +123,23 @@ def test_solve_iteration_cap_returns_numerical_failure(tmp_path):
     assert _load(s)["schema"] == fileio.SOLUTION_SCHEMA
 
 
+def test_recover_of_unconverged_solve_is_a_numerical_failure(tmp_path, capsys):
+    # blocks that still disagree on their overlaps are solver noise, not a
+    # malformed input
+    p = tmp_path / "p.json"
+    e = tmp_path / "e.json"
+    s = tmp_path / "s.json"
+    assert run(["gen", "simex", "-n", "10", "--out", str(p)]) == 0
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    assert run(["solve", "--in", str(e), "--max-iter", "5",
+                "--out", str(s)]) == 2
+    capsys.readouterr()
+    assert run(["recover", "--extended-solution", str(s),
+                "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: blocks disagree on shared entries" in err
+
+
 def test_solve_accepts_unconverted_problem(tmp_path):
     p = tmp_path / "p.json"
     s = tmp_path / "s.json"

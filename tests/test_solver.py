@@ -4,7 +4,7 @@ import pytest
 from splrsdp.chordal_conversion import BlockSdp, convert_problem
 from splrsdp.graph_core import Graph, TreeDecomposition
 from splrsdp.instances import gen_min_bisection, gen_simex
-from splrsdp.sdp_model import is_feasible
+from splrsdp.sdp_model import SparseSymMatrix, SplrSdp, Term, is_feasible
 from splrsdp.solver import (AdmmDivergence, AdmmParams, admm_solve,
                             dense_reference_solve, project_null_psd)
 
@@ -85,6 +85,23 @@ def test_admm_single_block_eigenvalue():
     Y = blocks[1]
     assert abs(np.trace(Y) - 1.0) < 1e-6
     assert np.linalg.eigvalsh(Y)[0] > -1e-8
+
+
+def test_admm_without_constraint_rows():
+    # min <I, X> over X PSD with the path P4 as pattern: no data rows (m = 0)
+    n = 4
+    p = SplrSdp(n=n, ell=0,
+                pattern=Graph.from_edges(n, [(i, i + 1) for i in range(1, n)]),
+                factor=np.zeros((n, 0)),
+                objective=Term(SparseSymMatrix.from_entries(
+                    n, [(i, i, 1.0) for i in range(1, n + 1)]), np.zeros((0, 0))),
+                constraints=[])
+    _, bs, _ = convert_problem(p)
+    assert bs.constraints == [] and bs.k > 1
+    blocks, stats = admm_solve(bs)
+    assert stats.converged
+    assert abs(stats.objective) < 1e-8
+    assert all(np.abs(B).max() < 1e-8 for B in blocks.values())
 
 
 def test_admm_interval_row_picks_the_right_end():
