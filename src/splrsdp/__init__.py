@@ -39,7 +39,6 @@ from .sparse_extension import (
 from .chordal_conversion import assemble, convert, convert_problem, export_sdpa
 from .completion_rank import (
     AffineSlice,
-    PartialMatrix,
     RecoveryError,
     bp_bound,
     max_rank_for_constraints,

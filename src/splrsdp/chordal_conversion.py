@@ -7,9 +7,12 @@ them, and blocks agree on shared index pairs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
+from .completion_rank import RecoveryError, _sym
 from .graph_core import (TreeDecomposition, chordal_complete, clique_tree,
                          root_binary, to_binary, width)
 from .sdpa import write_sdpa
@@ -28,19 +31,21 @@ __all__ = [
 class BlockSdp:
     """Block form of the extended problem.
 
-    blocks[t] is the sorted tuple of extended indices of bag t; objective and
-    constraint data are dense matrices per block (dict keyed by node, absent
-    means zero).  null_mats[t] carries the accumulator constraint matrix of
-    the block (block.T @ Y @ block = 0).  Overlaps list
-    (t, parent, shared_indices) for every tree edge.
+    blocks[t] is the sorted tuple of extended indices of bag t.  Stacking
+    the blocks' upper triangles gives the columns described by `columns`.
+    rows is a CSR matrix with the objective in row 0 and constraint r in row
+    r; a row holds each of its data entries X[u, v], u <= v, once, in the
+    first column of the pair (u, v), and stores no zeros.  bounds[r - 1] is
+    the (lower, upper) interval of constraint r.  null_mats[t] carries the
+    accumulator constraint matrix of the block (block.T @ Y @ block = 0).
+    Overlaps list (t, parent, shared_indices) for every tree edge, parents
+    before children.
     """
 
     n_ext: int
-    tree: object  # relabeled rooted TreeDecomposition, root = k
     blocks: dict
-    objective: dict
-    constraints: list  # per row: dict node -> dense matrix
-    bounds: list  # per row: (lower, upper)
+    rows: object  # scipy.sparse CSR, (1 + m) x stacked columns
+    bounds: list  # per constraint: (lower, upper)
     null_mats: dict
     overlaps: list
 
@@ -48,72 +53,76 @@ class BlockSdp:
     def k(self):
         return len(self.blocks)
 
-    def block_values(self, row_data, blocks):
-        """Sum of <C_t, Y_t> over the row's blocks."""
-        return sum(float(np.sum(C * blocks[t])) for t, C in row_data.items())
+    @cached_property
+    def columns(self):
+        """Stacked columns as int arrays (node, i, j, u, v).
+
+        Column c is entry (i[c], j[c]), i <= j, 0-based, of block node[c]
+        and holds the index pair (u[c], v[c]) of the extended matrix.
+        Blocks follow node order, each upper triangle taken row by row.
+        """
+        return _columns(self.blocks)
 
 
-def _entry_home(ext):
-    """Map each needed index pair to the smallest-id block containing it."""
-    occ = {}
-    for t in sorted(ext.pattern.ext_bags):
-        for v in ext.pattern.ext_bags[t]:
-            occ.setdefault(v, []).append(t)
-
-    def home(u, v):
-        ts = set(occ.get(u, ())) & set(occ.get(v, ()))
-        if not ts:
-            raise ValueError("no block contains the pair (%d, %d)" % (u, v))
-        return min(ts)
-
-    return home
+def _columns(blocks):
+    ids = sorted(blocks)
+    sizes = [len(blocks[t]) for t in ids]
+    tri = {d: np.triu_indices(d) for d in set(sizes)}
+    i = np.concatenate([tri[d][0] for d in sizes])
+    j = np.concatenate([tri[d][1] for d in sizes])
+    counts = [d * (d + 1) // 2 for d in sizes]
+    # offset of each column's block in the blocks' concatenated indices
+    start = np.repeat(np.cumsum([0] + sizes[:-1]), counts)
+    flat = np.array([v for t in ids for v in blocks[t]])
+    return np.repeat(ids, counts), i, j, flat[start + i], flat[start + j]
 
 
 def convert(ext):
-    """Turn an extended problem into its coupled block form."""
+    """Turn an extended problem into its coupled block form.
+
+    Each data entry goes to the first column holding its index pair, that
+    is to the smallest-id block containing the pair.
+    """
     pat = ext.pattern
-    home = _entry_home(ext)
     blocks = {t: tuple(sorted(pat.ext_bags[t])) for t in pat.td.nodes}
-    pos = {t: {v: i for i, v in enumerate(blocks[t])} for t in blocks}
-
-    def add_entry(data, u, v, val):
-        t = home(u, v)
-        C = data.setdefault(t, np.zeros((len(blocks[t]), len(blocks[t]))))
-        i, j = pos[t][u], pos[t][v]
-        C[i, j] += val
-        if i != j:
-            C[j, i] += val
-
-    def row_data(term):
-        data = {}
-        for (u, v), val in term.sparse.entries.items():
-            add_entry(data, u, v, val)
-        if pat.ell:
-            J = pat.index_j
-            for a in range(pat.ell):
-                for b in range(a, pat.ell):
-                    val = term.core[a, b]
-                    if val != 0.0:
-                        add_entry(data, J[a], J[b], val)
-        return data
+    _, _, _, u, v = _columns(blocks)
+    stride = pat.n_ext + 1
+    keys, home = np.unique(u * stride + v, return_index=True)
 
     p = ext.base
-    objective = row_data(p.objective)
-    constraints = [row_data(c.term) for c in p.constraints]
-    bounds = [(c.lower, c.upper) for c in p.constraints]
+    terms = [p.objective] + [c.term for c in p.constraints]
+    # core entries sit on the root's auxiliary pairs J x J
+    ja, jb = np.triu_indices(pat.ell)
+    J = np.asarray(pat.index_j, dtype=np.int64)
+    core_pairs = list(zip(J[ja].tolist(), J[jb].tolist()))
+    ri, uv, vals = [], [], []
+    for r, term in enumerate(terms):
+        ent = term.sparse.entries
+        ri += [r] * (len(ent) + len(core_pairs))
+        uv += list(ent) + core_pairs
+        vals += list(ent.values()) + term.core[ja, jb].tolist()
+    uv = np.array(uv, dtype=np.int64).reshape(-1, 2)
+    vals = np.array(vals, dtype=float)
+    key = uv[:, 0] * stride + uv[:, 1]
+    pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    missing = keys[pos] != key
+    if missing.any():
+        raise ValueError("no block contains the pair (%d, %d)"
+                         % tuple(uv[missing][0]))
+    keep = vals != 0.0
+    rows = sp.csr_matrix((vals[keep], (np.array(ri)[keep], home[pos[keep]])),
+                         shape=(len(terms), u.size))
     overlaps = []
-    for t in pat.td.nodes:
+    for t in reversed(pat.td.postorder()):
         par = pat.td.parent(t)
         if par is not None:
             shared = tuple(sorted(pat.ext_bags[t] & pat.ext_bags[par]))
             overlaps.append((t, par, shared))
     return BlockSdp(
         n_ext=pat.n_ext,
-        tree=pat.td,
         blocks=blocks,
-        objective=objective,
-        constraints=constraints,
-        bounds=bounds,
+        rows=rows,
+        bounds=[(c.lower, c.upper) for c in p.constraints],
         null_mats=dict(ext.a_mats),
         overlaps=overlaps,
     )
@@ -165,34 +174,36 @@ def convert_problem(p, td=None, path_mode=False):
 
 
 def assemble(block_solution, bs, tol=1e-6):
-    """Merge per-block matrices into one partial matrix on the block pattern.
+    """Agreed bag matrices of a block solution.
 
-    Writes parents before children (labels descend from the root k); entries
-    already written are kept, and a disagreement beyond `tol` raises
-    completion_rank.RecoveryError.  Returns a completion_rank.PartialMatrix.
+    Symmetrizes every block, then walks bs.overlaps parents first: each
+    child's shared entries are measured against its parent's and then
+    overwritten by them, so a shared entry carries the value of the topmost
+    block holding it.  A disagreement beyond `tol` raises
+    completion_rank.RecoveryError with the worst one.  Returns {t: matrix},
+    rows in bs.blocks[t] order, as psd_complete_min_rank takes them.
     """
-    from .completion_rank import PartialMatrix, RecoveryError
-
-    entries = {}
-    worst = 0.0
+    bags = {}
     for t in sorted(bs.blocks, reverse=True):
-        idx = bs.blocks[t]
-        Z = np.asarray(block_solution[t])
-        if Z.shape != (len(idx), len(idx)):
+        d = len(bs.blocks[t])
+        Z = np.asarray(block_solution[t], dtype=float)
+        if Z.shape != (d, d):
             raise ValueError("block %d has shape %s, expected %d"
-                             % (t, Z.shape, len(idx)))
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                key = (idx[a], idx[b])
-                v = 0.5 * (Z[a, b] + Z[b, a])
-                if key in entries:
-                    worst = max(worst, abs(entries[key] - v))
-                else:
-                    entries[key] = v
+                             % (t, Z.shape, d))
+        bags[t] = _sym(Z)
+    worst = 0.0
+    for t, par, shared in bs.overlaps:
+        if not shared:
+            continue
+        a = np.searchsorted(bs.blocks[t], shared)
+        b = np.searchsorted(bs.blocks[par], shared)
+        agreed = bags[par][np.ix_(b, b)]
+        worst = max(worst, float(np.abs(bags[t][np.ix_(a, a)] - agreed).max()))
+        bags[t][np.ix_(a, a)] = agreed
     if worst > tol:
         raise RecoveryError("blocks disagree on shared entries by %.3e"
-                            % worst, worst)
-    return PartialMatrix(n=bs.n_ext, entries=entries)
+                            % worst, disagreement=worst)
+    return bags
 
 
 def export_sdpa(bs, fh):
@@ -203,46 +214,47 @@ def export_sdpa(bs, fh):
     one rank-one equality row per accumulator vector.  The file encodes
     min sum_t <F_0 blk t, Y_t> subject to row values = rhs.
     """
-    rows = []  # (entries without slack, rhs, slack_sign or 0)
-    for r, (lo, hi) in enumerate(bs.bounds):
-        data = bs.constraints[r]
+    block_ids = sorted(bs.blocks)
+    node, i, j, _, _ = bs.columns
+    blk = np.searchsorted(block_ids, node)  # block position of each column
+    # accumulator rows (block, h): upper triangle of a a^T, a = null_mats[t][:, h]
+    sizes = [len(bs.blocks[t]) for t in block_ids]
+    A = np.vstack([bs.null_mats[t] for t in block_ids])
+    ell = A.shape[1]
+    at = np.cumsum([0] + sizes[:-1])[blk]  # first row of the column's block in A
+    val = (A[at + i] * A[at + j]).ravel()
+    nz = val != 0.0
+    acc = sp.csr_matrix(
+        (val[nz], ((blk[:, None] * ell + np.arange(ell)).ravel()[nz],
+                   np.repeat(np.arange(node.size), ell)[nz])),
+        shape=(len(block_ids) * ell, node.size))
+    M = sp.vstack([bs.rows, acc], format="csr")
+    c = M.indices
+    nonzeros = [x.tolist() for x in (blk[c] + 1, i[c] + 1, j[c] + 1, M.data)]
+
+    rows = []  # (row of M, rhs, slack_sign or 0)
+    for r, (lo, hi) in enumerate(bs.bounds, start=1):
         if lo == hi:
-            rows.append((data, lo, 0))
+            rows.append((r, lo, 0))
             continue
         if np.isfinite(lo):
-            rows.append((data, lo, -1))  # value - slack = lo
+            rows.append((r, lo, -1))  # value - slack = lo
         if np.isfinite(hi):
-            rows.append((data, hi, +1))  # value + slack = hi
-    for t in sorted(bs.null_mats):
-        A = bs.null_mats[t]
-        for h in range(A.shape[1]):
-            a = A[:, h]
-            rows.append(({t: np.outer(a, a)}, 0.0, 0))
+            rows.append((r, hi, +1))  # value + slack = hi
+    rows += [(r, 0.0, 0) for r in range(len(bs.bounds) + 1, M.shape[0])]
 
     n_slack = sum(1 for _, _, s in rows if s)
-    block_ids = sorted(bs.blocks)
-    sizes = [len(bs.blocks[t]) for t in block_ids]
     if n_slack:
         sizes.append(-n_slack)
-    blkno_of = {t: i + 1 for i, t in enumerate(block_ids)}
     lp_blk = len(block_ids) + 1
 
     entries = []
-    for t, C in sorted(bs.objective.items()):
-        for i in range(C.shape[0]):
-            for j in range(i, C.shape[0]):
-                if C[i, j] != 0.0:
-                    entries.append((0, blkno_of[t], i + 1, j + 1, C[i, j]))
-    rhs = []
     slack_idx = 0
-    for r, (data, b, sign) in enumerate(rows, start=1):
-        rhs.append(b)
-        for t, C in sorted(data.items()):
-            for i in range(C.shape[0]):
-                for j in range(i, C.shape[0]):
-                    if C[i, j] != 0.0:
-                        entries.append((r, blkno_of[t], i + 1, j + 1, C[i, j]))
+    for matno, (r, _, sign) in enumerate([(0, None, 0)] + rows):
+        s = slice(M.indptr[r], M.indptr[r + 1])
+        entries.extend(zip([matno] * (s.stop - s.start),
+                           *(x[s] for x in nonzeros)))
         if sign:
             slack_idx += 1
-            entries.append((r, lp_blk, slack_idx, slack_idx, float(sign)))
-    write_sdpa(fh, len(rows), sizes, rhs, entries)
+            entries.append((matno, lp_blk, slack_idx, slack_idx, float(sign)))
+    write_sdpa(fh, len(rows), sizes, [b for _, b, _ in rows], entries)

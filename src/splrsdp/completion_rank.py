@@ -1,7 +1,7 @@
 """PSD completion and rank reduction.
 
 Contains:
-- minimum-rank PSD completion of a partial matrix along a clique tree,
+- minimum-rank PSD completion of bag matrices along a clique tree,
 - rank reduction over an affine slice of the PSD cone down to the classic
   feasibility bound r(r+1)/2 <= #constraints,
 - the block-level reduction used on two-child blocks of the converted
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PartialMatrix",
     "AffineSlice",
     "RecoveryError",
     "bp_bound",
@@ -31,27 +30,22 @@ RANK_TOL = 1e-8  # relative eigenvalue cut when reporting ranks
 
 
 class RecoveryError(RuntimeError):
-    """A block solution too inexact to recover from; `disagreement` is the
-    worst mismatch between blocks on a shared entry."""
+    """A block solution too inexact to recover from.
 
-    def __init__(self, message, disagreement):
-        super().__init__(message)
-        self.disagreement = disagreement
-
-
-@dataclass
-class PartialMatrix:
-    """Symmetric matrix with a subset of entries known.
-
-    entries maps (i, j), i <= j, 1-based, to values; other positions are
-    unknown until completed.
+    Carries the measured value of the check that failed; the others are
+    None.  disagreement: worst mismatch between blocks on a shared entry.
+    eigenvalue: most negative eigenvalue of a bag matrix.
+    reproduction_error: worst completed entry against its bag.
+    face_residual: worst violation of a block's accumulator identity.
     """
 
-    n: int
-    entries: dict
-
-    def get(self, i, j):
-        return self.entries.get((min(i, j), max(i, j)))
+    def __init__(self, message, disagreement=None, eigenvalue=None,
+                 reproduction_error=None, face_residual=None):
+        super().__init__(message)
+        self.disagreement = disagreement
+        self.eigenvalue = eigenvalue
+        self.reproduction_error = reproduction_error
+        self.face_residual = face_residual
 
 
 @dataclass
@@ -100,8 +94,14 @@ def _orth_complement(V, dim, count):
     return U[:, :count]
 
 
-def psd_complete_min_rank(pm, td, psd_tol=1e-6, rank_tol=RANK_TOL, face_mats=None):
-    """Complete a partial PSD matrix along a clique tree at minimum rank.
+def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
+                          face_mats=None):
+    """Complete a PSD matrix known on the bags of a clique tree at minimum rank.
+
+    bags[t] is the known submatrix on bag t, rows in sorted(bag) order; bags
+    must agree on shared entries, as the output of
+    chordal_conversion.assemble does.  The completed matrix spans indices
+    1..n, n the largest index in any bag.
 
     Builds a factor row by row, bags processed parents-first.  Each bag is
     factored on its own, then rotated so that its separator rows land exactly
@@ -117,8 +117,10 @@ def psd_complete_min_rank(pm, td, psd_tol=1e-6, rank_tol=RANK_TOL, face_mats=Non
     exactly in the global factor.  This keeps noisy input from leaking into
     directions that downstream identities rely on.
 
-    Raises if a bag needs an unknown entry, a bag submatrix is clearly not
-    PSD, or the result fails to reproduce the known entries.  Returns a
+    Raises ValueError if a bag has no matrix of its size or the bags miss
+    an index, and RecoveryError if a bag matrix is clearly not PSD
+    (carrying its most negative eigenvalue) or the result fails to
+    reproduce the bags (carrying the worst error).  Returns a
     FactoredSolution of the full matrix.
     """
     from .sdp_model import FactoredSolution
@@ -130,21 +132,19 @@ def psd_complete_min_rank(pm, td, psd_tol=1e-6, rank_tol=RANK_TOL, face_mats=Non
         rooted = td
     seq = list(reversed(rooted.postorder()))  # parents before children
 
-    n = pm.n
-    scale = max([abs(v) for v in pm.entries.values()] + [1.0])
+    mats = {}
+    for t in seq:
+        d = len(rooted.bags[t])
+        if t not in bags or np.shape(bags[t]) != (d, d):
+            raise ValueError("bag %d needs a %d x %d matrix" % (t, d, d))
+        mats[t] = _sym(np.asarray(bags[t], dtype=float))
+    n = max((max(b) for b in rooted.bags.values() if b), default=0)
+    scale = max([np.abs(B).max() for B in mats.values() if B.size] + [1.0])
     R = np.zeros((n, 0))
     placed = set()
     for t in seq:
         idx = sorted(rooted.bags[t])
-        B = np.empty((len(idx), len(idx)))
-        for a, u in enumerate(idx):
-            for b, v in enumerate(idx):
-                x = pm.get(u, v)
-                if x is None:
-                    raise ValueError("entry (%d, %d) required by bag %d is unknown"
-                                     % (u, v, t))
-                B[a, b] = x
-        B = _sym(B)
+        B = mats[t]
         C = None
         if face_mats is not None:
             C = face_mats.get(t)
@@ -158,7 +158,8 @@ def psd_complete_min_rank(pm, td, psd_tol=1e-6, rank_tol=RANK_TOL, face_mats=Non
             B = _sym(P @ B @ P)
         w = np.linalg.eigvalsh(B)
         if w.size and w[0] < -psd_tol * scale:
-            raise ValueError("bag %d submatrix has eigenvalue %.3e" % (t, w[0]))
+            raise RecoveryError("bag %d submatrix has eigenvalue %.3e"
+                                % (t, w[0]), eigenvalue=float(w[0]))
         G = _psd_factor(B, rel_cut=rank_tol)
         rt = G.shape[1]
         sep = [a for a, v in enumerate(idx) if v in placed]
@@ -201,10 +202,12 @@ def psd_complete_min_rank(pm, td, psd_tol=1e-6, rank_tol=RANK_TOL, face_mats=Non
     if len(placed) != n:
         raise ValueError("bags cover only %d of %d indices" % (len(placed), n))
     err = 0.0
-    for (i, j), v in pm.entries.items():
-        err = max(err, abs(float(R[i - 1] @ R[j - 1]) - v))
+    for t, B in mats.items():
+        rows = R[[v - 1 for v in sorted(rooted.bags[t])]]
+        err = max(err, float(np.abs(rows @ rows.T - B).max(initial=0.0)))
     if err > max(10.0 * psd_tol, 1e3 * rank_tol) * scale:
-        raise ValueError("completion reproduces known entries only to %.3e" % err)
+        raise RecoveryError("completion reproduces known entries only to %.3e"
+                            % err, reproduction_error=err)
     live = np.linalg.norm(R, axis=0) > 0.0
     return FactoredSolution(R[:, live])
 
@@ -298,7 +301,8 @@ def reduce_block(Z, v_part, ell, input_tol=1e-6):
     scale = max(1.0, float(np.abs(Z).max()))
     resid = float(np.abs(U.T @ Z @ U).max())
     if resid > input_tol * scale:
-        raise ValueError("block violates its accumulator identity by %.3e" % resid)
+        raise RecoveryError("block violates its accumulator identity by %.3e"
+                            % resid, face_residual=resid)
 
     B = Z[:p, :p]
     C = Z[p:, :p]
@@ -374,8 +378,10 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     bs.blocks[t]).  In "tree" mode every two-child block is first reduced by
     reduce_block; in "path" mode (only valid when no node has two children)
     blocks are already narrow enough and are used as-is.  The blocks are then
-    assembled into a partial matrix, completed at minimum rank along the
-    extended clique tree, and restricted to the original rows.
+    made to agree on their overlaps (chordal_conversion.assemble), completed
+    at minimum rank along the extended clique tree, and restricted to the
+    original rows.  Solver output too inexact for any of these steps raises
+    RecoveryError.
 
     Returns (solution, info) where solution is a FactoredSolution on the
     original index range and info reports block ranks and the certified
@@ -415,7 +421,7 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
             blocks[t] = back
             reduced.append(t)
 
-    pm = assemble(blocks, bs, tol=overlap_tol)
+    bags = assemble(blocks, bs, tol=overlap_tol)
     ctd = TreeDecomposition(nodes=td.nodes, edges=td.edges,
                             bags={t: frozenset(bs.blocks[t]) for t in bs.blocks},
                             root=td.root)
@@ -423,7 +429,7 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     # solver noise leaks through the glue and breaks the lifted values
     faces = {t: np.asarray(bs.null_mats[t], dtype=float)
              for t in bs.blocks} if pat.ell else None
-    full = psd_complete_min_rank(pm, ctd, psd_tol=psd_tol, rank_tol=rank_tol,
+    full = psd_complete_min_rank(bags, ctd, psd_tol=psd_tol, rank_tol=rank_tol,
                                  face_mats=faces)
     restricted = FactoredSolution(full.factor[:pat.n, :].copy())
 

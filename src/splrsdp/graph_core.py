@@ -292,15 +292,12 @@ def clique_tree(g):
         raise ValueError("graph is not chordal")
     adj = g.adjacency()
     pos = {v: i for i, v in enumerate(peo)}
-    candidates = []
-    for v in peo:
-        c = frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
-        candidates.append(c)
-    cliques = []
-    for c in candidates:
-        if not any(c < d for d in candidates):
-            if c not in cliques:
-                cliques.append(c)
+    cand = {v: frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
+            for v in peo}
+    # candidates are distinct (v comes first in its own), and C_v can only
+    # lie inside C_u for an earlier neighbour u, the only C_u holding v
+    cliques = [c for v, c in cand.items()
+               if not any(c < cand[u] for u in adj[v] if pos[u] < pos[v])]
     p = len(cliques)
     bags = {t + 1: cliques[t] for t in range(p)}
     if p == 1:

@@ -124,35 +124,30 @@ def admm_solve(bs, params=None):
     times its starting value) raises AdmmDivergence.
     """
     params = params or AdmmParams()
-    pair_index, cols, layout = {}, [], {}
+    layout, start = {}, 0
     for t in sorted(bs.blocks):
-        idx = bs.blocks[t]
-        d = len(idx)
-        layout[t] = (slice(len(cols), len(cols) + d * (d + 1) // 2), d,
+        d = len(bs.blocks[t])
+        layout[t] = (slice(start, start + d * (d + 1) // 2), d,
                      _face_basis(bs.null_mats[t], d))
-        cols += [pair_index.setdefault((idx[a], idx[b]), len(pair_index))
-                 for a in range(d) for b in range(a, d)]
-    L, N = len(cols), len(pair_index)
+        start = layout[t][0].stop
+    _, i, j, pu, pv = bs.columns
+    _, first, inv = np.unique(pu * (bs.n_ext + 1) + pv, return_index=True,
+                              return_inverse=True)
+    # consensus coordinates: index pairs in order of first appearance
+    _, cols = np.unique(first[inv], return_inverse=True)
+    L, N = cols.size, first.size
     G = sp.csr_matrix((np.ones(L), (np.arange(L), cols)), shape=(L, N))
-
-    def data_rows(rows):
-        """Rows in consensus coordinates: each row's stacked svec times G."""
-        ri, ci, vals = [], [], []
-        for r, data in enumerate(rows):
-            for t, C in data.items():
-                v = _svec(C)
-                nz = np.flatnonzero(v)
-                ri.extend([r] * nz.size)
-                ci.extend(layout[t][0].start + nz)
-                vals.extend(v[nz])
-        return sp.csr_matrix((vals, (ri, ci)), shape=(len(rows), L)) @ G
 
     def unstack(v):
         return {t: _unsvec(v[s], d) for t, (s, d, _) in layout.items()}
 
-    m = len(bs.constraints)
-    A = data_rows(bs.constraints)
-    c = data_rows([bs.objective]).toarray().ravel()
+    # data rows in consensus coordinates: rows . diag(svec scale) . G
+    scaled = bs.rows.copy()
+    scaled.data *= np.where(i == j, 1.0, np.sqrt(2.0))[scaled.indices]
+    rows = scaled @ G
+    c = rows[0].toarray().ravel()
+    A = rows[1:]
+    m = A.shape[0]
     lo = np.array([b[0] for b in bs.bounds], dtype=float)
     hi = np.array([b[1] for b in bs.bounds], dtype=float)
 

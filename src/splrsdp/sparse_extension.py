@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, TreeDecomposition, validate_decomposition
+from .graph_core import TreeDecomposition, validate_decomposition
 from .sdp_model import FactoredSolution, _core_gram, _term_value
 
 __all__ = [
-    "BagPartition",
     "ExtendedPattern",
     "ExtendedSdp",
     "canonical_relabel",
@@ -33,21 +32,13 @@ __all__ = [
 
 
 @dataclass
-class BagPartition:
-    """W_t = bag(t) minus the parent's bag; the W_t partition the vertices."""
-
-    w: dict  # node -> frozenset
-
-
-@dataclass
 class ExtendedPattern:
     """Index bookkeeping for the extended problem.
 
     Nodes are relabeled 1..k so that children precede parents and the root is
     k.  Auxiliary indices for node t are u[t] = (n+(t-1)ell+1, ..., n+t*ell);
-    ext_bags[t] = bag(t) + u[t] + children's u blocks.  `graph` is the
-    extended data-sparsity graph; the solver side works with the larger
-    chordal cover in which every extended bag is a clique.
+    ext_bags[t] = bag(t) + u[t] + children's u blocks; the solver side works
+    with the chordal cover in which every extended bag is a clique.
     """
 
     n: int
@@ -58,7 +49,6 @@ class ExtendedPattern:
     w: dict  # node -> frozenset, bag partition
     u: dict  # node -> tuple of auxiliary indices
     ext_bags: dict  # node -> frozenset
-    graph: Graph  # on n + k*ell vertices
 
     @property
     def n_ext(self):
@@ -90,7 +80,7 @@ def partition_bags(td):
 
     For a valid decomposition these partition the union of all bags: the
     occurrences of a vertex form a subtree, and W_t keeps the vertex only at
-    that subtree's highest node.
+    that subtree's highest node.  Returns {node: W_t}.
     """
     if td.root is None:
         raise ValueError("decomposition is not rooted")
@@ -110,7 +100,7 @@ def partition_bags(td):
         covered |= bag
     if set(seen) != covered:
         raise ValueError("bag difference sets do not cover all vertices")
-    return BagPartition(w=w)
+    return w
 
 
 def canonical_relabel(td):
@@ -140,33 +130,20 @@ def _check_rooted_binary(td):
 
 
 def build_extended_pattern(pattern, td, ell):
-    """Extended graph and bags for `ell` auxiliary indices per node."""
+    """Extended bags for `ell` auxiliary indices per node."""
     _check_rooted_binary(td)
     ctd, node_order = canonical_relabel(td)
     n = pattern.n
     k = len(ctd.nodes)
-    part = partition_bags(ctd)
     u = {t: tuple(range(n + (t - 1) * ell + 1, n + t * ell + 1)) for t in ctd.nodes}
-    edges = set(pattern.edges)
-    for t in ctd.nodes:
-        ut = u[t]
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                edges.add((ut[a], ut[b]))
-        attach = [t] if ctd.parent(t) is None else [t, ctd.parent(t)]
-        for i in attach:
-            for v in ctd.bags[i]:
-                for x in ut:
-                    edges.add((min(v, x), max(v, x)))
     ext_bags = {}
     for t in ctd.nodes:
         bag = set(ctd.bags[t]) | set(u[t])
         for j in ctd.children(t):
             bag |= set(u[j])
         ext_bags[t] = frozenset(bag)
-    g = Graph.from_edges(n + k * ell, edges)
     return ExtendedPattern(n=n, ell=ell, k=k, td=ctd, node_order=node_order,
-                           w=part.w, u=u, ext_bags=ext_bags, graph=g)
+                           w=partition_bags(ctd), u=u, ext_bags=ext_bags)
 
 
 def build_extension(p, td):

@@ -67,6 +67,14 @@ def random_valid_td(rng, p, max_new=3, max_keep=4):
     return Graph.from_edges(n, gedges), td
 
 
+def block_row_values(bs, blocks):
+    """Value of every data row of a block problem on per-block matrices,
+    objective first."""
+    node, i, j, _, _ = bs.columns
+    y = np.array([blocks[t][a, b] for t, a, b in zip(node, i, j)])
+    return bs.rows @ (y * np.where(i == j, 1.0, 2.0))
+
+
 def random_graph(rng, n, p_edge):
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if rng.random() < p_edge]

@@ -10,8 +10,7 @@ import numpy as np
 
 from conftest import CHORDAL12_CLIQUES, random_splr_problem, random_valid_td
 from splrsdp.chordal_conversion import convert_problem
-from splrsdp.completion_rank import (AffineSlice, PartialMatrix,
-                                     max_rank_for_constraints,
+from splrsdp.completion_rank import (AffineSlice, max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank)
 from splrsdp.graph_core import (Graph, TreeDecomposition,
@@ -145,12 +144,12 @@ def test_min_rank_completion_bulk():
             continue
         F = rng.standard_normal((n, int(rng.integers(1, n + 1))))
         X = F @ F.T
-        ent = {(i, j): X[i - 1, j - 1] for i, j in g.edges}
-        ent.update({(i, i): X[i - 1, i - 1] for i in range(1, n + 1)})
-        sol = psd_complete_min_rank(PartialMatrix(n, ent), td)
+        rows = {t: [v - 1 for v in sorted(bag)] for t, bag in td.bags.items()}
+        bags = {t: X[np.ix_(ix, ix)] for t, ix in rows.items()}
+        sol = psd_complete_min_rank(bags, td)
         Xc = sol.matrix()
-        assert max(abs(Xc[i - 1, j - 1] - v)
-                   for (i, j), v in ent.items()) <= 1e-9
+        assert max(np.abs(Xc[np.ix_(ix, ix)] - bags[t]).max()
+                   for t, ix in rows.items()) <= 1e-9
         assert np.linalg.eigvalsh(Xc)[0] >= -1e-9
         maxbag = 0
         for bag in td.bags.values():

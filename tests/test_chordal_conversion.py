@@ -11,7 +11,7 @@ from splrsdp.sdp_model import (Constraint, FactoredSolution, SplrSdp,
 from splrsdp.sdpa import parse_sdpa
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import random_splr_problem
+from conftest import block_row_values, random_splr_problem
 
 
 def _lift_blocks(ext, bs, F):
@@ -32,10 +32,11 @@ def test_block_values_match_original_values():
         F = rng.standard_normal((n, 3))
         blocks, _ = _lift_blocks(ext, bs, F)
         ref = FactoredSolution(F)
-        v = bs.block_values(bs.objective, blocks)
+        vals = block_row_values(bs, blocks)
+        v = vals[0]
         assert abs(v - eval_objective(p, ref)) < 1e-8 * max(1.0, abs(v))
         for i in range(1, p.m + 1):
-            v = bs.block_values(bs.constraints[i - 1], blocks)
+            v = vals[i]
             want = eval_constraint(p, i, ref)
             assert abs(v - want) < 1e-8 * max(1.0, abs(want))
         assert bs.bounds == [(c.lower, c.upper) for c in p.constraints]
@@ -51,18 +52,18 @@ def test_block_data_reconstructs_extended_matrices():
         ext, bs, _ = convert_problem(p)
         nh = ext.pattern.n_ext
         J = ext.pattern.index_j
-        rows = [(p.objective, bs.objective)] + [
-            (c.term, bs.constraints[i]) for i, c in enumerate(p.constraints)]
-        for term, data in rows:
+        _, _, _, u, v = bs.columns
+        for r, term in enumerate([p.objective]
+                                 + [c.term for c in p.constraints]):
             want = np.zeros((nh, nh))
             want[:n, :n] = term.sparse.to_dense()
             for a in range(ell):
                 for b in range(ell):
                     want[J[a] - 1, J[b] - 1] += term.core[a, b]
+            row = bs.rows[r].tocoo()
             got = np.zeros((nh, nh))
-            for t, C in data.items():
-                idx = [v - 1 for v in bs.blocks[t]]
-                got[np.ix_(idx, idx)] += C
+            np.add.at(got, (u[row.col] - 1, v[row.col] - 1), row.data)
+            got += np.triu(got, 1).T
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -103,11 +104,12 @@ def test_assemble_matches_lift_and_flags_conflicts():
     ext, bs, _ = convert_problem(p)
     F = rng.standard_normal((12, 2))
     blocks, XL = _lift_blocks(ext, bs, F)
-    pm = assemble(blocks, bs)
-    for (i, j), v in pm.entries.items():
-        assert abs(v - XL[i - 1, j - 1]) < 1e-10
+    bags = assemble(blocks, bs)
+    for t, B in bags.items():
+        idx = [v - 1 for v in bs.blocks[t]]
+        assert np.abs(B - XL[np.ix_(idx, idx)]).max() < 1e-10
     # children disagreeing with parents on a shared entry is an error
-    t, par, shared = bs.overlaps[0]
+    t, par, shared = min(bs.overlaps)
     u = shared[0]
     pos = bs.blocks[t].index(u)
     bad = {s: B.copy() for s, B in blocks.items()}
@@ -142,9 +144,16 @@ def test_export_sdpa_round_trip():
         C = dense.setdefault((matno, blkno), np.zeros((sizes[blkno - 1],) * 2))
         C[i - 1, j - 1] = v
         C[j - 1, i - 1] = v
+    node, ci, cj, _, _ = bs.columns
+    data = bs.rows.tocoo()
+    block_data = {}
+    for r, c, v in zip(data.row, data.col, data.data):
+        t = node[c]
+        C = block_data.setdefault((r, t), np.zeros((len(bs.blocks[t]),) * 2))
+        C[ci[c], cj[c]] = C[cj[c], ci[c]] = v
     for r in range(p.m):
         for bi, t in enumerate(order, start=1):
-            want = bs.constraints[r].get(t)
+            want = block_data.get((r + 1, t))
             got = dense.get((r + 1, bi))
             if want is None:
                 assert got is None

@@ -9,7 +9,7 @@ from splrsdp import fileio
 from splrsdp.chordal_conversion import convert_problem
 from splrsdp.cli import run
 from splrsdp.graph_core import Graph, write_graph
-from splrsdp.instances import gen_lb_tree
+from splrsdp.instances import gen_lb_tree, gen_simex
 from splrsdp.sdp_model import FactoredSolution
 from splrsdp.sparse_extension import extend_solution
 
@@ -138,6 +138,30 @@ def test_recover_of_unconverged_solve_is_a_numerical_failure(tmp_path, capsys):
                 "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "numerical failure: blocks disagree on shared entries" in err
+
+
+def test_recover_of_indefinite_block_is_a_numerical_failure(tmp_path, capsys):
+    # exact lift of simex n=10, then the diagonal entry of an index held by
+    # one block only set to -5: that bag is no longer PSD
+    p = gen_simex(10)
+    ext, bs, _ = convert_problem(p)
+    R = np.random.default_rng(0).standard_normal((p.n, 2))
+    L = extend_solution(ext, FactoredSolution(R)).factor
+    blocks = {}
+    for t, idx in bs.blocks.items():
+        rows = L[[v - 1 for v in idx]]
+        blocks[t] = rows @ rows.T
+    held = [v for idx in bs.blocks.values() for v in idx]
+    v = min(u for u in held if held.count(u) == 1)
+    t = next(t for t, idx in bs.blocks.items() if v in idx)
+    a = bs.blocks[t].index(v)
+    blocks[t][a, a] = -5.0
+    s = tmp_path / "s.json"
+    fileio.save(fileio.solution_to_dict(blocks, extended=ext), str(s))
+    assert run(["recover", "--extended-solution", str(s),
+                "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: bag %d submatrix has eigenvalue" % t in err
 
 
 def test_solve_accepts_unconverted_problem(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from splrsdp.chordal_conversion import convert_problem
-from splrsdp.completion_rank import (AffineSlice, PartialMatrix, bp_bound,
+from splrsdp.chordal_conversion import BlockSdp, assemble, convert_problem
+from splrsdp.completion_rank import (AffineSlice, RecoveryError, bp_bound,
                                      max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
@@ -10,7 +12,7 @@ from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, cliqu
 from splrsdp.sdp_model import FactoredSolution, eval_constraint, eval_objective
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import random_graph, random_splr_problem
+from conftest import random_graph, random_splr_problem, random_valid_td
 
 
 def test_rank_bounds_table():
@@ -27,15 +29,12 @@ def test_rank_bounds_table():
 
 
 def _erase_to_clique_tree(X, ct):
-    ent = {}
+    """The submatrices of X on the bags of ct."""
+    bags = {}
     for t in ct.nodes:
-        for a in sorted(ct.bags[t]):
-            for b in sorted(ct.bags[t]):
-                if a <= b:
-                    ent[(a, b)] = X[a - 1, b - 1]
-    for i in range(X.shape[0]):
-        ent.setdefault((i + 1, i + 1), X[i, i])
-    return PartialMatrix(X.shape[0], ent)
+        idx = [v - 1 for v in sorted(ct.bags[t])]
+        bags[t] = X[np.ix_(idx, idx)]
+    return bags
 
 
 def test_psd_complete_erased_low_rank():
@@ -48,10 +47,13 @@ def test_psd_complete_erased_low_rank():
         r = int(rng.integers(1, 5))
         F = rng.standard_normal((n, r))
         X = F @ F.T
-        pm = _erase_to_clique_tree(X, ct)
-        sol = psd_complete_min_rank(pm, ct)
+        bags = _erase_to_clique_tree(X, ct)
+        sol = psd_complete_min_rank(bags, ct)
         Xc = sol.matrix()
-        err = max(abs(Xc[i - 1, j - 1] - v) for (i, j), v in pm.entries.items())
+        err = 0.0
+        for t in ct.nodes:
+            idx = [v - 1 for v in sorted(ct.bags[t])]
+            err = max(err, np.abs(Xc[np.ix_(idx, idx)] - bags[t]).max())
         assert err < 1e-9
         assert np.linalg.eigvalsh(Xc)[0] > -1e-9
         maxbag = max(len(b) for b in ct.bags.values())
@@ -62,17 +64,68 @@ def test_psd_complete_missing_entry_raises():
     td = TreeDecomposition(nodes=(1, 2), edges=frozenset({(1, 2)}),
                            bags={1: frozenset({1, 2}), 2: frozenset({2, 3})},
                            root=1)
-    pm = PartialMatrix(3, {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (1, 2): 0.5})
+    # bag 2 needs the unknown entry (2, 3), so only bag 1 is known
+    bags = {1: np.array([[1.0, 0.5], [0.5, 1.0]])}
     with pytest.raises(ValueError):
-        psd_complete_min_rank(pm, td)
+        psd_complete_min_rank(bags, td)
 
 
 def test_psd_complete_indefinite_bag_raises():
     td = TreeDecomposition(nodes=(1,), edges=frozenset(),
                            bags={1: frozenset({1, 2})}, root=1)
-    pm = PartialMatrix(2, {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 2.0})
-    with pytest.raises(ValueError):
-        psd_complete_min_rank(pm, td)
+    bags = {1: np.array([[1.0, 2.0], [2.0, 1.0]])}
+    with pytest.raises(RecoveryError) as err:
+        psd_complete_min_rank(bags, td)
+    assert abs(err.value.eigenvalue + 1.0) < 1e-12
+
+
+def _bag_layout(td):
+    """A BlockSdp holding only what assemble reads: one block per bag of the
+    decomposition rooted at node 1, overlaps parents first."""
+    td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
+                           root=1)
+    overlaps = [(t, td.parent(t),
+                 tuple(sorted(td.bags[t] & td.bags[td.parent(t)])))
+                for t in reversed(td.postorder()) if td.parent(t) is not None]
+    blocks = {t: tuple(sorted(td.bags[t])) for t in td.nodes}
+    bs = BlockSdp(n_ext=max(max(b) for b in td.bags.values()), blocks=blocks,
+                  rows=None, bounds=[], null_mats={}, overlaps=overlaps)
+    return td, bs
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12),
+       delta=st.floats(1e-3, 10.0), pick=st.integers(0, 2 ** 16))
+def test_assemble_measures_a_perturbed_shared_entry(seed, p, delta, pick):
+    rng = np.random.default_rng(seed)
+    td, bs = _bag_layout(random_valid_td(rng, p)[1])
+    F = rng.standard_normal((bs.n_ext, int(rng.integers(1, bs.n_ext + 1))))
+    X = F @ F.T
+    bags = {t: X[np.ix_([v - 1 for v in idx], [v - 1 for v in idx])]
+            for t, idx in bs.blocks.items()}
+    # unperturbed, the completion reproduces every bag
+    Xc = psd_complete_min_rank(assemble(bags, bs), td).matrix()
+    for t, B in bags.items():
+        idx = [v - 1 for v in bs.blocks[t]]
+        assert np.abs(Xc[np.ix_(idx, idx)] - B).max() <= 1e-9 * max(
+            1.0, np.abs(X).max())
+    shared = [(t, a, b) for t, _, sh in bs.overlaps
+              for a in sh for b in sh if a <= b]
+    assume(shared)
+    t, a, b = shared[pick % len(shared)]
+    # levels between the perturbed bag and the topmost bag holding (a, b)
+    depth, s = 0, td.parent(t)
+    while s is not None and {a, b} <= td.bags[s]:
+        depth, s = depth + 1, td.parent(s)
+    event("levels below its topmost bag: %s" % ("1" if depth == 1 else "2+"))
+    i, j = bs.blocks[t].index(a), bs.blocks[t].index(b)
+    bad = {u: B.copy() for u, B in bags.items()}
+    bad[t][i, j] += delta
+    if i != j:
+        bad[t][j, i] += delta
+    with pytest.raises(RecoveryError) as err:
+        assemble(bad, bs, tol=0.5 * delta)
+    assert abs(err.value.disagreement - delta) <= 1e-12
 
 
 def test_rank_reduce_affine_reaches_feasibility_bound():
@@ -178,8 +231,9 @@ def test_reduce_block_rejects_broken_identity():
     p, ell = 3, 1
     vp = rng.standard_normal((p, ell))
     F = rng.standard_normal((p + 3 * ell, p + 3 * ell))
-    with pytest.raises(ValueError):
+    with pytest.raises(RecoveryError) as err:
         reduce_block(F @ F.T, vp, ell)
+    assert err.value.face_residual > 1e-6
 
 
 def _lifted_blocks(ext, bs, F):

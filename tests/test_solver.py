@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from splrsdp.chordal_conversion import BlockSdp, convert_problem
-from splrsdp.graph_core import Graph, TreeDecomposition
+from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_min_bisection, gen_simex
 from splrsdp.sdp_model import SparseSymMatrix, SplrSdp, Term, is_feasible
 from splrsdp.solver import (AdmmDivergence, AdmmParams, admm_solve,
                             dense_reference_solve, project_null_psd)
+
+from conftest import block_row_values
 
 
 def test_admm_params_validation():
@@ -64,10 +67,9 @@ def test_project_null_psd_warns_on_dependent_vectors():
 def _single_block_problem(C, lower, upper):
     """min <C, Y> over one PSD block with tr(Y) in [lower, upper]."""
     d = C.shape[0]
-    td = TreeDecomposition(nodes=(1,), edges=frozenset(),
-                           bags={1: frozenset(range(1, d + 1))}, root=1)
-    return BlockSdp(n_ext=d, tree=td, blocks={1: tuple(range(1, d + 1))},
-                    objective={1: C}, constraints=[{1: np.eye(d)}],
+    i, j = np.triu_indices(d)
+    rows = sp.csr_matrix(np.vstack([C[i, j], (i == j).astype(float)]))
+    return BlockSdp(n_ext=d, blocks={1: tuple(range(1, d + 1))}, rows=rows,
                     bounds=[(lower, upper)], null_mats={1: np.zeros((d, 0))},
                     overlaps=[])
 
@@ -97,7 +99,7 @@ def test_admm_without_constraint_rows():
                     n, [(i, i, 1.0) for i in range(1, n + 1)]), np.zeros((0, 0))),
                 constraints=[])
     _, bs, _ = convert_problem(p)
-    assert bs.constraints == [] and bs.k > 1
+    assert bs.bounds == [] and bs.rows.shape[0] == 1 and bs.k > 1
     blocks, stats = admm_solve(bs)
     assert stats.converged
     assert abs(stats.objective) < 1e-8
@@ -125,8 +127,7 @@ def test_admm_simex_chain():
     assert stats.iterations < 5000
     assert all(r <= 2 for r in stats.block_ranks.values())
     # bound rows hold on the block solution
-    for data, (lo, hi) in zip(bs.constraints, bs.bounds):
-        v = bs.block_values(data, blocks)
+    for v, (lo, hi) in zip(block_row_values(bs, blocks)[1:], bs.bounds):
         assert v > lo - 1e-5 and v < hi + 1e-5
     # overlapping blocks agree on shared entries
     pos = {t: {v: i for i, v in enumerate(bs.blocks[t])} for t in bs.blocks}

@@ -58,8 +58,7 @@ def singleton_path_td(n):
 
 def test_partition_bags_path():
     td = root_binary(singleton_path_td(4), root=4)
-    part = partition_bags(td)
-    assert part.w == {i: frozenset({i}) for i in range(1, 5)}
+    assert partition_bags(td) == {i: frozenset({i}) for i in range(1, 5)}
 
 
 def test_partition_bags_overlapping_bags():
@@ -69,10 +68,10 @@ def test_partition_bags_overlapping_bags():
         bags={1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({3, 4})},
         root=1,
     )
-    part = partition_bags(td)
-    assert part.w[1] == frozenset({1, 2})
-    assert part.w[2] == frozenset({3})
-    assert part.w[3] == frozenset({4})
+    w = partition_bags(td)
+    assert w[1] == frozenset({1, 2})
+    assert w[2] == frozenset({3})
+    assert w[3] == frozenset({4})
 
 
 def test_partition_bags_requires_root():
@@ -172,16 +171,27 @@ def test_extended_width_and_dimension_bounds():
         h, _ = chordal_complete(p.pattern)
         base = clique_tree(h)
         td = root_binary(to_binary(base))
-        ext = build_extension(p, td).pattern
+        full = build_extension(p, td)
+        ext = full.pattern
         wid = width(base)
         ext_wid = max(len(b) for b in ext.ext_bags.values()) - 1
         assert ext_wid <= wid + 3 * ell
         assert ext.n_ext == n + ext.k * ell
         assert ext.k <= 2 * len(base.nodes)
-        # the extended bag tree is a valid decomposition of the extended graph
+        # the extended bag tree is a valid decomposition of the extended data
+        # support: pattern edges, the J x J core block and the support of
+        # every accumulator row a a^T
+        edges = set(p.pattern.edges)
+        J = ext.index_j
+        edges |= {(a, b) for a in J for b in J if a < b}
+        for t, A in full.a_mats.items():
+            bag = sorted(ext.ext_bags[t])
+            for h in range(A.shape[1]):
+                supp = [bag[r] for r in np.flatnonzero(A[:, h])]
+                edges |= {(a, b) for a in supp for b in supp if a < b}
         etd = TreeDecomposition(nodes=ext.td.nodes, edges=ext.td.edges,
                                 bags=ext.ext_bags)
-        assert validate_decomposition(etd, ext.graph)
+        assert validate_decomposition(etd, Graph.from_edges(ext.n_ext, edges))
 
 
 def test_path_decomposition_gets_tighter_width():
