@@ -2,14 +2,15 @@
 
 The block solver works on a consensus vector x over the union of block entry
 positions (off-diagonal entries scaled by sqrt(2) so inner products are dot
-products).  Block iterates and their scaled duals are single stacked svec
-vectors, one slice per block, tied to x by a sparse 0/1 gather matrix G with
-G x the blocks' copies of x.  Each iteration solves a prefactored
-least-squares system for the consensus, projects every block slice onto its
-null-constrained PSD face, clips row values into their interval bounds, and
-updates scaled duals.  The dense reference solver runs the same scheme on
-the full matrix of the original problem and shares no conversion code, which
-makes it usable as an independent cross-check.
+products).  Block iterates are full d x d matrices stored in slabs, one slab
+per (block size, face dimension) group, and with the data row values they
+form one vector v = K x at consensus, K = [G; A] stacking the gather matrix
+G and the data rows A.  Each iteration solves a prefactored least-squares
+system for the consensus, projects each slab onto its null-constrained PSD
+faces with one batched eigh, clips row values into their interval bounds,
+and updates the scaled dual.  The dense reference solver runs the same
+scheme on the full matrix of the original problem and shares no conversion
+or projection code, which makes it usable as an independent cross-check.
 """
 
 import warnings
@@ -42,10 +43,11 @@ class AdmmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rho", "tol_primal", "tol_dual"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, value))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -59,7 +61,9 @@ class SolveStats:
     block_ranks: dict
     rho: float
     converged: bool
-    history: list = field(default_factory=list, repr=False)
+    # (iterations, 2) array of the (primal, dual) residuals per iteration
+    history: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)),
+                                repr=False)
 
 
 class AdmmDivergence(RuntimeError):
@@ -70,22 +74,16 @@ class AdmmDivergence(RuntimeError):
         self.stats = stats
 
 
-def _psd_clip(M):
-    w, V = np.linalg.eigh(_sym(M))
-    w = np.maximum(w, 0.0)
-    return (V * w) @ V.T
-
-
 def _face_basis(null_vectors, d, tol=1e-10):
     """Orthonormal basis Q of the complement of the null vectors' span.
 
-    Returns None when there are no null vectors (the face is the whole
-    cone).  Directions below `tol` times the largest singular value count as
-    dependent and are dropped with a warning.
+    Returns the identity when there are no null vectors (the face is the
+    whole cone).  Directions below `tol` times the largest singular value
+    count as dependent and are dropped with a warning.
     """
     A = np.asarray(null_vectors, dtype=float)
     if A.size == 0:
-        return None
+        return np.eye(d)
     A = A.reshape(d, -1)
     U, s, _ = np.linalg.svd(A, full_matrices=True)
     r = int(np.sum(s > tol * s[0])) if s.size else 0
@@ -96,10 +94,14 @@ def _face_basis(null_vectors, d, tol=1e-10):
 
 
 def _face_project(M, Q):
-    """Q clip(Q^T M Q) Q^T for a symmetric M; the plain clip when Q is None."""
-    if Q is None:
-        return _psd_clip(M)
-    return Q @ _psd_clip(Q.T @ M @ Q) @ Q.T
+    """Q clip(Q^T M Q) Q^T for stacks of symmetric M (..., d, d) and face
+    bases Q (..., d, f): one batched eigh.  The result is symmetrised, as
+    (W w) W^T is not bitwise symmetric."""
+    QT = np.swapaxes(Q, -1, -2)
+    w, V = np.linalg.eigh(QT @ M @ Q)
+    W = Q @ V
+    P = (W * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(W, -1, -2)
+    return 0.5 * (P + np.swapaxes(P, -1, -2))
 
 
 def project_null_psd(M, null_vectors, tol=1e-10):
@@ -116,117 +118,110 @@ def project_null_psd(M, null_vectors, tol=1e-10):
 def admm_solve(bs, params=None):
     """Solve the coupled block problem; returns ({t: Y_t}, SolveStats).
 
-    The block iterates y and the scaled duals lam are stacked svec vectors,
-    one slice per block in node order.  The 0/1 gather matrix G (stacked
-    entries x distinct index pairs) copies the consensus x into every block
-    holding a pair, so consensus means y = G x and G^T G is the diagonal of
-    pair multiplicities.  Divergence (combined residual growing past 1e6
-    times its starting value) raises AdmmDivergence.
+    The blocks are grouped by (size d, face dimension), groups and members
+    in node order, and each group is one contiguous slab of full d x d
+    matrices in the stacked block vector y.  The sparse gather matrix G
+    copies the consensus x into both triangles of every block holding a
+    pair (weight 1/sqrt(2) off the diagonal), so ||G x - y|| is the svec
+    distance, G^T y is the svec sum and G^T G the diagonal of pair
+    multiplicities.  With the data rows A this is one splitting K x = v,
+    K = [G; A], v = [y; z] and scaled dual u = [lam; w]: each iteration
+    solves against K^T K, projects every slab onto its PSD face in one
+    batch and clips z into its interval bounds, then updates u.
+    Divergence (combined residual growing past 1e6 times its starting
+    value) raises AdmmDivergence carrying the stats.
     """
     params = params or AdmmParams()
-    layout, start = {}, 0
-    for t in sorted(bs.blocks):
-        d = len(bs.blocks[t])
-        layout[t] = (slice(start, start + d * (d + 1) // 2), d,
-                     _face_basis(bs.null_mats[t], d))
-        start = layout[t][0].stop
-    _, i, j, pu, pv = bs.columns
+    ids = sorted(bs.blocks)
+    basis = {t: _face_basis(bs.null_mats[t], len(bs.blocks[t])) for t in ids}
+    groups = {}
+    for t in ids:
+        groups.setdefault(basis[t].shape, []).append(t)
+    offset, slabs, ny = {}, [], 0
+    for (d, _), members in groups.items():
+        for t in members:
+            offset[t], ny = ny, ny + d * d
+        slabs.append((slice(offset[members[0]], ny), d,
+                      np.stack([basis[t] for t in members])))
+
+    node, i, j, pu, pv = bs.columns
     _, first, inv = np.unique(pu * (bs.n_ext + 1) + pv, return_index=True,
                               return_inverse=True)
     # consensus coordinates: index pairs in order of first appearance
     _, cols = np.unique(first[inv], return_inverse=True)
     L, N = cols.size, first.size
-    G = sp.csr_matrix((np.ones(L), (np.arange(L), cols)), shape=(L, N))
-
-    def unstack(v):
-        return {t: _unsvec(v[s], d) for t, (s, d, _) in layout.items()}
-
-    # data rows in consensus coordinates: rows . diag(svec scale) . G
+    # each column's place in its block's slab, and that of its mirror entry
+    k = np.searchsorted(ids, node)
+    d, base = np.array([(len(basis[t]), offset[t]) for t in ids])[k].T
+    diag = i == j
+    at = base + i * d + j
+    weight = np.where(diag, 1.0, np.sqrt(0.5))
+    G = sp.csr_matrix((np.concatenate([weight, weight[~diag]]),
+                       (np.concatenate([at, (base + j * d + i)[~diag]]),
+                        np.concatenate([cols, cols[~diag]]))), shape=(ny, N))
+    # data rows in consensus coordinates: rows . diag(svec scale) . 0/1 map
     scaled = bs.rows.copy()
-    scaled.data *= np.where(i == j, 1.0, np.sqrt(2.0))[scaled.indices]
-    rows = scaled @ G
+    scaled.data *= np.where(diag, 1.0, np.sqrt(2.0))[scaled.indices]
+    rows = scaled @ sp.csr_matrix((np.ones(L), (np.arange(L), cols)),
+                                  shape=(L, N))
     c = rows[0].toarray().ravel()
-    A = rows[1:]
-    m = A.shape[0]
-    lo = np.array([b[0] for b in bs.bounds], dtype=float)
-    hi = np.array([b[1] for b in bs.bounds], dtype=float)
-
-    solve = spla.factorized((G.T @ G + A.T @ A).tocsc())
-    # stored transposes: building a .T view costs more than the product
-    GT, AT = G.T.tocsr(), A.T.tocsr()
+    K = sp.vstack([G, rows[1:]]).tocsr()
+    # stored transpose: building a .T view costs more than the product
+    KT = K.T.tocsr()
+    solve = spla.factorized((KT @ K).tocsc())
+    lo = np.concatenate([np.full(ny, -np.inf), [b[0] for b in bs.bounds]])
+    hi = np.concatenate([np.full(ny, np.inf), [b[1] for b in bs.bounds]])
 
     rho = params.rho
     # identity times a seed-dependent scale, so reruns with other seeds probe
     # different basins while staying reproducible
     scale0 = float(2.0 ** np.random.default_rng(params.seed).uniform(-1.0, 1.0))
-    x = np.zeros(N)
-    y = np.concatenate([_svec(scale0 * np.eye(d))
-                        for _, d, _ in layout.values()])
-    lam = np.zeros(L)
-    z = np.clip(np.zeros(m), lo, hi)
-    w = np.zeros(m)
+    v = np.clip(np.zeros(K.shape[0]), lo, hi)
+    v[at[diag]] = scale0
+    u = np.zeros(K.shape[0])
 
     history = []
-    it = 0
-    converged = False
-    first_combined = None
+    converged = diverged = False
     for it in range(1, params.max_iter + 1):
-        x = solve(-c / rho + AT @ (z - w) + GT @ (y - lam))
-        Gx = G @ x
-        Ax = A @ x
+        x = solve(KT @ (v - u) - c / rho)
+        Kx = K @ x
 
-        y_old = y
-        v = Gx + lam
-        y = np.concatenate([_svec(_face_project(_unsvec(v[s], d), Q))
-                            for s, d, Q in layout.values()])
-        z_old = z
-        z = np.clip(Ax + w, lo, hi)
+        v_old = v
+        v = np.clip(Kx + u, lo, hi)
+        for s, d, Q in slabs:
+            v[s] = _face_project(v[s].reshape(-1, d, d), Q).ravel()
+        r = Kx - v
+        u = u + r
 
-        lam = lam + Gx - y
-        w = w + Ax - z
-
-        pri = np.sqrt(np.sum((Gx - y) ** 2) + np.sum((Ax - z) ** 2))
-        pri /= max(1.0, np.sqrt(np.sum(Gx ** 2) + np.sum(Ax ** 2)),
-                   np.sqrt(np.sum(y ** 2) + np.sum(z ** 2)))
-        dvec = GT @ (y - y_old) + AT @ (z - z_old)
-        uvec = GT @ lam + AT @ w
-        dua = rho * np.linalg.norm(dvec) / max(1.0, rho * np.linalg.norm(uvec))
+        pri = np.linalg.norm(r) / max(1.0, np.linalg.norm(Kx),
+                                      np.linalg.norm(v))
+        dua = rho * np.linalg.norm(KT @ (v - v_old)) / max(
+            1.0, rho * np.linalg.norm(KT @ u))
         history.append((pri, dua))
-
-        combined = pri + dua
-        if first_combined is None:
-            first_combined = combined
         if pri <= params.tol_primal and dua <= params.tol_dual:
             converged = True
             break
-        if combined > 1e6 * max(first_combined, 1.0):
-            stats = _block_stats(it, pri, dua, float(c @ x), unstack(y), rho,
-                                 False, history)
-            raise AdmmDivergence("residuals diverged at iteration %d" % it,
-                                 stats)
+        if pri + dua > 1e6 * max(sum(history[0]), 1.0):
+            diverged = True
+            break
         if it % 25 == 0:
             if pri > 10.0 * dua and rho < 1e6:
                 rho *= 2.0
-                lam /= 2.0
-                w /= 2.0
+                u /= 2.0
             elif dua > 10.0 * pri and rho > 1e-6:
                 rho /= 2.0
-                lam *= 2.0
-                w *= 2.0
+                u *= 2.0
 
-    blocks = unstack(y)
-    stats = _block_stats(it, history[-1][0] if history else 0.0,
-                         history[-1][1] if history else 0.0,
-                         float(c @ x), blocks, rho, converged, history)
-    return blocks, stats
-
-
-def _block_stats(it, pri, dua, obj, blocks, rho, converged, history):
+    blocks = {t: v[offset[t]:offset[t] + len(Q) ** 2].reshape(len(Q), -1)
+              for t, Q in basis.items()}
     ranks = {t: _block_rank(B) for t, B in blocks.items()}
-    return SolveStats(iterations=it, primal_residual=float(pri),
-                      dual_residual=float(dua), objective=float(obj),
-                      block_ranks=ranks, rho=float(rho),
-                      converged=bool(converged), history=history)
+    stats = SolveStats(iterations=it, primal_residual=float(pri),
+                       dual_residual=float(dua), objective=float(c @ x),
+                       block_ranks=ranks, rho=float(rho), converged=converged,
+                       history=np.array(history))
+    if diverged:
+        raise AdmmDivergence("residuals diverged at iteration %d" % it, stats)
+    return blocks, stats
 
 
 def dense_reference_solve(p, params=None):
@@ -262,16 +257,16 @@ def dense_reference_solve(p, params=None):
     z = np.clip(np.zeros(m), lo, hi)
     w = np.zeros(m)
     history = []
-    converged = False
-    first_combined = None
-    it = 0
+    converged = diverged = False
     for it in range(1, params.max_iter + 1):
         rhs = -c / rho + (s_v - lam) + A.T @ (z - w)
         x = sla.cho_solve(cho, rhs)
         Ax = A @ x
 
         s_old = s_v
-        S = _psd_clip(_unsvec(x + lam, n))
+        # its own clip, sharing no projection code with the block path
+        wS, VS = np.linalg.eigh(_unsvec(x + lam, n))
+        S = (VS * np.maximum(wS, 0.0)) @ VS.T
         s_v = _svec(S)
         z_old = z
         z = np.clip(Ax + w, lo, hi)
@@ -285,19 +280,12 @@ def dense_reference_solve(p, params=None):
         uvec = lam + A.T @ w
         dua = rho * np.linalg.norm(dvec) / max(1.0, rho * np.linalg.norm(uvec))
         history.append((pri, dua))
-        combined = pri + dua
-        if first_combined is None:
-            first_combined = combined
         if pri <= params.tol_primal and dua <= params.tol_dual:
             converged = True
             break
-        if combined > 1e6 * max(first_combined, 1.0):
-            stats = SolveStats(iterations=it, primal_residual=pri,
-                               dual_residual=dua, objective=float(c @ x),
-                               block_ranks={}, rho=rho, converged=False,
-                               history=history)
-            raise AdmmDivergence("dense solve diverged at iteration %d" % it,
-                                 stats)
+        if pri + dua > 1e6 * max(sum(history[0]), 1.0):
+            diverged = True
+            break
         if it % 25 == 0:
             if pri > 10.0 * dua and rho < 1e6:
                 rho *= 2.0
@@ -307,9 +295,10 @@ def dense_reference_solve(p, params=None):
                 rho /= 2.0
                 lam *= 2.0
                 w *= 2.0
-    stats = SolveStats(iterations=it,
-                       primal_residual=history[-1][0] if history else 0.0,
-                       dual_residual=history[-1][1] if history else 0.0,
+    stats = SolveStats(iterations=it, primal_residual=pri, dual_residual=dua,
                        objective=float(c @ x), block_ranks={}, rho=rho,
-                       converged=converged, history=history)
+                       converged=converged, history=np.array(history))
+    if diverged:
+        raise AdmmDivergence("dense solve diverged at iteration %d" % it,
+                             stats)
     return FactoredSolution(_psd_factor(S)), stats

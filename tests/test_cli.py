@@ -123,6 +123,21 @@ def test_solve_iteration_cap_returns_numerical_failure(tmp_path):
     assert _load(s)["schema"] == fileio.SOLUTION_SCHEMA
 
 
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--rho", "nan"],
+                                   ["--params", "nan.json"]])
+def test_solve_rejects_non_finite_parameters(tmp_path, capsys, flags):
+    p = tmp_path / "p.json"
+    assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
+    # json.load accepts the NaN literal, so a params file can carry one
+    (tmp_path / "nan.json").write_text('{"rho": NaN}')
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    assert run(["solve", "--in", str(p), "--out", str(tmp_path / "s.json")]
+               + flags) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    assert ("tol_primal" if "--tol" in flags else "rho") in err
+
+
 def test_recover_of_unconverged_solve_is_a_numerical_failure(tmp_path, capsys):
     # blocks that still disagree on their overlaps are solver noise, not a
     # malformed input

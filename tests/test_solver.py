@@ -6,8 +6,9 @@ from splrsdp.chordal_conversion import BlockSdp, convert_problem
 from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_min_bisection, gen_simex
 from splrsdp.sdp_model import SparseSymMatrix, SplrSdp, Term, is_feasible
-from splrsdp.solver import (AdmmDivergence, AdmmParams, admm_solve,
-                            dense_reference_solve, project_null_psd)
+from splrsdp.solver import (AdmmDivergence, AdmmParams, _face_basis,
+                            _face_project, admm_solve, dense_reference_solve,
+                            project_null_psd)
 
 from conftest import block_row_values
 
@@ -19,6 +20,30 @@ def test_admm_params_validation():
         AdmmParams(tol_primal=-1e-9)
     with pytest.raises(ValueError):
         AdmmParams(max_iter=0)
+    # NaN passes a `<= 0` check; each non-finite value is named
+    for name, value in (("rho", np.nan), ("tol_dual", np.inf),
+                        ("tol_primal", np.nan)):
+        with pytest.raises(ValueError, match=name):
+            AdmmParams(**{name: value})
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_face_project_stack_matches_per_matrix_reference(q):
+    from scipy.linalg import null_space
+    rng = np.random.default_rng(10 + q)
+    k, d = 6, 5
+    a = rng.standard_normal((k, d, q))
+    M = rng.standard_normal((k, d, d))
+    M = M + np.swapaxes(M, 1, 2)
+    P = _face_project(M, np.stack([_face_basis(a[b], d) for b in range(k)]))
+    assert P.shape == (k, d, d)
+    assert (P == np.swapaxes(P, 1, 2)).all()
+    for b in range(k):
+        B = null_space(a[b].T) if q else np.eye(d)
+        w, V = np.linalg.eigh(B.T @ M[b] @ B)
+        expect = B @ (V * np.maximum(w, 0.0)) @ V.T @ B.T
+        assert np.abs(P[b] - expect).max() < 1e-10
+        assert np.abs(P[b] @ a[b]).max(initial=0.0) < 1e-10
 
 
 def test_project_null_psd_plain_clip():
@@ -89,6 +114,38 @@ def test_admm_single_block_eigenvalue():
     assert np.linalg.eigvalsh(Y)[0] > -1e-8
 
 
+def test_admm_slabs_return_blocks_in_node_order():
+    # disjoint blocks of sizes 3, 2, 3: the size-3 slab holds nodes 1 and 3,
+    # so slab order differs from node order
+    rng = np.random.default_rng(4)
+    sizes = {1: 3, 2: 2, 3: 3}
+    blocks, costs, tri, start = {}, [], [], 1
+    for t, d in sizes.items():
+        blocks[t] = tuple(range(start, start + d))
+        start += d
+        C = rng.standard_normal((d, d))
+        costs.append(0.5 * (C + C.T))
+        tri.append(np.triu_indices(d))
+    obj = np.concatenate([C[i, j] for C, (i, j) in zip(costs, tri)])
+    trace = sp.block_diag([(i == j).astype(float)[None, :] for i, j in tri])
+    rows = sp.vstack([obj[None, :], trace]).tocsr()
+    bs = BlockSdp(n_ext=start - 1, blocks=blocks, rows=rows,
+                  bounds=[(1.0, 1.0)] * 3,
+                  null_mats={t: np.zeros((d, 0)) for t, d in sizes.items()},
+                  overlaps=[])
+    Y, stats = admm_solve(bs, AdmmParams(max_iter=5000, tol_primal=1e-9,
+                                         tol_dual=1e-9))
+    assert stats.converged
+    assert stats.history.shape == (stats.iterations, 2)
+    assert list(Y) == [1, 2, 3]
+    lam = [np.linalg.eigvalsh(C)[0] for C in costs]
+    for (t, d), C, low in zip(sizes.items(), costs, lam):
+        assert Y[t].shape == (d, d)
+        assert abs(np.trace(Y[t]) - 1.0) < 1e-6
+        assert abs(np.sum(C * Y[t]) - low) < 1e-5
+    assert abs(stats.objective - sum(lam)) < 1e-5
+
+
 def test_admm_without_constraint_rows():
     # min <I, X> over X PSD with the path P4 as pattern: no data rows (m = 0)
     n = 4
@@ -157,7 +214,7 @@ def test_admm_seed_moves_the_start():
     ext, bs, rep = convert_problem(p, path_mode=True)
     _, s0 = admm_solve(bs, AdmmParams(max_iter=300, seed=0))
     _, s1 = admm_solve(bs, AdmmParams(max_iter=300, seed=1))
-    assert s0.history[0] != s1.history[0]
+    assert (s0.history[0] != s1.history[0]).any()
 
 
 def test_divergence_exception_carries_stats():
