@@ -10,6 +10,7 @@ Contains:
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +84,23 @@ def _psd_factor(M, rel_cut=PINV_RCOND):
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _orth_complement(V, dim, count):
-    """First `count` orthonormal directions of R^dim orthogonal to the
-    columns of V."""
-    if count == 0:
-        return np.zeros((dim, 0))
-    if V.size == 0:
-        return np.eye(dim)[:, :count]
-    U, _, _ = np.linalg.svd(np.eye(dim) - V @ np.linalg.pinv(V))
-    return U[:, :count]
+def _face_basis(null_vectors, d, tol=1e-10):
+    """Orthonormal basis Q of the complement of the null vectors' span.
+
+    Returns the identity when there are no null vectors (the face is the
+    whole cone).  Directions below `tol` times the largest singular value
+    count as dependent and are dropped with a warning.
+    """
+    A = np.asarray(null_vectors, dtype=float)
+    if A.size == 0:
+        return np.eye(d)
+    A = A.reshape(d, -1)
+    U, s, _ = np.linalg.svd(A, full_matrices=True)
+    r = int(np.sum(s > tol * s[0])) if s.size else 0
+    if r < A.shape[1]:
+        warnings.warn("null vectors are linearly dependent; projecting onto "
+                      "the span of %d of %d" % (r, A.shape[1]))
+    return U[:, r:]
 
 
 def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
@@ -103,25 +112,30 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
     chordal_conversion.assemble does.  The completed matrix spans indices
     1..n, n the largest index in any bag.
 
-    Builds a factor row by row, bags processed parents-first.  Each bag is
-    factored on its own, then rotated so that its separator rows land exactly
-    on the rows already placed (possible because both factor the same
-    separator submatrix); the remaining directions reuse spare columns of the
-    global frame and only widen it when the bag rank exceeds every bag seen
-    so far.  The completed rank therefore equals the largest bag rank.
-
     face_mats (optional) maps a bag node to a matrix C (rows in sorted bag
-    order) whose columns the bag must annihilate: the bag submatrix is
-    projected onto the face C^T Z C = 0 before factoring, and the freshly
-    placed rows get a minimum-norm correction so that C^T rows = 0 holds
-    exactly in the global factor.  This keeps noisy input from leaking into
-    directions that downstream identities rely on.
+    order) whose columns the bag must annihilate.  Each bag B is factored on
+    its face: with Q = _face_basis(C), the identity without C, the factor is
+    Q V sqrt(w) over the eigenpairs of Q^T B Q above rank_tol times the
+    largest, one batched eigh per group of bags with equal (size, face
+    dimension).  This keeps noisy input from leaking into directions that
+    downstream identities rely on.
 
-    Raises ValueError if a bag has no matrix of its size or the bags miss
-    an index, and RecoveryError if a bag matrix is clearly not PSD
-    (carrying its most negative eigenvalue) or the result fails to
-    reproduce the bags (carrying the worst error).  Returns a
-    FactoredSolution of the full matrix.
+    The factor rows are then placed bag by bag, parents first.  A bag's
+    separator rows are already placed, and both factors have the same
+    separator Gram, so the polar factor U V^T of the SVD of G_sep^T R_sep
+    (orthogonal Procrustes) maps the bag's factor G onto the placed rows,
+    and its new rows become G_new U V^T.  With a face, the new rows get a
+    minimum-norm correction so that C^T rows = 0 holds exactly in the
+    global factor.  The completed rank is the largest rank of these
+    face-projected bags at rank_tol; on noisy input it can exceed the ranks
+    of the raw blocks.
+
+    Raises ValueError if a bag or face matrix does not fit its bag or the
+    bags miss an index, and RecoveryError if a bag matrix is clearly not
+    PSD on its face (the first such bag parents-first, carrying its most
+    negative eigenvalue) or the result fails to reproduce the bags
+    (carrying the worst error).  Returns a FactoredSolution of the full
+    matrix.
     """
     from .sdp_model import FactoredSolution
 
@@ -131,80 +145,77 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
     else:
         rooted = td
     seq = list(reversed(rooted.postorder()))  # parents before children
-
-    mats = {}
-    for t in seq:
-        d = len(rooted.bags[t])
+    idxs = [np.array(sorted(rooted.bags[t]), dtype=int) for t in seq]
+    faces, basis = [], []
+    for t, idx in zip(seq, idxs):
+        d = idx.size
         if t not in bags or np.shape(bags[t]) != (d, d):
             raise ValueError("bag %d needs a %d x %d matrix" % (t, d, d))
-        mats[t] = _sym(np.asarray(bags[t], dtype=float))
+        C = np.zeros((d, 0))
+        if face_mats is not None and t in face_mats:
+            C = np.asarray(face_mats[t], dtype=float)
+        if C.size and C.shape[0] != d:
+            raise ValueError("face matrix of bag %d has %d rows, bag has %d"
+                             % (t, C.shape[0], d))
+        faces.append(C)
+        basis.append(_face_basis(C, d))
     n = max((max(b) for b in rooted.bags.values() if b), default=0)
-    scale = max([np.abs(B).max() for B in mats.values() if B.size] + [1.0])
+
+    shapes = {}
+    for k, Q in enumerate(basis):
+        shapes.setdefault(Q.shape, []).append(k)
+    groups = [(ks, np.stack([_sym(np.asarray(bags[seq[k]], dtype=float))
+                             for k in ks])) for ks in shapes.values()]
+    scale = max([np.abs(B).max() for _, B in groups if B.size] + [1.0])
+    factors, lowest = [None] * len(seq), np.full(len(seq), np.inf)
+    for ks, B in groups:
+        Q = np.stack([basis[k] for k in ks])
+        w, V = np.linalg.eigh(np.swapaxes(Q, -1, -2) @ B @ Q)
+        W = (Q @ V) * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        top = w[:, -1:]
+        keep = (w > rank_tol * top) & (top > 0.0)
+        for k, Wk, kk, wk in zip(ks, W, keep, w):
+            factors[k] = Wk[:, kk]
+            lowest[k] = wk.min(initial=np.inf)
+    bad = np.flatnonzero(lowest < -psd_tol * scale)
+    if bad.size:
+        k = bad[0]
+        raise RecoveryError("bag %d submatrix has eigenvalue %.3e"
+                            % (seq[k], lowest[k]), eigenvalue=float(lowest[k]))
+
     R = np.zeros((n, 0))
-    placed = set()
-    for t in seq:
-        idx = sorted(rooted.bags[t])
-        B = mats[t]
-        C = None
-        if face_mats is not None:
-            C = face_mats.get(t)
-            if C is not None and C.size == 0:
-                C = None
-        if C is not None:
-            if C.shape[0] != len(idx):
-                raise ValueError("face matrix of bag %d has %d rows, bag has %d"
-                                 % (t, C.shape[0], len(idx)))
-            P = np.eye(len(idx)) - C @ np.linalg.pinv(C)
-            B = _sym(P @ B @ P)
-        w = np.linalg.eigvalsh(B)
-        if w.size and w[0] < -psd_tol * scale:
-            raise RecoveryError("bag %d submatrix has eigenvalue %.3e"
-                                % (t, w[0]), eigenvalue=float(w[0]))
-        G = _psd_factor(B, rel_cut=rank_tol)
-        rt = G.shape[1]
-        sep = [a for a, v in enumerate(idx) if v in placed]
-        new = [a for a, v in enumerate(idx) if v not in placed]
-        if not new:
+    placed = np.zeros(n + 1, dtype=bool)
+    for idx, G, C in zip(idxs, factors, faces):
+        old = placed[idx]
+        if old.all():
             continue
+        new = ~old
+        rt = G.shape[1]
         if R.shape[1] < rt:
             R = np.hstack([R, np.zeros((n, rt - R.shape[1]))])
-        dim = R.shape[1]
-        if not sep:
-            rows = np.zeros((len(idx), dim))
+        rows = R[idx - 1]
+        if not old.any():
             rows[:, :rt] = G
         else:
-            Gs, Gn = G[sep], G[new]
-            Rs = R[[idx[a] - 1 for a in sep]]
-            # orthogonal map sending the bag's own frame onto the global one:
-            # both factor the same separator Gram, so pairing the singular
-            # directions of the cross matrix aligns them exactly
-            Uc, s, Vt = np.linalg.svd(Gs.T @ Rs, full_matrices=False)
-            keep = s > 1e-13 * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-            U1 = Uc[:, keep]
-            V1 = Vt[keep].T
-            rho = U1.shape[1]
-            U1c = _orth_complement(U1, rt, rt - rho)
-            Z = _orth_complement(V1, dim, rt - rho)
-            Q = U1 @ V1.T + U1c @ Z.T
-            rows = np.empty((len(idx), dim))
-            rows[sep] = Rs
-            rows[new] = Gn @ Q
-            if C is not None:
+            U, _, Vt = np.linalg.svd(G[old].T @ rows[old], full_matrices=False)
+            rows[new] = G[new] @ U @ Vt
+            if C.size:
                 # already-placed rows are fixed, so push the face residual
                 # onto the new rows (minimum-norm exact fix)
-                d = C.T @ rows
-                if np.abs(d).max() > 0.0:
-                    fix, *_ = np.linalg.lstsq(C[new].T, -d, rcond=None)
+                resid = C.T @ rows
+                if np.abs(resid).max() > 0.0:
+                    fix, *_ = np.linalg.lstsq(C[new].T, -resid, rcond=None)
                     rows[new] += fix
-        for a in new:
-            R[idx[a] - 1] = rows[a]
-        placed.update(idx)
-    if len(placed) != n:
-        raise ValueError("bags cover only %d of %d indices" % (len(placed), n))
+        R[idx[new] - 1] = rows[new]
+        placed[idx] = True
+    if placed.sum() != n:
+        raise ValueError("bags cover only %d of %d indices"
+                         % (placed.sum(), n))
     err = 0.0
-    for t, B in mats.items():
-        rows = R[[v - 1 for v in sorted(rooted.bags[t])]]
-        err = max(err, float(np.abs(rows @ rows.T - B).max(initial=0.0)))
+    for ks, B in groups:
+        rows = R[np.stack([idxs[k] for k in ks]) - 1]
+        err = max(err, float(np.abs(rows @ np.swapaxes(rows, -1, -2) - B)
+                             .max(initial=0.0)))
     if err > max(10.0 * psd_tol, 1e3 * rank_tol) * scale:
         raise RecoveryError("completion reproduces known entries only to %.3e"
                             % err, reproduction_error=err)

@@ -41,7 +41,7 @@ def parse_sdpa(fh):
         if not line or line[0] in "\"*":
             continue
         lines.append(line)
-    if len(lines) < 3:
+    if len(lines) < 4:
         raise ValueError("truncated SDPA file")
     m = int(lines[0].split()[0])
     nblocks = int(lines[1].split()[0])

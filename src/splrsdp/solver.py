@@ -13,14 +13,14 @@ scheme on the full matrix of the original problem and shares no conversion
 or projection code, which makes it usable as an independent cross-check.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .completion_rank import _block_rank, _psd_factor, _svec, _sym, _unsvec
+from .completion_rank import (_block_rank, _face_basis, _psd_factor, _svec,
+                              _sym, _unsvec)
 
 __all__ = [
     "AdmmParams",
@@ -72,25 +72,6 @@ class AdmmDivergence(RuntimeError):
     def __init__(self, message, stats):
         super().__init__(message)
         self.stats = stats
-
-
-def _face_basis(null_vectors, d, tol=1e-10):
-    """Orthonormal basis Q of the complement of the null vectors' span.
-
-    Returns the identity when there are no null vectors (the face is the
-    whole cone).  Directions below `tol` times the largest singular value
-    count as dependent and are dropped with a warning.
-    """
-    A = np.asarray(null_vectors, dtype=float)
-    if A.size == 0:
-        return np.eye(d)
-    A = A.reshape(d, -1)
-    U, s, _ = np.linalg.svd(A, full_matrices=True)
-    r = int(np.sum(s > tol * s[0])) if s.size else 0
-    if r < A.shape[1]:
-        warnings.warn("null vectors are linearly dependent; projecting onto "
-                      "the span of %d of %d" % (r, A.shape[1]))
-    return U[:, r:]
 
 
 def _face_project(M, Q):

@@ -4,8 +4,8 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from splrsdp.chordal_conversion import BlockSdp, assemble, convert_problem
-from splrsdp.completion_rank import (AffineSlice, RecoveryError, bp_bound,
-                                     max_rank_for_constraints,
+from splrsdp.completion_rank import (RANK_TOL, AffineSlice, RecoveryError,
+                                     bp_bound, max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
@@ -77,6 +77,69 @@ def test_psd_complete_indefinite_bag_raises():
     with pytest.raises(RecoveryError) as err:
         psd_complete_min_rank(bags, td)
     assert abs(err.value.eigenvalue + 1.0) < 1e-12
+
+
+def test_psd_complete_rejects_misfit_face_matrix():
+    td = TreeDecomposition(nodes=(1,), edges=frozenset(),
+                           bags={1: frozenset({1, 2})}, root=1)
+    with pytest.raises(ValueError, match="face matrix of bag 1"):
+        psd_complete_min_rank({1: np.eye(2)}, td,
+                              face_mats={1: np.ones((3, 1))})
+
+
+def test_psd_complete_names_the_indefinite_bag_nearest_the_root():
+    # path 3 - 2 - 1 rooted at 3; bags 2 and 1 share a size (one batch), and
+    # the deeper bag 1 is the more indefinite one
+    td = TreeDecomposition(nodes=(1, 2, 3), edges=frozenset({(1, 2), (2, 3)}),
+                           bags={1: frozenset({1, 2}), 2: frozenset({2, 3}),
+                                 3: frozenset({3, 4})}, root=3)
+    bags = {3: np.eye(2),
+            2: np.array([[1.0, 2.0], [2.0, 1.0]]),
+            1: np.array([[1.0, 4.0], [4.0, 1.0]])}
+    with pytest.raises(RecoveryError, match="bag 2 ") as err:
+        psd_complete_min_rank(bags, td)
+    assert abs(err.value.eigenvalue + 1.0) < 1e-12
+
+
+def test_psd_complete_on_faces_keeps_accumulator_identities():
+    rng = np.random.default_rng(41)
+    exact = 0
+    for _ in range(8):
+        g, td = random_valid_td(rng, int(rng.integers(3, 9)))
+        ell = int(rng.integers(1, 3))
+        p = random_splr_problem(rng, g.n, ell, graph=g)
+        ext, bs, _ = convert_problem(p, td=td)
+        F = rng.standard_normal((g.n, 3))
+        noisy = {}
+        for t, B in _lifted_blocks(ext, bs, F).items():
+            E = 1e-9 * rng.standard_normal(B.shape)
+            noisy[t] = B + E + E.T
+        bags = assemble(noisy, bs)
+        etd = ext.pattern.td
+        ctd = TreeDecomposition(nodes=etd.nodes, edges=etd.edges,
+                                bags={t: frozenset(b)
+                                      for t, b in bs.blocks.items()},
+                                root=etd.root)
+        sol = psd_complete_min_rank(bags, ctd, face_mats=bs.null_mats)
+        scale = max(np.abs(B).max() for B in bags.values())
+        for t, idx in bs.blocks.items():
+            C = bs.null_mats[t]
+            resid = np.abs(C.T @ sol.factor[[v - 1 for v in idx]]).max()
+            par = etd.parent(t)
+            new = ~np.isin(idx, bs.blocks[par] if par is not None else ())
+            if np.linalg.matrix_rank(C[new]) == C.shape[1]:
+                # the bag's new rows can absorb the face residual: exact
+                exact += par is not None
+                assert resid <= 1e-12 * scale
+            else:
+                # rows placed by the parent carry the noise; it must not grow
+                assert resid <= 1e-9 * scale
+        ranks = []
+        for B in bags.values():
+            w = np.linalg.eigvalsh(B)
+            ranks.append(int(np.sum(w > RANK_TOL * w[-1])))
+        assert sol.rank == max(ranks)
+    assert exact > 0
 
 
 def _bag_layout(td):

@@ -128,6 +128,13 @@ def test_params_defaults_and_unknown_keys():
     assert back.seed == 3
 
 
+def test_parse_sdpa_without_rhs_line_is_truncated():
+    from splrsdp.sdpa import parse_sdpa
+
+    with pytest.raises(ValueError, match="truncated SDPA file"):
+        parse_sdpa(io.StringIO("1\n1\n2\n"))
+
+
 def test_sdpa_import_recovers_the_split(tmp_path):
     # write the bisection instance as dense SDPA rows, read it back through
     # the pattern and check the declared low-rank part reappears
