@@ -374,11 +374,23 @@ def reduce_block(Z, v_part, ell, input_tol=1e-6):
 
 
 def _block_rank(M, tol=RANK_TOL):
-    w = np.linalg.eigvalsh(_sym(np.asarray(M, dtype=float)))
-    top = max(w[-1], 0.0) if w.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(w > tol * top))
+    """Numerical rank of each matrix in a (..., d, d) stack: eigenvalues
+    above tol times the largest, none when that is not positive."""
+    M = np.asarray(M, dtype=float)
+    w = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    return np.sum(w > tol * np.maximum(w[..., -1:], 0.0), axis=-1)
+
+
+def _block_ranks(blocks, tol=RANK_TOL):
+    """Node -> rank of its block, one stacked eigvalsh per block size."""
+    groups = {}
+    for t, B in blocks.items():
+        groups.setdefault(np.shape(B), []).append(t)
+    ranks = {}
+    for members in groups.values():
+        r = _block_rank(np.stack([blocks[t] for t in members]), tol)
+        ranks.update(zip(members, r.tolist()))
+    return {t: ranks[t] for t in blocks}
 
 
 def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
@@ -451,7 +463,7 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
         cert = wid + bp_bound(pat.ell) + 1
     info = {
         "mode": mode,
-        "block_ranks": {t: _block_rank(blocks[t], rank_tol) for t in blocks},
+        "block_ranks": _block_ranks(blocks, rank_tol),
         "reduced_blocks": reduced,
         "completed_rank": full.rank,
         "rank": restricted.numerical_rank(),

@@ -5,6 +5,7 @@ Vertices are 1-based integers throughout, matching the text file format
 integer ids; bags map node ids to vertex sets.
 """
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -224,16 +225,21 @@ def chordal_complete(g):
 
     Returns (chordal supergraph, elimination order).  The order is a perfect
     elimination ordering of the returned graph.  Ties on degree break toward
-    the smallest vertex index, so the result is deterministic.
+    the smallest vertex index, so the result is deterministic.  The next
+    vertex comes from a lazy heap of (degree, vertex): an entry is stale
+    once its vertex is gone or its degree has moved.
     """
     adj = g.adjacency()
-    remaining = set(adj)
+    heap = [(len(adj[v]), v) for v in adj]
+    heapq.heapify(heap)
     fill = set(g.edges)
     order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if v not in adj or deg != len(adj[v]):
+            continue
         order.append(v)
-        nbrs = list(adj[v])
+        nbrs = list(adj.pop(v))
         for a in range(len(nbrs)):
             for b in range(a + 1, len(nbrs)):
                 x, y = nbrs[a], nbrs[b]
@@ -243,23 +249,32 @@ def chordal_complete(g):
                     fill.add((min(x, y), max(x, y)))
         for u in nbrs:
             adj[u].discard(v)
-        remaining.remove(v)
+            heapq.heappush(heap, (len(adj[u]), u))
     return Graph(g.n, frozenset(fill)), tuple(order)
 
 
 def _mcs_order(g):
-    """Maximum cardinality search visit order (ties -> smallest index)."""
+    """Maximum cardinality search visit order (ties -> smallest index).
+
+    Unvisited vertices sit in a lazy heap of (-weight, vertex), weight being
+    the number of visited neighbours; an entry is stale once its vertex is
+    visited or its weight has grown.
+    """
     adj = g.adjacency()
-    weight = {v: 0 for v in adj}
+    weight = dict.fromkeys(adj, 0)
+    heap = [(0, v) for v in adj]
     visited = []
-    unvisited = set(adj)
-    while unvisited:
-        v = max(unvisited, key=lambda u: (weight[u], -u))
+    done = set()
+    while heap:
+        w, v = heapq.heappop(heap)
+        if v in done or -w != weight[v]:
+            continue
         visited.append(v)
-        unvisited.remove(v)
+        done.add(v)
         for u in adj[v]:
-            if u in unvisited:
+            if u not in done:
                 weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
     return visited
 
 
@@ -277,48 +292,43 @@ def _is_peo(g, order):
 
 
 def is_chordal(g):
-    return _is_peo(g, list(reversed(_mcs_order(g))))
+    return _is_peo(g, _mcs_order(g)[::-1])
 
 
 def clique_tree(g):
-    """Maximal cliques of a chordal graph arranged in a junction tree.
+    """Maximal cliques of a chordal graph arranged in a clique tree.
 
-    Node ids are 1..p in discovery order along the elimination ordering.  The
-    tree is a maximum-weight spanning tree of the clique intersection graph,
-    which guarantees the running intersection property.
+    One pass over the maximum cardinality search order (Blair & Peyton,
+    "An introduction to chordal graphs and clique trees", 1993, sec. 4): a
+    vertex with no more visited neighbours than the vertex before it starts
+    a new clique, made of itself and those neighbours, whose parent is the
+    clique holding the last visited of them.  Node ids are 1..p in
+    elimination order of each clique's first vertex.  The trees of a
+    disconnected graph are chained root to root in ascending id, so the
+    result is one tree.
     """
-    peo = list(reversed(_mcs_order(g)))
-    if not _is_peo(g, peo):
+    order = _mcs_order(g)
+    if not _is_peo(g, order[::-1]):
         raise ValueError("graph is not chordal")
     adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(peo)}
-    cand = {v: frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
-            for v in peo}
-    # candidates are distinct (v comes first in its own), and C_v can only
-    # lie inside C_u for an earlier neighbour u, the only C_u holding v
-    cliques = [c for v, c in cand.items()
-               if not any(c < cand[u] for u in adj[v] if pos[u] < pos[v])]
+    pos = {v: i for i, v in enumerate(order)}
+    cliques, parent, home = [], [], {}
+    prev = 0
+    for v in order:
+        seen = [u for u in adj[v] if pos[u] < pos[v]]
+        if len(seen) <= prev:
+            cliques.append(set(seen))
+            parent.append(home[max(seen, key=pos.get)] if seen else None)
+        cliques[-1].add(v)
+        home[v] = len(cliques) - 1
+        prev = len(seen)
     p = len(cliques)
-    bags = {t + 1: cliques[t] for t in range(p)}
-    if p == 1:
-        return TreeDecomposition(nodes=(1,), edges=frozenset(), bags=bags)
-    # Prim over intersection weights; ties favor small node ids so the
-    # tree is reproducible
-    best_w = {t: len(bags[t] & bags[1]) for t in range(2, p + 1)}
-    best_s = {t: 1 for t in range(2, p + 1)}
-    edges = set()
-    out = set(range(2, p + 1))
-    while out:
-        t = max(out, key=lambda u: (best_w[u], -u))
-        out.remove(t)
-        s = best_s[t]
-        edges.add((min(s, t), max(s, t)))
-        for u in out:
-            w = len(bags[u] & bags[t])
-            if w > best_w[u] or (w == best_w[u] and t < best_s[u]):
-                best_w[u] = w
-                best_s[u] = t
-    return TreeDecomposition(nodes=tuple(range(1, p + 1)), edges=frozenset(edges), bags=bags)
+    bags = {t: frozenset(cliques[p - t]) for t in range(1, p + 1)}
+    edges = {(p - k, p - q) for k, q in enumerate(parent) if q is not None}
+    roots = sorted(p - k for k, q in enumerate(parent) if q is None)
+    edges.update(zip(roots, roots[1:]))
+    return TreeDecomposition(nodes=tuple(range(1, p + 1)), edges=frozenset(edges),
+                             bags=bags)
 
 
 def split_vertex(td, x):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .completion_rank import (_block_rank, _face_basis, _psd_factor, _svec,
+from .completion_rank import (_block_ranks, _face_basis, _psd_factor, _svec,
                               _sym, _unsvec)
 
 __all__ = [
@@ -195,7 +195,7 @@ def admm_solve(bs, params=None):
 
     blocks = {t: v[offset[t]:offset[t] + len(Q) ** 2].reshape(len(Q), -1)
               for t, Q in basis.items()}
-    ranks = {t: _block_rank(B) for t, B in blocks.items()}
+    ranks = _block_ranks(blocks)
     stats = SolveStats(iterations=it, primal_residual=float(pri),
                        dual_residual=float(dua), objective=float(c @ x),
                        block_ranks=ranks, rho=float(rho), converged=converged,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from splrsdp.graph_core import Graph, TreeDecomposition
+
+# every property test runs the same examples on every run, with no deadline
+# (the first call of a test can pay for imports and LAPACK warm-up)
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 # 12-vertex chordal test graph with treewidth 3 and known maximal cliques:
 # an inner 6-cycle braced by two chords plus one pendant triangle per

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from splrsdp.chordal_conversion import BlockSdp, assemble, convert_problem
@@ -156,7 +156,6 @@ def _bag_layout(td):
     return td, bs
 
 
-@settings(derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12),
        delta=st.floats(1e-3, 10.0), pick=st.integers(0, 2 ** 16))
 def test_assemble_measures_a_perturbed_shared_entry(seed, p, delta, pick):

@@ -2,10 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from splrsdp.chordal_conversion import convert_problem
 from splrsdp.graph_core import (
     Graph,
     TreeDecomposition,
+    _mcs_order,
     brute_force_treewidth,
     chordal_complete,
     clique_tree,
@@ -19,7 +23,7 @@ from splrsdp.graph_core import (
     write_graph,
 )
 
-from conftest import CHORDAL12_CLIQUES, random_valid_td
+from conftest import CHORDAL12_CLIQUES, random_splr_problem, random_valid_td
 
 
 def path_graph(n):
@@ -174,6 +178,120 @@ def test_clique_tree_random_chordal_valid():
         bags = list(td.bags.values())
         for a in bags:
             assert sum(1 for b in bags if a <= b) == 1
+
+
+def scan_min_degree(g):
+    """Reference minimum-degree fill-in: a full scan for the next vertex."""
+    adj = g.adjacency()
+    remaining = set(adj)
+    fill = set(g.edges)
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        order.append(v)
+        nbrs = sorted(adj[v])
+        for a in range(len(nbrs)):
+            for b in range(a + 1, len(nbrs)):
+                x, y = nbrs[a], nbrs[b]
+                if y not in adj[x]:
+                    adj[x].add(y)
+                    adj[y].add(x)
+                    fill.add((x, y))
+        for u in nbrs:
+            adj[u].discard(v)
+        remaining.remove(v)
+    return fill, tuple(order)
+
+
+def scan_mcs(g):
+    """Reference maximum cardinality search: a full scan for the next vertex."""
+    adj = g.adjacency()
+    weight = {v: 0 for v in adj}
+    visited = []
+    unvisited = set(adj)
+    while unvisited:
+        v = max(unvisited, key=lambda u: (weight[u], -u))
+        visited.append(v)
+        unvisited.remove(v)
+        for u in adj[v] & unvisited:
+            weight[u] += 1
+    return visited
+
+
+def maximal_cliques_by_id(h):
+    """Node id -> maximal clique of a chordal graph, ids in elimination
+    order of each clique's first vertex."""
+    adj = h.adjacency()
+    peo = scan_mcs(h)[::-1]
+    pos = {v: i for i, v in enumerate(peo)}
+    cand = {frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]}) for v in peo}
+    maximal = [c for c in cand if not any(c < d for d in cand)]
+    maximal.sort(key=lambda c: min(pos[v] for v in c))
+    return {t + 1: c for t, c in enumerate(maximal)}
+
+
+def prim_max_spanning_weight(bags):
+    """Weight of a maximum spanning tree of the complete graph on the bags,
+    an edge weighing the size of its bags' intersection."""
+    ids = sorted(bags)
+    best = {t: len(bags[t] & bags[ids[0]]) for t in ids[1:]}
+    total = 0
+    while best:
+        t = max(best, key=best.get)
+        total += best.pop(t)
+        for u in best:
+            best[u] = max(best[u], len(bags[u] & bags[t]))
+    return total
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs on up to 40 vertices, often disconnected or with
+    isolated vertices."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=3 * n))
+    return Graph.from_edges(n, [(i, j) for i, j in pairs if i != j])
+
+
+@given(g=graphs())
+def test_front_end_matches_scan_oracles(g):
+    fill, order = scan_min_degree(g)
+    h, got = chordal_complete(g)
+    assert h.edges == fill and got == order
+    assert _mcs_order(g) == scan_mcs(g)
+    assert _mcs_order(h) == scan_mcs(h)
+    td = clique_tree(h)
+    assert td.bags == maximal_cliques_by_id(h)
+    assert validate_decomposition(td, h)
+    # a spanning tree of the cliques is a clique tree iff its weight is the
+    # maximum, which checks the tree edges and not only the bags
+    assert sum(len(td.bags[a] & td.bags[b]) for a, b in td.edges) == \
+        prim_max_spanning_weight(td.bags)
+
+
+def test_clique_tree_chains_the_components_of_a_forest():
+    # a triangle, an edge and two isolated vertices
+    g = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5)])
+    td = clique_tree(g)
+    assert td.bags == {1: frozenset({7}), 2: frozenset({6}),
+                       3: frozenset({4, 5}), 4: frozenset({1, 2, 3})}
+    assert td.edges == frozenset({(1, 2), (2, 3), (3, 4)})
+    assert validate_decomposition(td, g)
+    p = random_splr_problem(np.random.default_rng(0), 7, 1, graph=g)
+    _, _, report = convert_problem(p)
+    assert report["width_before"] == 2
+
+
+def test_clique_tree_of_completed_long_cycle_is_a_fan_path():
+    n = 2000
+    h, _ = chordal_complete(cycle_graph(n))
+    td = clique_tree(h)
+    bags = list(td.bags.values())
+    assert len(bags) == n - 2 and all(len(b) == 3 for b in bags)
+    assert td.is_path()
+    assert len(frozenset.intersection(*bags)) == 1
+    assert validate_decomposition(td, h)
 
 
 def test_brute_force_treewidth_known_values(chordal12):
