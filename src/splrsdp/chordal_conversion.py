@@ -31,7 +31,11 @@ __all__ = [
 class BlockSdp:
     """Block form of the extended problem.
 
-    blocks[t] is the sorted tuple of extended indices of bag t.  Stacking
+    blocks[t] is the sorted tuple of extended indices of bag t.  As
+    children carry smaller labels than their parent and auxiliary indices
+    exceed n, a two-child block reads [sorted bag | child-1 aux | child-2 aux
+    | own aux], the order reduce_block takes, and null_mats[t] ends in
+    [I; I; -I] below the bag rows.  Stacking
     the blocks' upper triangles gives the columns described by `columns`.
     rows is a CSR matrix with the objective in row 0 and constraint r in row
     r; a row holds each of its data entries X[u, v], u <= v, once, in the

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_core import TreeDecomposition
+from .sdp_model import RANK_TOL, FactoredSolution, _rank_mask
+from .sparse_extension import restrict_solution
+
 __all__ = [
     "AffineSlice",
     "RecoveryError",
@@ -26,8 +30,9 @@ __all__ = [
     "recover_low_rank",
 ]
 
-PINV_RCOND = 1e-10  # relative cut for pseudo-inverses and factor tails
-RANK_TOL = 1e-8  # relative eigenvalue cut when reporting ranks
+# relative cut for pseudo-inverses, factor tails, face bases and the
+# tangent system of rank_reduce_affine
+PINV_RCOND = 1e-10
 
 
 class RecoveryError(RuntimeError):
@@ -74,37 +79,36 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def _psd_factor(M, rel_cut=PINV_RCOND):
+def _psd_factor(M):
     """Factor a nearly-PSD symmetric matrix, dropping the tiny tail."""
     vals, vecs = np.linalg.eigh(_sym(M))
     top = vals[-1] if vals.size else 0.0
     if top <= 0.0:
         return np.zeros((M.shape[0], 0))
-    keep = vals > rel_cut * top
+    keep = vals > PINV_RCOND * top
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _face_basis(null_vectors, d, tol=1e-10):
+def _face_basis(null_vectors, d):
     """Orthonormal basis Q of the complement of the null vectors' span.
 
     Returns the identity when there are no null vectors (the face is the
-    whole cone).  Directions below `tol` times the largest singular value
-    count as dependent and are dropped with a warning.
+    whole cone).  Directions below PINV_RCOND times the largest singular
+    value count as dependent and are dropped with a warning.
     """
     A = np.asarray(null_vectors, dtype=float)
     if A.size == 0:
         return np.eye(d)
     A = A.reshape(d, -1)
     U, s, _ = np.linalg.svd(A, full_matrices=True)
-    r = int(np.sum(s > tol * s[0])) if s.size else 0
+    r = int(np.sum(s > PINV_RCOND * s[0])) if s.size else 0
     if r < A.shape[1]:
         warnings.warn("null vectors are linearly dependent; projecting onto "
                       "the span of %d of %d" % (r, A.shape[1]))
     return U[:, r:]
 
 
-def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
-                          face_mats=None):
+def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     """Complete a PSD matrix known on the bags of a clique tree at minimum rank.
 
     bags[t] is the known submatrix on bag t, rows in sorted(bag) order; bags
@@ -113,12 +117,12 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
     1..n, n the largest index in any bag.
 
     face_mats (optional) maps a bag node to a matrix C (rows in sorted bag
-    order) whose columns the bag must annihilate.  Each bag B is factored on
-    its face: with Q = _face_basis(C), the identity without C, the factor is
-    Q V sqrt(w) over the eigenpairs of Q^T B Q above rank_tol times the
-    largest, one batched eigh per group of bags with equal (size, face
-    dimension).  This keeps noisy input from leaking into directions that
-    downstream identities rely on.
+    order) whose columns the bag must annihilate; a d x 0 matrix, like no
+    entry, leaves the whole cone.  Each bag B is factored on its face: with
+    Q = _face_basis(C), the factor is Q V sqrt(w) over the eigenpairs of
+    Q^T B Q that _rank_mask keeps, one batched eigh per group of bags with
+    equal (size, face dimension).  This keeps noisy input from leaking into
+    directions that downstream identities rely on.
 
     The factor rows are then placed bag by bag, parents first.  A bag's
     separator rows are already placed, and both factors have the same
@@ -127,7 +131,7 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
     and its new rows become G_new U V^T.  With a face, the new rows get a
     minimum-norm correction so that C^T rows = 0 holds exactly in the
     global factor.  The completed rank is the largest rank of these
-    face-projected bags at rank_tol; on noisy input it can exceed the ranks
+    face-projected bags at RANK_TOL; on noisy input it can exceed the ranks
     of the raw blocks.
 
     Raises ValueError if a bag or face matrix does not fit its bag or the
@@ -137,8 +141,6 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
     (carrying the worst error).  Returns a FactoredSolution of the full
     matrix.
     """
-    from .sdp_model import FactoredSolution
-
     if td.root is None:
         rooted = type(td)(nodes=td.nodes, edges=td.edges, bags=dict(td.bags),
                           root=min(td.nodes))
@@ -172,9 +174,7 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
         Q = np.stack([basis[k] for k in ks])
         w, V = np.linalg.eigh(np.swapaxes(Q, -1, -2) @ B @ Q)
         W = (Q @ V) * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        top = w[:, -1:]
-        keep = (w > rank_tol * top) & (top > 0.0)
-        for k, Wk, kk, wk in zip(ks, W, keep, w):
+        for k, Wk, kk, wk in zip(ks, W, _rank_mask(w), w):
             factors[k] = Wk[:, kk]
             lowest[k] = wk.min(initial=np.inf)
     bad = np.flatnonzero(lowest < -psd_tol * scale)
@@ -216,7 +216,7 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, rank_tol=RANK_TOL,
         rows = R[np.stack([idxs[k] for k in ks]) - 1]
         err = max(err, float(np.abs(rows @ np.swapaxes(rows, -1, -2) - B)
                              .max(initial=0.0)))
-    if err > max(10.0 * psd_tol, 1e3 * rank_tol) * scale:
+    if err > max(10.0 * psd_tol, 1e3 * RANK_TOL) * scale:
         raise RecoveryError("completion reproduces known entries only to %.3e"
                             % err, reproduction_error=err)
     live = np.linalg.norm(R, axis=0) > 0.0
@@ -238,7 +238,7 @@ def _unsvec(v, d):
     return M + np.triu(M, 1).T
 
 
-def rank_reduce_affine(slc, feas_tol=1e-6, sv_tol=1e-10, max_steps=None):
+def rank_reduce_affine(slc, feas_tol=1e-6):
     """Walk the feasible point of an affine PSD slice down in rank.
 
     Each step finds a symmetric direction Delta with
@@ -246,26 +246,22 @@ def rank_reduce_affine(slc, feas_tol=1e-6, sv_tol=1e-10, max_steps=None):
     factored tangent system), then moves Y -> R (I + alpha Delta) R.T with
     alpha = -1/lambda chosen so the boundary of the cone is hit.  Constraint
     values are invariant along these moves.  Stops when the tangent system
-    has no null direction, which forces r(r+1)/2 <= len(mats).
+    has no null direction (singular values above PINV_RCOND times the
+    largest, or 1, span it), which forces r(r+1)/2 <= len(mats).
     """
-    from .sdp_model import FactoredSolution
-
     Y = _sym(np.asarray(slc.point, dtype=float))
     worst = max((abs(float(np.sum(_sym(B) * Y)) - c)
                  for B, c in zip(slc.mats, slc.rhs)), default=0.0)
     if worst > feas_tol:
         raise ValueError("slice point infeasible by %.3e" % worst)
     R = _psd_factor(Y)
-    steps = 0
     while R.shape[1] > 0:
-        if max_steps is not None and steps >= max_steps:
-            break
         r = R.shape[1]
         dim = r * (r + 1) // 2
         if slc.mats:
             K = np.array([_svec(R.T @ _sym(B) @ R) for B in slc.mats])
             _, s, Vt = np.linalg.svd(K, full_matrices=True)
-            tau = sv_tol * max(s[0] if s.size else 0.0, 1.0)
+            tau = PINV_RCOND * max(s[0] if s.size else 0.0, 1.0)
             if int(np.sum(s > tau)) >= dim:
                 break
             delta = _unsvec(Vt[-1], r)
@@ -280,11 +276,10 @@ def rank_reduce_affine(slc, feas_tol=1e-6, sv_tol=1e-10, max_steps=None):
         if W.shape[1] >= r:
             break  # no progress; numerical stalemate
         R = R @ W
-        steps += 1
     return FactoredSolution(R)
 
 
-def reduce_block(Z, v_part, ell, input_tol=1e-6):
+def reduce_block(Z, v_part, ell):
     """Lower the rank of a two-child block while keeping its data entries.
 
     Z is ordered [bag | child-1 aux | child-2 aux | own aux], aux blocks of
@@ -292,6 +287,8 @@ def reduce_block(Z, v_part, ell, input_tol=1e-6):
     bag block, the aux-to-bag strip and the three aux diagonal blocks stay
     fixed; only the three aux-aux cross blocks move.  The result is PSD with
     the same accumulator identity and rank <= rank(bag block) + bp_bound(ell).
+    An input whose identity is off by more than 1e-6 relative to its largest
+    entry raises RecoveryError.
 
     The construction: take the generalized Schur complement of the bag
     block, split its factor into the three aux row groups, orthogonalize
@@ -311,7 +308,7 @@ def reduce_block(Z, v_part, ell, input_tol=1e-6):
     U = np.vstack([v_part, E])
     scale = max(1.0, float(np.abs(Z).max()))
     resid = float(np.abs(U.T @ Z @ U).max())
-    if resid > input_tol * scale:
+    if resid > 1e-6 * scale:
         raise RecoveryError("block violates its accumulator identity by %.3e"
                             % resid, face_residual=resid)
 
@@ -373,38 +370,39 @@ def reduce_block(Z, v_part, ell, input_tol=1e-6):
     return _sym(out)
 
 
-def _block_rank(M, tol=RANK_TOL):
-    """Numerical rank of each matrix in a (..., d, d) stack: eigenvalues
-    above tol times the largest, none when that is not positive."""
+def _block_rank(M):
+    """Numerical rank of each matrix in a (..., d, d) stack: its eigenvalues
+    counted by _rank_mask."""
     M = np.asarray(M, dtype=float)
     w = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
-    return np.sum(w > tol * np.maximum(w[..., -1:], 0.0), axis=-1)
+    return np.sum(_rank_mask(w), axis=-1)
 
 
-def _block_ranks(blocks, tol=RANK_TOL):
+def _block_ranks(blocks):
     """Node -> rank of its block, one stacked eigvalsh per block size."""
     groups = {}
     for t, B in blocks.items():
         groups.setdefault(np.shape(B), []).append(t)
     ranks = {}
     for members in groups.values():
-        r = _block_rank(np.stack([blocks[t] for t in members]), tol)
+        r = _block_rank(np.stack([blocks[t] for t in members]))
         ranks.update(zip(members, r.tolist()))
     return {t: ranks[t] for t in blocks}
 
 
 def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
-                     psd_tol=1e-6, rank_tol=RANK_TOL):
+                     psd_tol=1e-6):
     """Turn a solved block problem into a low-rank factored solution.
 
     block_solution maps tree node -> PSD block matrix (indexed by
     bs.blocks[t]).  In "tree" mode every two-child block is first reduced by
-    reduce_block; in "path" mode (only valid when no node has two children)
-    blocks are already narrow enough and are used as-is.  The blocks are then
-    made to agree on their overlaps (chordal_conversion.assemble), completed
-    at minimum rank along the extended clique tree, and restricted to the
-    original rows.  Solver output too inexact for any of these steps raises
-    RecoveryError.
+    reduce_block, which takes it in its stored order (see BlockSdp); in
+    "path" mode (only valid when no node has two children) blocks are
+    already narrow enough and are used as-is.  The blocks are then made to
+    agree on their overlaps (chordal_conversion.assemble), completed at
+    minimum rank along the extended clique tree on the faces of the
+    accumulator constraints, and restricted to the original rows.  Solver
+    output too inexact for any of these steps raises RecoveryError.
 
     Returns (solution, info) where solution is a FactoredSolution on the
     original index range and info reports block ranks and the certified
@@ -412,8 +410,6 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     width taken from the decomposition that produced the blocks.
     """
     from .chordal_conversion import assemble
-    from .graph_core import TreeDecomposition
-    from .sdp_model import FactoredSolution
 
     pat = ext.pattern
     td = pat.td
@@ -430,31 +426,22 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     reduced = []
     if mode == "tree" and pat.ell:
         for t in sorted(two_child):
-            idx = bs.blocks[t]
-            pos = {v: i for i, v in enumerate(idx)}
-            j1, j2 = sorted(td.children(t))
-            order = (sorted(td.bags[t]) + list(pat.u[j1]) + list(pat.u[j2])
-                     + list(pat.u[t]))
-            perm = [pos[v] for v in order]
-            A = ext.a_mats[t]
-            vp = A[[pos[v] for v in sorted(td.bags[t])], :]
-            Zr = reduce_block(blocks[t][np.ix_(perm, perm)], vp, pat.ell)
-            back = np.empty_like(Zr)
-            back[np.ix_(perm, perm)] = Zr
-            blocks[t] = back
+            p = len(td.bags[t])
+            blocks[t] = reduce_block(blocks[t], ext.a_mats[t][:p], pat.ell)
             reduced.append(t)
 
     bags = assemble(blocks, bs, tol=overlap_tol)
     ctd = TreeDecomposition(nodes=td.nodes, edges=td.edges,
                             bags={t: frozenset(bs.blocks[t]) for t in bs.blocks},
                             root=td.root)
-    # accumulator identities must survive completion exactly, otherwise
-    # solver noise leaks through the glue and breaks the lifted values
-    faces = {t: np.asarray(bs.null_mats[t], dtype=float)
-             for t in bs.blocks} if pat.ell else None
-    full = psd_complete_min_rank(bags, ctd, psd_tol=psd_tol, rank_tol=rank_tol,
-                                 face_mats=faces)
-    restricted = FactoredSolution(full.factor[:pat.n, :].copy())
+    # completing on the faces keeps solver noise out of the accumulator
+    # identities: each bag's new rows get an exact fix.  A bag whose new rows
+    # miss the face's support (all its accumulator and v_part rows sit in its
+    # separator) cannot be fixed and keeps its parent's noise, at 1e-9 input
+    # noise measured at 2e-11 to 8e-11 relative to the bag scale
+    full = psd_complete_min_rank(bags, ctd, psd_tol=psd_tol,
+                                 face_mats=bs.null_mats)
+    restricted = restrict_solution(full, ext)
 
     wid = max(len(b) for b in td.bags.values()) - 1
     if mode == "path":
@@ -463,7 +450,7 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
         cert = wid + bp_bound(pat.ell) + 1
     info = {
         "mode": mode,
-        "block_ranks": _block_ranks(blocks, rank_tol),
+        "block_ranks": _block_ranks(blocks),
         "reduced_blocks": reduced,
         "completed_rank": full.rank,
         "rank": restricted.numerical_rank(),

@@ -44,16 +44,15 @@ def _sym_unit(ell, a, b):
     return S
 
 
-def _entry_row(n, cells, lo, hi, core=None, ell=0):
-    """Equality/interval row pinning a combination of matrix cells.
+def _entry_row(n, cells, lo, hi, ell=0):
+    """Equality/interval row pinning a combination of matrix cells, with a
+    zero ell x ell core.
 
     cells is a list of (i, j, coeff) with coeff already accounting for
     symmetric double counting.
     """
     sp = SparseSymMatrix.from_entries(n, cells)
-    if core is None:
-        core = np.zeros((ell, ell))
-    return Constraint(sp, core, lo, hi)
+    return Constraint(sp, np.zeros((ell, ell)), lo, hi)
 
 
 def gen_simex(n, a=None, b=None):

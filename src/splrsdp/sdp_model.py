@@ -29,6 +29,14 @@ __all__ = [
     "detect_splr",
 ]
 
+RANK_TOL = 1e-8  # relative eigenvalue cut of every reported rank
+
+
+def _rank_mask(w):
+    """Eigenvalues in a (..., d) stack that count toward the rank: those
+    above RANK_TOL times the largest, none when that is not positive."""
+    return w > RANK_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
+
 
 @dataclass(frozen=True)
 class SparseSymMatrix:
@@ -148,14 +156,11 @@ class FactoredSolution:
     def matrix(self):
         return self.factor @ self.factor.T
 
-    def numerical_rank(self, tol=1e-8):
-        """Rank of X at a relative singular value cut of `tol`."""
-        if self.factor.size == 0:
-            return 0
+    def numerical_rank(self):
+        """Rank of X: its eigenvalues, the squared singular values of the
+        factor, counted by _rank_mask."""
         s = np.linalg.svd(self.factor, compute_uv=False)
-        if s[0] == 0.0:
-            return 0
-        return int(np.sum(s * s > tol * s[0] * s[0]))
+        return int(np.sum(_rank_mask(s * s)))
 
 
 def validate_problem(p):

@@ -85,7 +85,7 @@ def _face_project(M, Q):
     return 0.5 * (P + np.swapaxes(P, -1, -2))
 
 
-def project_null_psd(M, null_vectors, tol=1e-10):
+def project_null_psd(M, null_vectors):
     """Project onto {Y PSD : Y a = 0 for each null vector a}.
 
     PSD plus a^T Y a = 0 forces Y a = 0, so the set is Q S+ Q^T for Q an
@@ -93,7 +93,7 @@ def project_null_psd(M, null_vectors, tol=1e-10):
     projection is Q clip(Q^T M Q) Q^T.
     """
     M = _sym(np.asarray(M, dtype=float))
-    return _face_project(M, _face_basis(null_vectors, M.shape[0], tol))
+    return _face_project(M, _face_basis(null_vectors, M.shape[0]))
 
 
 def admm_solve(bs, params=None):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from splrsdp.chordal_conversion import assemble, convert_problem, export_sdpa
 from splrsdp.completion_rank import RecoveryError
@@ -11,7 +13,7 @@ from splrsdp.sdp_model import (Constraint, FactoredSolution, SplrSdp,
 from splrsdp.sdpa import parse_sdpa
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import block_row_values, random_splr_problem
+from conftest import block_row_values, random_splr_problem, random_valid_td
 
 
 def _lift_blocks(ext, bs, F):
@@ -96,6 +98,27 @@ def test_convert_problem_path_mode():
                              graph=Graph.from_edges(9, star_core | {(2, 9), (3, 8)}))
     with pytest.raises(ValueError):
         convert_problem(p2, path_mode=True)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(3, 14),
+       ell=st.integers(1, 3), given_td=st.booleans())
+def test_two_child_blocks_are_stored_in_reduction_order(seed, p, ell,
+                                                        given_td):
+    # the order reduce_block takes: [sorted bag | child-1 aux | child-2 aux
+    # | own aux], with the accumulator rows [I; I; -I] below the bag rows
+    rng = np.random.default_rng(seed)
+    g, td = random_valid_td(rng, p)
+    prob = random_splr_problem(rng, g.n, ell, graph=g)
+    ext, bs, _ = convert_problem(prob, td=td if given_td else None)
+    pat = ext.pattern
+    two_child = [t for t in bs.blocks if len(pat.td.children(t)) == 2]
+    assume(two_child)
+    E = np.vstack([np.eye(ell), np.eye(ell), -np.eye(ell)])
+    for t in two_child:
+        c1, c2 = sorted(pat.td.children(t))
+        bag = tuple(sorted(pat.td.bags[t]))
+        assert bs.blocks[t] == bag + pat.u[c1] + pat.u[c2] + pat.u[t]
+        assert np.array_equal(ext.a_mats[t][len(bag):], E)
 
 
 def test_assemble_matches_lift_and_flags_conflicts():

@@ -110,6 +110,64 @@ def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
     assert rec["rank"] <= rec["certified_bound"]
 
 
+def _convert_both_ways(tmp_path, name, gen_argv):
+    """Convert one generated problem with and without --path-mode; returns
+    the problem path and, per way, the (ext.json bytes, conv.json dict)."""
+    p = tmp_path / ("%s.json" % name)
+    assert run(["gen"] + gen_argv + ["--out", str(p)]) == 0
+    out = []
+    for flag in ([], ["--path-mode"]):
+        e = tmp_path / ("%s-e%d.json" % (name, len(flag)))
+        c = tmp_path / ("%s-c%d.json" % (name, len(flag)))
+        assert run(["convert", "--in", str(p), "--out", str(e), "--report",
+                    str(c)] + flag) == 0
+        out.append((e.read_bytes(), _load(c)))
+    return p, out
+
+
+def test_convert_path_mode_only_checks_the_shape(tmp_path, capsys):
+    # on a path, to_binary changes nothing, so the flag leaves the extended
+    # file byte-equal and flips only the report's path_mode
+    gfile = tmp_path / "band.txt"
+    band = {(i, i + 1) for i in range(1, 10)} | {(i, i + 2) for i in range(1, 9)}
+    with open(gfile, "w") as fh:
+        write_graph(Graph.from_edges(10, band), fh)
+    for name, argv in (("band", ["minbisect", "--graph", str(gfile)]),
+                       ("simex", ["simex", "-n", "12"])):
+        p, ((e0, c0), (e1, c1)) = _convert_both_ways(tmp_path, name, argv)
+        assert e0 == e1
+        assert (c0["path_mode"], c1["path_mode"]) == (False, True)
+        assert dict(c0, path_mode=True) == c1
+        # recover picks path mode from the tree's shape, flag or not: exact
+        # lift over the decomposition converted without the flag
+        prob = fileio.problem_from_dict(_load(p))
+        ext, bs, rep = convert_problem(prob)
+        R = np.random.default_rng(1).standard_normal((prob.n, 2))
+        L = extend_solution(ext, FactoredSolution(R)).factor
+        blocks = {t: L[[v - 1 for v in idx]] @ L[[v - 1 for v in idx]].T
+                  for t, idx in bs.blocks.items()}
+        s = tmp_path / ("%s-s.json" % name)
+        r = tmp_path / ("%s-r.json" % name)
+        fileio.save(fileio.solution_to_dict(blocks, extended=ext), str(s))
+        assert run(["recover", "--extended-solution", str(s),
+                    "--out", str(r)]) == 0
+        rec = _load(r)
+        assert rec["mode"] == "path"
+        assert rec["certified_bound"] == rep["width_before"] + prob.ell + 1
+    # a branching clique tree is still refused: bad input, exit 1
+    gfile = tmp_path / "star.txt"
+    star = {(1, j) for j in range(2, 8)} | {(2, 9), (3, 8)}
+    with open(gfile, "w") as fh:
+        write_graph(Graph.from_edges(9, star), fh)
+    p = tmp_path / "star.json"
+    assert run(["gen", "minbisect", "--graph", str(gfile), "--out",
+                str(p)]) == 0
+    capsys.readouterr()
+    assert run(["convert", "--in", str(p), "--out",
+                str(tmp_path / "star-e.json"), "--path-mode"]) == 1
+    assert "decomposition is not a path" in capsys.readouterr().err
+
+
 def test_solve_iteration_cap_returns_numerical_failure(tmp_path):
     p = tmp_path / "p.json"
     e = tmp_path / "e.json"

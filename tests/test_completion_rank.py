@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from splrsdp.chordal_conversion import BlockSdp, assemble, convert_problem
 from splrsdp.completion_rank import (RANK_TOL, AffineSlice, RecoveryError,
-                                     bp_bound, max_rank_for_constraints,
+                                     _block_rank, bp_bound,
+                                     max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
@@ -140,6 +141,66 @@ def test_psd_complete_on_faces_keeps_accumulator_identities():
             ranks.append(int(np.sum(w > RANK_TOL * w[-1])))
         assert sol.rank == max(ranks)
     assert exact > 0
+
+
+def test_rank_rule_edge_cases():
+    # one rule counts every rank: eigenvalues above RANK_TOL times the
+    # largest, none when that is not positive
+    Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
+    spectrum = np.array([1.0, 2e-8, 5e-9])
+    for F, want in ((np.zeros((3, 0)), 0), (np.zeros((3, 2)), 0),
+                    (Q * np.sqrt(spectrum), 2)):
+        assert FactoredSolution(F).numerical_rank() == want
+        assert _block_rank(F @ F.T) == want
+    stack = np.stack([np.zeros((3, 3)), -np.eye(3) - 0.5,
+                      (Q * spectrum) @ Q.T])
+    assert _block_rank(stack).tolist() == [0, 0, 2]
+    assert _block_rank(np.zeros((2, 0, 0))).tolist() == [0, 0]
+
+
+def _branching_ell0_lift(rng):
+    """An ell = 0 problem on a random valid decomposition whose rooted
+    binary tree has a two-child node, with the exact lift of a random
+    rank-2 point; returns (problem, ext, bs, point factor, lifted blocks)."""
+    while True:
+        g, td = random_valid_td(rng, int(rng.integers(4, 10)))
+        p = random_splr_problem(rng, g.n, 0, graph=g)
+        ext, bs, _ = convert_problem(p, td=td)
+        if any(len(ext.pattern.td.children(t)) == 2 for t in bs.blocks):
+            F = rng.standard_normal((g.n, 2))
+            return p, ext, bs, F, _lifted_blocks(ext, bs, F)
+
+
+def test_ell0_face_path_matches_the_plain_completion():
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        _, ext, bs, _, blocks = _branching_ell0_lift(rng)
+        assert all(C.shape == (len(bs.blocks[t]), 0)
+                   for t, C in bs.null_mats.items())
+        etd = ext.pattern.td
+        ctd = TreeDecomposition(nodes=etd.nodes, edges=etd.edges,
+                                bags={t: frozenset(b)
+                                      for t, b in bs.blocks.items()},
+                                root=etd.root)
+        bags = assemble(blocks, bs)
+        plain = psd_complete_min_rank(bags, ctd).factor
+        faced = psd_complete_min_rank(bags, ctd, face_mats=bs.null_mats).factor
+        assert plain.shape == faced.shape
+        assert plain.tobytes() == faced.tobytes()
+
+
+def test_recover_low_rank_ell0_branching_tree():
+    rng = np.random.default_rng(47)
+    for _ in range(6):
+        p, ext, bs, F, blocks = _branching_ell0_lift(rng)
+        sol, info = recover_low_rank(blocks, ext, bs, mode="tree")
+        assert info["reduced_blocks"] == []
+        assert info["rank"] <= min(2, info["certified_bound"])
+        ref = FactoredSolution(F)
+        for i in range(p.m + 1):
+            v0 = eval_constraint(p, i, ref) if i else eval_objective(p, ref)
+            v1 = eval_constraint(p, i, sol) if i else eval_objective(p, sol)
+            assert abs(v0 - v1) < 1e-9 * max(1.0, abs(v0))
 
 
 def _bag_layout(td):
