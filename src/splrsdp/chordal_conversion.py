@@ -7,12 +7,11 @@ them, and blocks agree on shared index pairs.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .completion_rank import RecoveryError, _sym
+from .completion_rank import PINV_RCOND, RecoveryError, _sym
 from .graph_core import (TreeDecomposition, chordal_complete, clique_tree,
                          root_binary, to_binary, width)
 from .sdpa import write_sdpa
@@ -37,11 +36,15 @@ class BlockSdp:
     | own aux], the order reduce_block takes, and null_mats[t] ends in
     [I; I; -I] below the bag rows.  Stacking
     the blocks' upper triangles gives the columns described by `columns`.
-    rows is a CSR matrix with the objective in row 0 and constraint r in row
-    r; a row holds each of its data entries X[u, v], u <= v, once, in the
-    first column of the pair (u, v), and stores no zeros.  bounds[r - 1] is
-    the (lower, upper) interval of constraint r.  null_mats[t] carries the
-    accumulator constraint matrix of the block (block.T @ Y @ block = 0).
+    rows is a CSR matrix with the objective in row 0 and the r-th kept
+    constraint in row r; a row holds each of its data entries X[u, v],
+    u <= v, once, in the first column of the pair (u, v), and stores no
+    zeros.  bounds[r - 1] is the (lower, upper) interval of row r.  Rows and
+    bounds omit the constraints convert moves into the root face (no sparse
+    part, bounds [0, 0], semidefinite core); the others keep their order.
+    null_mats[t] carries the accumulator constraint matrix of the block
+    (null_mats[t].T @ Y_t @ null_mats[t] = 0), and null_mats[root] may carry
+    further face vectors [0; V] on the root's auxiliary rows J after it.
     Overlaps list (t, parent, shared_indices) for every tree edge, parents
     before children.
     """
@@ -57,13 +60,15 @@ class BlockSdp:
     def k(self):
         return len(self.blocks)
 
-    @cached_property
+    @property
     def columns(self):
         """Stacked columns as int arrays (node, i, j, u, v).
 
         Column c is entry (i[c], j[c]), i <= j, 0-based, of block node[c]
         and holds the index pair (u[c], v[c]) of the extended matrix.
         Blocks follow node order, each upper triangle taken row by row.
+        Built on each access and not kept: a BlockSdp held after its solve
+        carries no stacked-column arrays.
         """
         return _columns(self.blocks)
 
@@ -81,11 +86,40 @@ def _columns(blocks):
     return np.repeat(ids, counts), i, j, flat[start + i], flat[start + j]
 
 
+def _face_rows(constraints, ell):
+    """Constraint rows that only cut out a face of the core view.
+
+    A row with no sparse entries, bounds [0, 0] and a nonzero semidefinite
+    core K (either sign) reads <K, F^T X F> = 0, which for X PSD holds
+    exactly when X F range(K) = 0.  Returns the set of these rows'
+    positions and an orthonormal ell x f basis V of the sum of their core
+    ranges, orthonormalised together so repeated or overlapping cores add
+    no dependent vectors.
+    """
+    moved, spans = set(), []
+    for r, c in enumerate(constraints):
+        if c.lower != 0.0 or c.upper != 0.0 or any(c.sparse.entries.values()):
+            continue
+        w, U = np.linalg.eigh(_sym(np.asarray(c.core, dtype=float)))
+        live = np.abs(w) > PINV_RCOND * np.abs(w).max(initial=0.0)
+        if live.any() and ((w[live] > 0).all() or (w[live] < 0).all()):
+            moved.add(r)
+            spans.append(U[:, live])
+    if not spans:
+        return moved, np.zeros((ell, 0))
+    U, s, _ = np.linalg.svd(np.hstack(spans), full_matrices=False)
+    return moved, U[:, s > PINV_RCOND * s[0]]
+
+
 def convert(ext):
     """Turn an extended problem into its coupled block form.
 
     Each data entry goes to the first column holding its index pair, that
-    is to the smallest-id block containing the pair.
+    is to the smallest-id block containing the pair.  Rows that only cut
+    out a face of the core view (see _face_rows) are not data rows: their
+    face vectors [0; V] on the root's auxiliary rows J join null_mats[root]
+    (partial facial reduction), which keeps Slater's condition on the block
+    problem.
     """
     pat = ext.pattern
     blocks = {t: tuple(sorted(pat.ext_bags[t])) for t in pat.td.nodes}
@@ -94,7 +128,9 @@ def convert(ext):
     keys, home = np.unique(u * stride + v, return_index=True)
 
     p = ext.base
-    terms = [p.objective] + [c.term for c in p.constraints]
+    moved, V = _face_rows(p.constraints, pat.ell)
+    cons = [c for r, c in enumerate(p.constraints) if r not in moved]
+    terms = [p.objective] + [c.term for c in cons]
     # core entries sit on the root's auxiliary pairs J x J
     ja, jb = np.triu_indices(pat.ell)
     J = np.asarray(pat.index_j, dtype=np.int64)
@@ -122,12 +158,18 @@ def convert(ext):
         if par is not None:
             shared = tuple(sorted(pat.ext_bags[t] & pat.ext_bags[par]))
             overlaps.append((t, par, shared))
+    null_mats = dict(ext.a_mats)
+    if V.shape[1]:
+        root = pat.td.root
+        face = np.zeros((len(blocks[root]), V.shape[1]))
+        face[np.searchsorted(blocks[root], J)] = V
+        null_mats[root] = np.hstack([null_mats[root], face])
     return BlockSdp(
         n_ext=pat.n_ext,
         blocks=blocks,
         rows=rows,
-        bounds=[(c.lower, c.upper) for c in p.constraints],
-        null_mats=dict(ext.a_mats),
+        bounds=[(c.lower, c.upper) for c in cons],
+        null_mats=null_mats,
         overlaps=overlaps,
     )
 
@@ -215,7 +257,8 @@ def export_sdpa(bs, fh):
 
     Rows: equalities as-is, two-sided inequalities split into two one-sided
     rows, one-sided rows with a nonnegative slack in a trailing LP block, and
-    one rank-one equality row per accumulator vector.  The file encodes
+    one rank-one equality row per null_mats column (accumulator and face
+    vectors; blocks may carry different counts).  The file encodes
     min sum_t <F_0 blk t, Y_t> subject to row values = rhs.
     """
     block_ids = sorted(bs.blocks)
@@ -223,15 +266,22 @@ def export_sdpa(bs, fh):
     blk = np.searchsorted(block_ids, node)  # block position of each column
     # accumulator rows (block, h): upper triangle of a a^T, a = null_mats[t][:, h]
     sizes = [len(bs.blocks[t]) for t in block_ids]
-    A = np.vstack([bs.null_mats[t] for t in block_ids])
-    ell = A.shape[1]
-    at = np.cumsum([0] + sizes[:-1])[blk]  # first row of the column's block in A
+    q = np.array([bs.null_mats[t].shape[1] for t in block_ids], dtype=int)
+    wide = int(q.max(initial=0))
+    first = np.cumsum([0] + sizes[:-1])  # first row of each block in A
+    # null matrices zero-padded to a common width; padded columns get no row
+    A = np.zeros((sum(sizes), wide))
+    for b, t in enumerate(block_ids):
+        A[first[b]:first[b] + sizes[b], :q[b]] = bs.null_mats[t]
+    real = (np.arange(wide) < q[:, None]).ravel()
+    row_of = np.cumsum(real) - 1  # (block, h) -> accumulator row
+    at = first[blk]
     val = (A[at + i] * A[at + j]).ravel()
     nz = val != 0.0
     acc = sp.csr_matrix(
-        (val[nz], ((blk[:, None] * ell + np.arange(ell)).ravel()[nz],
-                   np.repeat(np.arange(node.size), ell)[nz])),
-        shape=(len(block_ids) * ell, node.size))
+        (val[nz], (row_of[(blk[:, None] * wide + np.arange(wide)).ravel()[nz]],
+                   np.repeat(np.arange(node.size), wide)[nz])),
+        shape=(int(q.sum()), node.size))
     M = sp.vstack([bs.rows, acc], format="csr")
     c = M.indices
     nonzeros = [x.tolist() for x in (blk[c] + 1, i[c] + 1, j[c] + 1, M.data)]

@@ -434,13 +434,15 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     ctd = TreeDecomposition(nodes=td.nodes, edges=td.edges,
                             bags={t: frozenset(bs.blocks[t]) for t in bs.blocks},
                             root=td.root)
-    # completing on the faces keeps solver noise out of the accumulator
-    # identities: each bag's new rows get an exact fix.  A bag whose new rows
-    # miss the face's support (all its accumulator and v_part rows sit in its
-    # separator) cannot be fixed and keeps its parent's noise, at 1e-9 input
-    # noise measured at 2e-11 to 8e-11 relative to the bag scale
+    # completing on the accumulator faces keeps solver noise out of the
+    # accumulator identities: each bag's new rows get an exact fix.  A bag
+    # whose new rows miss the face's support (all its accumulator and v_part
+    # rows sit in its separator) cannot be fixed and keeps its parent's
+    # noise, at 1e-9 input noise measured at 2e-11 to 8e-11 relative to the
+    # bag scale.  The face vectors convert adds to bs.null_mats[root] are
+    # left out: the solver already projected the root block onto them
     full = psd_complete_min_rank(bags, ctd, psd_tol=psd_tol,
-                                 face_mats=bs.null_mats)
+                                 face_mats=ext.a_mats)
     restricted = restrict_solution(full, ext)
 
     wid = max(len(b) for b in td.bags.values()) - 1

@@ -176,6 +176,8 @@ def stats_to_dict(st):
         "block_ranks": {str(t): int(r) for t, r in sorted(st.block_ranks.items())},
         "rho": st.rho,
         "converged": bool(st.converged),
+        "aa_accepted": int(st.aa_accepted),
+        "aa_rejected": int(st.aa_rejected),
     }
 
 

@@ -5,12 +5,13 @@ positions (off-diagonal entries scaled by sqrt(2) so inner products are dot
 products).  Block iterates are full d x d matrices stored in slabs, one slab
 per (block size, face dimension) group, and with the data row values they
 form one vector v = K x at consensus, K = [G; A] stacking the gather matrix
-G and the data rows A.  Each iteration solves a prefactored least-squares
-system for the consensus, projects each slab onto its null-constrained PSD
-faces with one batched eigh, clips row values into their interval bounds,
-and updates the scaled dual.  The dense reference solver runs the same
-scheme on the full matrix of the original problem and shares no conversion
-or projection code, which makes it usable as an independent cross-check.
+G and the data rows A.  Each evaluation of the ADMM map projects each slab
+onto its null-constrained PSD faces with one batched eigh, clips row values
+into their interval bounds, and solves a prefactored least-squares system
+for the consensus; safeguarded Anderson acceleration of that map picks the
+steps.  The dense reference solver runs plain ADMM on the full matrix of
+the original problem and shares no conversion or projection code, which
+makes it usable as an independent cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ __all__ = [
     "admm_solve",
     "dense_reference_solve",
 ]
+
+AA_MEMORY = 10  # Anderson acceleration memory of admm_solve
 
 
 @dataclass
@@ -61,6 +64,9 @@ class SolveStats:
     block_ranks: dict
     rho: float
     converged: bool
+    # Anderson candidates taken and refused by the block solver's safeguard
+    aa_accepted: int = 0
+    aa_rejected: int = 0
     # (iterations, 2) array of the (primal, dual) residuals per iteration
     history: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)),
                                 repr=False)
@@ -106,9 +112,23 @@ def admm_solve(bs, params=None):
     pair (weight 1/sqrt(2) off the diagonal), so ||G x - y|| is the svec
     distance, G^T y is the svec sum and G^T G the diagonal of pair
     multiplicities.  With the data rows A this is one splitting K x = v,
-    K = [G; A], v = [y; z] and scaled dual u = [lam; w]: each iteration
-    solves against K^T K, projects every slab onto its PSD face in one
-    batch and clips z into its interval bounds, then updates u.
+    K = [G; A], v = [y; z] and scaled dual u = [lam; w].
+
+    The ADMM runs as Douglas-Rachford on zeta = K x + u: with P the
+    projection of every slab onto its PSD face and of z into its interval
+    bounds, and X(w) the x minimising c.x + rho/2 ||K x - w||^2, one step
+    is T(zeta) = zeta - P(zeta) + K X(2 P(zeta) - zeta).  Each evaluation
+    of T yields v = P(zeta), u = zeta - v (exactly complementary to v) and
+    x; the primal residual is ||K x - v|| over max(1, ||K x||, ||v||) and
+    the dual residual ||c + rho K^T u|| over max(1, ||rho K^T u||).  Type-II
+    Anderson acceleration with memory AA_MEMORY proposes a candidate from
+    the last steps; the safeguard takes it only if its fixed-point residual
+    ||T(c) - c|| is no larger than the plain step's ||T(zeta) - zeta||, and
+    otherwise takes the plain step T(zeta).  One iteration is one step
+    taken, so it costs one evaluation of T, or two when the candidate is
+    rejected; max_iter caps these steps and per-iteration timings divide
+    by them.  Every 25 iterations rho is doubled or halved when one
+    residual exceeds the other tenfold, which clears the memory.
     Divergence (combined residual growing past 1e6 times its starting
     value) raises AdmmDivergence carrying the stats.
     """
@@ -153,31 +173,43 @@ def admm_solve(bs, params=None):
     lo = np.concatenate([np.full(ny, -np.inf), [b[0] for b in bs.bounds]])
     hi = np.concatenate([np.full(ny, np.inf), [b[1] for b in bs.bounds]])
 
+    def project(zeta):
+        v = np.clip(zeta, lo, hi)
+        for s, d, Q in slabs:
+            v[s] = _face_project(v[s].reshape(-1, d, d), Q).ravel()
+        return v
+
+    def evaluate(zeta, v):
+        """T at zeta given v = P(zeta): v, u, K^T u, x, K x, T(zeta) - zeta."""
+        u = zeta - v
+        KTu = KT @ u
+        x = solve(KT @ v - KTu - c / rho)
+        Kx = K @ x
+        return v, u, KTu, x, Kx, Kx - v
+
     rho = params.rho
     # identity times a seed-dependent scale, so reruns with other seeds probe
     # different basins while staying reproducible
     scale0 = float(2.0 ** np.random.default_rng(params.seed).uniform(-1.0, 1.0))
-    v = np.clip(np.zeros(K.shape[0]), lo, hi)
-    v[at[diag]] = scale0
-    u = np.zeros(K.shape[0])
+    zeta = np.clip(np.zeros(K.shape[0]), lo, hi)
+    zeta[at[diag]] = scale0
+    ev = evaluate(zeta, project(zeta))
 
+    # Anderson memory: rows of differences of T(zeta) and of T(zeta) - zeta
+    # between successive iterates, filled round-robin, with the Gram matrix
+    # of the residual differences kept current
+    dG = np.empty((AA_MEMORY, zeta.size))
+    dF = np.empty((AA_MEMORY, zeta.size))
+    gram = np.empty((AA_MEMORY, AA_MEMORY))
+    filled = slot = accepted = rejected = 0
     history = []
     converged = diverged = False
     for it in range(1, params.max_iter + 1):
-        x = solve(KT @ (v - u) - c / rho)
-        Kx = K @ x
-
-        v_old = v
-        v = np.clip(Kx + u, lo, hi)
-        for s, d, Q in slabs:
-            v[s] = _face_project(v[s].reshape(-1, d, d), Q).ravel()
-        r = Kx - v
-        u = u + r
-
-        pri = np.linalg.norm(r) / max(1.0, np.linalg.norm(Kx),
+        v, u, KTu, x, Kx, f = ev
+        pri = np.linalg.norm(f) / max(1.0, np.linalg.norm(Kx),
                                       np.linalg.norm(v))
-        dua = rho * np.linalg.norm(KT @ (v - v_old)) / max(
-            1.0, rho * np.linalg.norm(KT @ u))
+        dua = np.linalg.norm(c + rho * KTu) / max(
+            1.0, rho * np.linalg.norm(KTu))
         history.append((pri, dua))
         if pri <= params.tol_primal and dua <= params.tol_dual:
             converged = True
@@ -185,13 +217,40 @@ def admm_solve(bs, params=None):
         if pri + dua > 1e6 * max(sum(history[0]), 1.0):
             diverged = True
             break
+        if it == params.max_iter:
+            break
         if it % 25 == 0:
-            if pri > 10.0 * dua and rho < 1e6:
-                rho *= 2.0
-                u /= 2.0
-            elif dua > 10.0 * pri and rho > 1e-6:
-                rho /= 2.0
-                u *= 2.0
+            step = (2.0 if pri > 10.0 * dua and rho < 1e6 else
+                    0.5 if dua > 10.0 * pri and rho > 1e-6 else None)
+            if step is not None:
+                # u scales by 1/step; v stays the projection of v + u/step
+                rho *= step
+                zeta = v + u / step
+                ev = evaluate(zeta, v)
+                f = ev[-1]
+                filled = slot = 0
+
+        new = None
+        if filled:
+            gamma = np.linalg.lstsq(gram[:filled, :filled], dF[:filled] @ f,
+                                    rcond=None)[0]
+            cand = zeta + f - gamma @ dG[:filled]
+            ev_c = evaluate(cand, project(cand))
+            if np.linalg.norm(ev_c[-1]) <= np.linalg.norm(f):
+                new, ev_new = cand, ev_c
+                accepted += 1
+            else:
+                rejected += 1
+        if new is None:
+            new = zeta + f
+            ev_new = evaluate(new, project(new))
+        df = ev_new[-1] - f
+        dF[slot] = df
+        dG[slot] = new - zeta + df
+        filled = min(filled + 1, AA_MEMORY)
+        gram[slot, :filled] = gram[:filled, slot] = dF[:filled] @ df
+        slot = (slot + 1) % AA_MEMORY
+        zeta, ev = new, ev_new
 
     blocks = {t: v[offset[t]:offset[t] + len(Q) ** 2].reshape(len(Q), -1)
               for t, Q in basis.items()}
@@ -199,6 +258,7 @@ def admm_solve(bs, params=None):
     stats = SolveStats(iterations=it, primal_residual=float(pri),
                        dual_residual=float(dua), objective=float(c @ x),
                        block_ranks=ranks, rho=float(rho), converged=converged,
+                       aa_accepted=accepted, aa_rejected=rejected,
                        history=np.array(history))
     if diverged:
         raise AdmmDivergence("residuals diverged at iteration %d" % it, stats)
@@ -209,16 +269,34 @@ def dense_reference_solve(p, params=None):
     """Plain dense ADMM on the original problem; the cross-check oracle.
 
     Splits the variable into a data copy (interval rows) and a PSD copy.
-    Returns (FactoredSolution, SolveStats); check stats.converged before
-    trusting tight tolerances.  Residual blow-up raises AdmmDivergence, and
-    infeasible instances show up as a primal residual that stalls high.
+    Rows <F K F^T, X> = 0 with no sparse part and K semidefinite hold for
+    PSD X only on the face X F range(K) = 0, which is Q S+ Q^T for Q an
+    orthonormal basis of the complement of F range(K); the solve runs on
+    X = Q W Q^T over the data Q^T A Q, so the PSD step projects onto that
+    face.  Returns (FactoredSolution, SolveStats); check stats.converged
+    before trusting tight tolerances.  Residual blow-up raises
+    AdmmDivergence, and infeasible instances show up as a primal residual
+    that stalls high.
     """
     from .sdp_model import FactoredSolution
 
     params = params or AdmmParams()
-    n = p.n
-    C = p.objective.dense(p.factor)
-    mats = [cn.term.dense(p.factor) for cn in p.constraints]
+    # its own face, written apart from the block path's facial reduction
+    killed = []
+    for cn in p.constraints:
+        if cn.lower == cn.upper == 0.0 and cn.core.size \
+                and not any(cn.sparse.entries.values()):
+            ev, EV = np.linalg.eigh(cn.core)
+            big = np.abs(ev) > 1e-10 * np.abs(ev).max()
+            if big.any() and abs(ev[big].sum()) == np.abs(ev[big]).sum():
+                killed.append(p.factor @ EV[:, big])
+    Q = np.eye(p.n)
+    if killed:
+        UK, sK, _ = np.linalg.svd(np.hstack(killed))
+        Q = UK[:, int(np.sum(sK > 1e-10 * sK[0])):]
+    n = Q.shape[1]
+    C = Q.T @ p.objective.dense(p.factor) @ Q
+    mats = [Q.T @ cn.term.dense(p.factor) @ Q for cn in p.constraints]
     c = _svec(C)
     dim = c.size
     m = len(mats)
@@ -282,4 +360,4 @@ def dense_reference_solve(p, params=None):
     if diverged:
         raise AdmmDivergence("dense solve diverged at iteration %d" % it,
                              stats)
-    return FactoredSolution(_psd_factor(S)), stats
+    return FactoredSolution(Q @ _psd_factor(S)), stats

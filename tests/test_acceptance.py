@@ -254,6 +254,9 @@ def test_block_vs_dense_objective_consistency():
         _, std = dense_reference_solve(p, par)
         _, bs, _ = convert_problem(p)
         _, stb = admm_solve(bs, par)
+        assert std.converged and stb.converged, \
+            "%s: dense %d, block %d iterations" % (name, std.iterations,
+                                                   stb.iterations)
         diff = abs(std.objective - stb.objective)
         assert diff <= 1e-4 * (1.0 + abs(std.objective)), \
             "%s: dense %.8f vs block %.8f" % (name, std.objective, stb.objective)

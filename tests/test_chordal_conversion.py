@@ -1,4 +1,6 @@
 import io
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from splrsdp.chordal_conversion import assemble, convert_problem, export_sdpa
 from splrsdp.completion_rank import RecoveryError
 from splrsdp.graph_core import Graph
-from splrsdp.sdp_model import (Constraint, FactoredSolution, SplrSdp,
-                               eval_constraint, eval_objective)
+from splrsdp.instances import gen_lb_tree, gen_min_bisection
+from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
+                               SplrSdp, eval_constraint, eval_objective)
+from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sdpa import parse_sdpa
 from splrsdp.sparse_extension import extend_solution
 
@@ -211,3 +215,110 @@ def test_export_sdpa_interval_rows_use_lp_block():
     expect = sum((1 if np.isfinite(c.lower) else 0) + (1 if np.isfinite(c.upper) else 0)
                  for c in p.constraints if c.lower != c.upper)
     assert n_slack == expect
+
+
+def _cycle_bisection(n):
+    return gen_min_bisection(Graph.from_edges(
+        n, [(i, i + 1) for i in range(1, n)] + [(1, n)]))
+
+
+def _face_columns(ext, bs):
+    """The columns null_mats[root] carries beyond the accumulator matrix."""
+    root = ext.pattern.td.root
+    return bs.null_mats[root][:, ext.a_mats[root].shape[1]:]
+
+
+def _rows_are(p, ext, bs, kept):
+    """bs.rows holds the objective and exactly the constraints `kept`
+    (positions in p.constraints), in order, checked on a lifted point."""
+    F = np.random.default_rng(3).standard_normal((p.n, 3))
+    blocks, _ = _lift_blocks(ext, bs, F)
+    ref = FactoredSolution(F)
+    want = [eval_objective(p, ref)] + [eval_constraint(p, r + 1, ref)
+                                       for r in kept]
+    got = block_row_values(bs, blocks)
+    assert got.shape == (len(want),)
+    assert np.abs(got - want).max() < 1e-9 * max(1.0, np.abs(want).max())
+    assert bs.bounds == [(p.constraints[r].lower, p.constraints[r].upper)
+                         for r in kept]
+
+
+def test_minbisect_sum_row_moves_into_the_root_face():
+    p = _cycle_bisection(8)
+    ext, bs, _ = convert_problem(p)
+    # <ee^T, X> = 0 is the last row: dropped, the diagonal rows stay
+    _rows_are(p, ext, bs, range(p.m - 1))
+    face = _face_columns(ext, bs)
+    assert face.shape[1] == 1
+    root = ext.pattern.td.root
+    J = np.searchsorted(bs.blocks[root], ext.pattern.index_j)
+    want = np.zeros_like(face)
+    want[J] = 1.0
+    assert np.abs(np.abs(face) - want).max() < 1e-15
+    # the face holds on the exact lift of a balanced point
+    R = np.vstack([np.eye(4), -np.eye(4)])
+    blocks, _ = _lift_blocks(ext, bs, R)
+    assert np.abs(blocks[root] @ face).max() < 1e-12
+
+
+def test_lb_tree_moves_the_diagonal_core_rows_only():
+    ell = 2
+    p = gen_lb_tree(ell)
+    ext, bs, _ = convert_problem(p)
+    core_only = [r for r, c in enumerate(p.constraints)
+                 if not c.sparse.entries]
+    diagonal = [r for r in core_only
+                if np.count_nonzero(p.constraints[r].core) == 1]
+    assert len(core_only) == 3 and len(diagonal) == ell
+    # sym(e_1 e_2^T) is indefinite and stays a data row
+    _rows_are(p, ext, bs, [r for r in range(p.m) if r not in diagonal])
+    face = _face_columns(ext, bs)
+    assert face.shape[1] == ell
+    root = ext.pattern.td.root
+    J = np.searchsorted(bs.blocks[root], ext.pattern.index_j)
+    assert np.abs(face[J].T @ face[J] - np.eye(ell)).max() < 1e-12
+    assert np.abs(np.delete(face, J, axis=0)).max() == 0.0
+
+
+def test_repeated_face_rows_add_one_face_vector():
+    p = _cycle_bisection(6)
+    twice = replace(p, constraints=p.constraints + [p.constraints[-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ext, bs, _ = convert_problem(twice)
+        _, stats = admm_solve(bs, AdmmParams(max_iter=3))
+    assert stats.iterations == 3
+    assert _face_columns(ext, bs).shape[1] == 1
+    _rows_are(twice, ext, bs, range(p.m - 1))
+
+
+def test_zero_row_with_a_sparse_part_stays_a_data_row():
+    p = _cycle_bisection(6)
+    last = p.constraints[-1]
+    mixed = Constraint(SparseSymMatrix.from_entries(p.n, [(1, 2, 0.5)]),
+                       last.core, 0.0, 0.0)
+    q = replace(p, constraints=p.constraints[:-1] + [mixed])
+    ext, bs, _ = convert_problem(q)
+    _rows_are(q, ext, bs, range(q.m))
+    assert _face_columns(ext, bs).shape[1] == 0
+
+
+def test_export_sdpa_of_a_reduced_minbisect_keeps_the_row_count():
+    p = _cycle_bisection(8)
+    ext, bs, _ = convert_problem(p)
+    buf = io.StringIO()
+    export_sdpa(bs, buf)
+    buf.seek(0)
+    m, sizes, rhs, entries = parse_sdpa(buf)
+    # the moved row comes back as the root's rank-one face row
+    assert m == p.m + bs.k * p.ell
+    assert len(bs.bounds) == p.m - 1
+    root_blk = sorted(bs.blocks).index(ext.pattern.td.root) + 1
+    face = _face_columns(ext, bs)[:, 0]
+    got = np.zeros((sizes[root_blk - 1],) * 2)
+    for matno, blkno, i, j, v in entries:
+        if matno == m:
+            assert blkno == root_blk
+            got[i - 1, j - 1] = got[j - 1, i - 1] = v
+    assert rhs[-1] == 0.0
+    assert np.abs(got - np.outer(face, face)).max() < 1e-12

@@ -103,13 +103,14 @@ def test_solution_roundtrip_with_stats_and_problem():
     blocks = {t: np.eye(len(bs.blocks[t])) for t in bs.blocks}
     st = SolveStats(iterations=12, primal_residual=1e-9, dual_residual=2e-9,
                     objective=0.5, block_ranks={t: 1 for t in blocks},
-                    rho=2.0, converged=True)
+                    rho=2.0, converged=True, aa_accepted=9, aa_rejected=2)
     d = _rt(fileio.solution_to_dict(blocks, st, extended=ext))
     back, stats, ext2 = fileio.solution_from_dict(d)
     assert set(back) == set(blocks)
     for t in blocks:
         assert np.array_equal(back[t], blocks[t])
     assert stats["iterations"] == 12 and stats["converged"] is True
+    assert stats["aa_accepted"] == 9 and stats["aa_rejected"] == 2
     assert ext2 is not None and ext2.pattern.ext_bags == ext.pattern.ext_bags
 
 
