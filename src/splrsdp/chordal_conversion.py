@@ -7,6 +7,7 @@ them, and blocks agree on shared index pairs.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,7 +83,8 @@ def _columns(blocks):
     counts = [d * (d + 1) // 2 for d in sizes]
     # offset of each column's block in the blocks' concatenated indices
     start = np.repeat(np.cumsum([0] + sizes[:-1]), counts)
-    flat = np.array([v for t in ids for v in blocks[t]])
+    flat = np.fromiter(chain.from_iterable(blocks[t] for t in ids),
+                       dtype=np.int64, count=sum(sizes))
     return np.repeat(ids, counts), i, j, flat[start + i], flat[start + j]
 
 
@@ -130,19 +132,25 @@ def convert(ext):
     p = ext.base
     moved, V = _face_rows(p.constraints, pat.ell)
     cons = [c for r, c in enumerate(p.constraints) if r not in moved]
-    terms = [p.objective] + [c.term for c in cons]
-    # core entries sit on the root's auxiliary pairs J x J
+    terms = [p.objective] + cons  # each with .sparse and .core
+    # every row's sparse entries, then every row's core entries, which sit
+    # on the root's auxiliary pairs J x J
+    m, counts = len(terms), [len(t.sparse.entries) for t in terms]
     ja, jb = np.triu_indices(pat.ell)
     J = np.asarray(pat.index_j, dtype=np.int64)
-    core_pairs = list(zip(J[ja].tolist(), J[jb].tolist()))
-    ri, uv, vals = [], [], []
-    for r, term in enumerate(terms):
-        ent = term.sparse.entries
-        ri += [r] * (len(ent) + len(core_pairs))
-        uv += list(ent) + core_pairs
-        vals += list(ent.values()) + term.core[ja, jb].tolist()
-    uv = np.array(uv, dtype=np.int64).reshape(-1, 2)
-    vals = np.array(vals, dtype=float)
+    uv = np.concatenate([
+        np.fromiter(chain.from_iterable(chain.from_iterable(t.sparse.entries)
+                                        for t in terms),
+                    dtype=np.int64, count=2 * sum(counts)).reshape(-1, 2),
+        np.tile(np.column_stack([J[ja], J[jb]]), (m, 1))])
+    vals = np.concatenate([
+        np.fromiter(chain.from_iterable(t.sparse.entries.values()
+                                        for t in terms),
+                    dtype=float, count=sum(counts)),
+        np.array([t.core for t in terms],
+                 dtype=float).reshape(m, pat.ell, pat.ell)[:, ja, jb].ravel()])
+    ri = np.concatenate([np.repeat(np.arange(m), counts),
+                         np.repeat(np.arange(m), ja.size)])
     key = uv[:, 0] * stride + uv[:, 1]
     pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
     missing = keys[pos] != key
@@ -150,8 +158,8 @@ def convert(ext):
         raise ValueError("no block contains the pair (%d, %d)"
                          % tuple(uv[missing][0]))
     keep = vals != 0.0
-    rows = sp.csr_matrix((vals[keep], (np.array(ri)[keep], home[pos[keep]])),
-                         shape=(len(terms), u.size))
+    rows = sp.csr_matrix((vals[keep], (ri[keep], home[pos[keep]])),
+                         shape=(m, u.size))
     overlaps = []
     for t in reversed(pat.td.postorder()):
         par = pat.td.parent(t)
@@ -222,34 +230,49 @@ def convert_problem(p, td=None, path_mode=False):
 def assemble(block_solution, bs, tol=1e-6):
     """Agreed bag matrices of a block solution.
 
-    Symmetrizes every block, then walks bs.overlaps parents first: each
-    child's shared entries are measured against its parent's and then
-    overwritten by them, so a shared entry carries the value of the topmost
-    block holding it.  A disagreement beyond `tol` raises
-    completion_rank.RecoveryError with the worst one.  Returns {t: matrix},
+    Symmetrizes every block, then gives each entry the value of the
+    topmost block (fewest bs.overlaps steps from the root) holding its
+    index pair, in one gather over the stacked columns.  This is what
+    copying shared entries down the tree parents first yields.  The worst
+    difference between an entry and that value is the disagreement; beyond
+    `tol` it raises completion_rank.RecoveryError.  Returns {t: matrix},
     rows in bs.blocks[t] order, as psd_complete_min_rank takes them.
     """
-    bags = {}
-    for t in sorted(bs.blocks, reverse=True):
+    ids = sorted(bs.blocks)
+    for t in reversed(ids):
         d = len(bs.blocks[t])
-        Z = np.asarray(block_solution[t], dtype=float)
-        if Z.shape != (d, d):
+        if np.shape(block_solution[t]) != (d, d):
             raise ValueError("block %d has shape %s, expected %d"
-                             % (t, Z.shape, d))
-        bags[t] = _sym(Z)
-    worst = 0.0
-    for t, par, shared in bs.overlaps:
-        if not shared:
-            continue
-        a = np.searchsorted(bs.blocks[t], shared)
-        b = np.searchsorted(bs.blocks[par], shared)
-        agreed = bags[par][np.ix_(b, b)]
-        worst = max(worst, float(np.abs(bags[t][np.ix_(a, a)] - agreed).max()))
-        bags[t][np.ix_(a, a)] = agreed
+                             % (t, np.shape(block_solution[t]), d))
+    # every block's matrix in one flat array, blocks in node order
+    sizes = np.array([len(bs.blocks[t]) for t in ids], dtype=np.int64)
+    base = np.cumsum(sizes * sizes) - sizes * sizes
+    flat = np.concatenate([np.asarray(block_solution[t], dtype=float).ravel()
+                           for t in ids])
+    depth = dict.fromkeys(ids, 0)
+    for t, par, _ in bs.overlaps:  # parents first
+        depth[t] = depth[par] + 1
+    node, i, j, u, v = _columns(bs.blocks)
+    k = np.searchsorted(ids, node)
+    d = sizes[k]
+    upper, lower = base[k] + i * d + j, base[k] + j * d + i
+    sym = 0.5 * (flat[upper] + flat[lower])
+    # each column takes the value of the column of the topmost block
+    # holding its pair: the first of its pair when sorted by depth
+    key = u * (bs.n_ext + 1) + v
+    order = np.lexsort((np.array([depth[t] for t in ids])[k], key))
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    agreed = np.empty_like(sym)
+    agreed[order] = sym[order[first]][np.cumsum(first) - 1]
+    worst = float(np.abs(sym - agreed).max(initial=0.0))
     if worst > tol:
         raise RecoveryError("blocks disagree on shared entries by %.3e"
                             % worst, disagreement=worst)
-    return bags
+    flat[upper] = agreed
+    flat[lower] = agreed
+    return {t: flat[o:o + d * d].reshape(d, d)
+            for t, o, d in zip(ids, base.tolist(), sizes.tolist())}
 
 
 def export_sdpa(bs, fh):
@@ -283,8 +306,6 @@ def export_sdpa(bs, fh):
                    np.repeat(np.arange(node.size), wide)[nz])),
         shape=(int(q.sum()), node.size))
     M = sp.vstack([bs.rows, acc], format="csr")
-    c = M.indices
-    nonzeros = [x.tolist() for x in (blk[c] + 1, i[c] + 1, j[c] + 1, M.data)]
 
     rows = []  # (row of M, rhs, slack_sign or 0)
     for r, (lo, hi) in enumerate(bs.bounds, start=1):
@@ -297,18 +318,22 @@ def export_sdpa(bs, fh):
             rows.append((r, hi, +1))  # value + slack = hi
     rows += [(r, 0.0, 0) for r in range(len(bs.bounds) + 1, M.shape[0])]
 
-    n_slack = sum(1 for _, _, s in rows if s)
-    if n_slack:
-        sizes.append(-n_slack)
-    lp_blk = len(block_ids) + 1
-
-    entries = []
-    slack_idx = 0
-    for matno, (r, _, sign) in enumerate([(0, None, 0)] + rows):
-        s = slice(M.indptr[r], M.indptr[r + 1])
-        entries.extend(zip([matno] * (s.stop - s.start),
-                           *(x[s] for x in nonzeros)))
-        if sign:
-            slack_idx += 1
-            entries.append((matno, lp_blk, slack_idx, slack_idx, float(sign)))
-    write_sdpa(fh, len(rows), sizes, [b for _, b, _ in rows], entries)
+    # file row (matno) k copies row src[k] of M, whose entries sit at `at`
+    # in M's data; a row with a slack ends in its LP-block entry
+    src = np.array([0] + [r for r, _, _ in rows], dtype=np.int64)
+    sign = np.array([0] + [s for _, _, s in rows], dtype=float)
+    length = np.diff(M.indptr)[src]
+    skip = M.indptr[src] - (np.cumsum(length) - length)
+    at = np.repeat(skip, length) + np.arange(length.sum())
+    c = M.indices[at]
+    slack = np.flatnonzero(sign)
+    if slack.size:
+        sizes.append(-slack.size)
+    diag = np.arange(1, slack.size + 1)  # slack h at LP entry (h, h)
+    cols = [np.concatenate(x) for x in (
+        (np.repeat(np.arange(src.size), length), slack),
+        (blk[c] + 1, np.full(slack.size, len(block_ids) + 1)),
+        (i[c] + 1, diag), (j[c] + 1, diag), (M.data[at], sign[slack]))]
+    order = np.argsort(cols[0], kind="stable")
+    write_sdpa(fh, len(rows), sizes, [b for _, b, _ in rows],
+               zip(*(x[order].tolist() for x in cols)))

@@ -176,7 +176,11 @@ def _cmd_solve(args):
 
 
 def _cmd_recover(args):
-    blocks, _, ext = fileio.solution_from_dict(_read_json(args.extended_solution))
+    d = _read_json(args.extended_solution)
+    if args.problem:
+        # --problem replaces the embedded extension, which is never built
+        d.pop("extended", None)
+    blocks, _, ext = fileio.solution_from_dict(d)
     if args.problem:
         ext = fileio.extended_from_dict(fileio.load(args.problem))
     if ext is None:

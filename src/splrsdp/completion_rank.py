@@ -12,6 +12,7 @@ Contains:
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,23 +90,41 @@ def _psd_factor(M):
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _face_basis(null_vectors, d):
-    """Orthonormal basis Q of the complement of the null vectors' span.
+def _face_bases(null_mats, sizes):
+    """Orthonormal bases Q of the complements of the null vectors' spans.
 
-    Returns the identity when there are no null vectors (the face is the
-    whole cone).  Directions below PINV_RCOND times the largest singular
-    value count as dependent and are dropped with a warning.
+    null_mats[k] holds null vectors of dimension sizes[k] as its columns.
+    Matrices of equal shape take one batched SVD.  Without null vectors
+    the basis is the identity (the face is the whole cone).  Directions
+    below PINV_RCOND times a matrix's largest singular value count as
+    dependent and are dropped, with one warning per matrix that has them.
+    Returns the bases in input order.
     """
-    A = np.asarray(null_vectors, dtype=float)
-    if A.size == 0:
-        return np.eye(d)
-    A = A.reshape(d, -1)
-    U, s, _ = np.linalg.svd(A, full_matrices=True)
-    r = int(np.sum(s > PINV_RCOND * s[0])) if s.size else 0
-    if r < A.shape[1]:
-        warnings.warn("null vectors are linearly dependent; projecting onto "
-                      "the span of %d of %d" % (r, A.shape[1]))
-    return U[:, r:]
+    mats, groups = [], {}
+    for A, d in zip(null_mats, sizes):
+        A = np.asarray(A, dtype=float)
+        A = A.reshape(d, -1) if A.size else np.zeros((d, 0))
+        groups.setdefault(A.shape, []).append(len(mats))
+        mats.append(A)
+    out = [None] * len(mats)
+    for (d, q), ks in groups.items():
+        if not q:
+            for k in ks:
+                out[k] = np.eye(d)
+            continue
+        U, s, _ = np.linalg.svd(np.stack([mats[k] for k in ks]),
+                                full_matrices=True)
+        for k, Uk, r in zip(ks, U, np.sum(s > PINV_RCOND * s[:, :1], axis=1)):
+            if r < q:
+                warnings.warn("null vectors are linearly dependent; projecting"
+                              " onto the span of %d of %d" % (r, q))
+            out[k] = Uk[:, r:]
+    return out
+
+
+def _face_basis(null_vectors, d):
+    """The _face_bases basis of one matrix of null vectors."""
+    return _face_bases([null_vectors], [d])[0]
 
 
 def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
@@ -119,7 +138,7 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     face_mats (optional) maps a bag node to a matrix C (rows in sorted bag
     order) whose columns the bag must annihilate; a d x 0 matrix, like no
     entry, leaves the whole cone.  Each bag B is factored on its face: with
-    Q = _face_basis(C), the factor is Q V sqrt(w) over the eigenpairs of
+    Q from _face_bases, the factor is Q V sqrt(w) over the eigenpairs of
     Q^T B Q that _rank_mask keeps, one batched eigh per group of bags with
     equal (size, face dimension).  This keeps noisy input from leaking into
     directions that downstream identities rely on.
@@ -130,9 +149,10 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     (orthogonal Procrustes) maps the bag's factor G onto the placed rows,
     and its new rows become G_new U V^T.  With a face, the new rows get a
     minimum-norm correction so that C^T rows = 0 holds exactly in the
-    global factor.  The completed rank is the largest rank of these
-    face-projected bags at RANK_TOL; on noisy input it can exceed the ranks
-    of the raw blocks.
+    global factor; its operators pinv(C_new^T) are computed before the
+    placement, one batched pinv per (face shape, new-row mask) group.  The
+    completed rank is the largest rank of these face-projected bags at
+    RANK_TOL; on noisy input it can exceed the ranks of the raw blocks.
 
     Raises ValueError if a bag or face matrix does not fit its bag or the
     bags miss an index, and RecoveryError if a bag matrix is clearly not
@@ -147,10 +167,16 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     else:
         rooted = td
     seq = list(reversed(rooted.postorder()))  # parents before children
-    idxs = [np.array(sorted(rooted.bags[t]), dtype=int) for t in seq]
-    faces, basis = [], []
-    for t, idx in zip(seq, idxs):
-        d = idx.size
+    sizes = [len(rooted.bags[t]) for t in seq]
+    # every bag's sorted indices, bag after bag
+    flat = np.fromiter(chain.from_iterable(sorted(rooted.bags[t])
+                                           for t in seq),
+                       dtype=np.int64, count=sum(sizes))
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    spans = [(e - d, e) for e, d in zip(ends, sizes)]
+    idxs = [flat[a:b] for a, b in spans]
+    faces = []
+    for t, d in zip(seq, sizes):
         if t not in bags or np.shape(bags[t]) != (d, d):
             raise ValueError("bag %d needs a %d x %d matrix" % (t, d, d))
         C = np.zeros((d, 0))
@@ -160,57 +186,88 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
             raise ValueError("face matrix of bag %d has %d rows, bag has %d"
                              % (t, C.shape[0], d))
         faces.append(C)
-        basis.append(_face_basis(C, d))
-    n = max((max(b) for b in rooted.bags.values() if b), default=0)
+    basis = _face_bases(faces, sizes)
+    n = int(flat.max(initial=0))
+    # a bag places the indices no bag before it holds (its new rows); the
+    # placement takes each bag's rows old ones first, then new ones, each
+    # in bag order: positions lps[k] in the bag, rows of R bag_rows[k]
+    covered, first = np.unique(flat, return_index=True)
+    fresh = np.zeros(flat.size, dtype=bool)
+    fresh[first] = True
+    bag_of = np.repeat(np.arange(len(seq)), sizes)
+    perm = np.lexsort((fresh, bag_of))
+    local = perm - np.repeat([a for a, _ in spans], sizes)
+    lps = [local[a:b] for a, b in spans]
+    rows0 = flat[perm] - 1
+    bag_rows = [rows0[a:b] for a, b in spans]
+    n_old = np.bincount(bag_of[~fresh], minlength=len(seq)).tolist()
 
     shapes = {}
     for k, Q in enumerate(basis):
         shapes.setdefault(Q.shape, []).append(k)
-    groups = [(ks, np.stack([_sym(np.asarray(bags[seq[k]], dtype=float))
-                             for k in ks])) for ks in shapes.values()]
+    groups = []
+    for ks in shapes.values():
+        B = np.stack([np.asarray(bags[seq[k]], dtype=float) for k in ks])
+        groups.append((ks, 0.5 * (B + np.swapaxes(B, 1, 2))))
     scale = max([np.abs(B).max() for _, B in groups if B.size] + [1.0])
     factors, lowest = [None] * len(seq), np.full(len(seq), np.inf)
     for ks, B in groups:
         Q = np.stack([basis[k] for k in ks])
         w, V = np.linalg.eigh(np.swapaxes(Q, -1, -2) @ B @ Q)
         W = (Q @ V) * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        for k, Wk, kk, wk in zip(ks, W, _rank_mask(w), w):
+        W = W[np.arange(len(ks))[:, None], np.stack([lps[k] for k in ks])]
+        for k, Wk, kk in zip(ks, W, _rank_mask(w)):
             factors[k] = Wk[:, kk]
-            lowest[k] = wk.min(initial=np.inf)
+        lowest[ks] = w.min(axis=1, initial=np.inf)
     bad = np.flatnonzero(lowest < -psd_tol * scale)
     if bad.size:
         k = bad[0]
         raise RecoveryError("bag %d submatrix has eigenvalue %.3e"
                             % (seq[k], lowest[k]), eigenvalue=float(lowest[k]))
+    if covered.size != n:
+        raise ValueError("bags cover only %d of %d indices"
+                         % (covered.size, n))
+
+    # a bag with a face that adds rows to placed ones gets the minimum-norm
+    # fix operator pinv(C_new^T) (lstsq's default cut), one batched pinv
+    # per (face shape, new-row mask) group
+    fixes = {}
+    for k, (C, o) in enumerate(zip(faces, n_old)):
+        if C.size and 0 < o < sizes[k]:
+            a, b = spans[k]
+            fixes.setdefault((C.shape, fresh[a:b].tobytes()), []).append(k)
+    fix_op = [None] * len(seq)
+    for ks in fixes.values():
+        new = lps[ks[0]][n_old[ks[0]]:]
+        CT = np.swapaxes(np.stack([faces[k] for k in ks])[:, new], 1, 2)
+        rcond = np.finfo(float).eps * max(CT.shape[1:])
+        for k, P in zip(ks, np.linalg.pinv(CT, rcond)):
+            fix_op[k] = P
 
     R = np.zeros((n, 0))
-    placed = np.zeros(n + 1, dtype=bool)
-    for idx, G, C in zip(idxs, factors, faces):
-        old = placed[idx]
-        if old.all():
+    for rows, G, C, lp, o, P in zip(bag_rows, factors, faces, lps, n_old,
+                                    fix_op):
+        if o == rows.size:
             continue
-        new = ~old
         rt = G.shape[1]
         if R.shape[1] < rt:
             R = np.hstack([R, np.zeros((n, rt - R.shape[1]))])
-        rows = R[idx - 1]
-        if not old.any():
-            rows[:, :rt] = G
-        else:
-            U, _, Vt = np.linalg.svd(G[old].T @ rows[old], full_matrices=False)
-            rows[new] = G[new] @ U @ Vt
-            if C.size:
-                # already-placed rows are fixed, so push the face residual
-                # onto the new rows (minimum-norm exact fix)
-                resid = C.T @ rows
-                if np.abs(resid).max() > 0.0:
-                    fix, *_ = np.linalg.lstsq(C[new].T, -resid, rcond=None)
-                    rows[new] += fix
-        R[idx[new] - 1] = rows[new]
-        placed[idx] = True
-    if placed.sum() != n:
-        raise ValueError("bags cover only %d of %d indices"
-                         % (placed.sum(), n))
+        if not o:
+            R[rows, :rt] = G
+            continue
+        sep = R[rows[:o]]
+        U, _, Vt = np.linalg.svd(G[:o].T @ sep, full_matrices=False)
+        add = G[o:] @ U @ Vt
+        if P is not None:
+            # already-placed rows are fixed, so push the face residual, taken
+            # over the bag's rows in bag order, onto the new rows
+            # (minimum-norm exact fix)
+            full = np.empty((lp.size, add.shape[1]))
+            full[lp] = np.vstack([sep, add])
+            resid = C.T @ full
+            if np.abs(resid).max() > 0.0:
+                add -= P @ resid
+        R[rows[o:]] = add
     err = 0.0
     for ks, B in groups:
         rows = R[np.stack([idxs[k] for k in ks]) - 1]
@@ -413,8 +470,8 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
 
     pat = ext.pattern
     td = pat.td
-    blocks = {t: _sym(np.asarray(block_solution[t], dtype=float))
-              for t in bs.blocks}
+    # reduce_block, assemble and _block_ranks each symmetrize
+    blocks = {t: np.asarray(block_solution[t], dtype=float) for t in bs.blocks}
     two_child = [t for t in bs.blocks if len(td.children(t)) == 2]
     if mode == "path":
         if two_child:

@@ -6,6 +6,7 @@ path.
 """
 
 import json
+from itertools import chain, islice
 
 import numpy as np
 
@@ -63,9 +64,43 @@ def _sparse_out(sp):
     return [[i, j, float(v)] for (i, j), v in sorted(sp.entries.items())]
 
 
-def _sparse_in(n, rows):
-    return SparseSymMatrix.from_entries(n, [(int(i), int(j), float(v))
-                                           for i, j, v in rows])
+def _sparse_rows(n, rows):
+    """One SparseSymMatrix per list of [i, j, value] entries.
+
+    All rows are checked at once: indices must be integers in 1..n.  As in
+    SparseSymMatrix.from_entries, (i, j) and (j, i) share the key (min,
+    max), a repeated key sums its values in file order, and keys keep the
+    order of their first entry.
+    """
+    counts = [len(r) for r in rows]
+    flat = list(chain.from_iterable(rows))
+    try:
+        E = np.array(flat, dtype=float).reshape(-1, 3)
+    except (TypeError, ValueError):
+        msg = "sparse entries must be [i, j, value] triples"
+        raise ValueError(msg) from None
+    ij = E[:, :2]
+    whole = np.isfinite(ij) & (ij == np.floor(ij))
+    bad = np.flatnonzero(~(whole & (ij >= 1) & (ij <= n)).all(axis=1))
+    if bad.size:
+        k = bad[0]
+        if whole[k].all():
+            raise ValueError("entry (%d, %d) outside 1..%d"
+                             % (ij[k, 0], ij[k, 1], n))
+        raise ValueError("entry (%r, %r) has a non-integer index"
+                         % tuple(flat[k][:2]))
+    row = np.repeat(np.arange(len(rows)), counts)
+    i = ij.min(axis=1).astype(np.int64)
+    j = ij.max(axis=1).astype(np.int64)
+    key = (row * (n + 1) + i) * (n + 1) + j
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    vals = np.zeros(first.size)
+    np.add.at(vals, inv, E[:, 2])
+    order = np.argsort(first)
+    at = first[order]
+    items = zip(zip(i[at].tolist(), j[at].tolist()), vals[order].tolist())
+    return [SparseSymMatrix(n, dict(islice(items, c)))
+            for c in np.bincount(row[at], minlength=len(rows)).tolist()]
 
 
 def problem_to_dict(p):
@@ -96,19 +131,18 @@ def problem_from_dict(d):
     ell = int(d["ell"])
     factor = np.asarray(d["factor"], dtype=float).reshape(n, ell)
     edges = frozenset((int(i), int(j)) for i, j in d["pattern_edges"])
-    obj = Term(_sparse_in(n, d["objective"]["sparse_entries"]),
-               np.asarray(d["objective"]["core"], dtype=float).reshape(ell, ell))
-    cons = []
-    for c in d["constraints"]:
-        cons.append(Constraint(
-            _sparse_in(n, c["sparse_entries"]),
-            np.asarray(c["core"], dtype=float).reshape(ell, ell),
-            _bound_in(c["lower"], -1.0), _bound_in(c["upper"], 1.0)))
-    if "m" in d and int(d["m"]) != len(cons):
+    rows = [d["objective"]] + list(d["constraints"])
+    if "m" in d and int(d["m"]) != len(rows) - 1:
         raise ValueError("m = %s does not match %d constraints"
-                         % (d["m"], len(cons)))
+                         % (d["m"], len(rows) - 1))
+    sparse = _sparse_rows(n, [r["sparse_entries"] for r in rows])
+    cores = np.asarray([r["core"] for r in rows],
+                       dtype=float).reshape(len(rows), ell, ell)
+    cons = [Constraint(a, core, _bound_in(c["lower"], -1.0),
+                       _bound_in(c["upper"], 1.0))
+            for a, core, c in zip(sparse[1:], cores[1:], rows[1:])]
     return SplrSdp(n=n, ell=ell, pattern=Graph(n, edges), factor=factor,
-                   objective=obj, constraints=cons)
+                   objective=Term(sparse[0], cores[0]), constraints=cons)
 
 
 def td_to_dict(td):
@@ -125,8 +159,7 @@ def td_from_dict(d):
     return TreeDecomposition(
         nodes=nodes,
         edges=frozenset((int(a), int(b)) for a, b in d["edges"]),
-        bags={int(t): frozenset(int(v) for v in vs)
-              for t, vs in d["bags"].items()},
+        bags={int(t): frozenset(map(int, vs)) for t, vs in d["bags"].items()},
         root=None if d.get("root") is None else int(d["root"]))
 
 

@@ -118,22 +118,21 @@ class TreeDecomposition:
         return list(self._children[t])
 
     def postorder(self):
-        """Node ids, children before parents, root last.
+        """Node ids, children before parents (in ascending id), root last.
 
-        Iterative because large decompositions would blow the recursion limit.
+        The reverse of the preorder that visits children in descending id
+        (children lists are kept ascending).  Iterative because large
+        decompositions would blow the recursion limit.
         """
         if self._children is None:
             self._orient()
         out = []
-        stack = [(self.root, False)]
+        stack = [self.root]
         while stack:
-            t, done = stack.pop()
-            if done:
-                out.append(t)
-                continue
-            stack.append((t, True))
-            for c in reversed(sorted(self._children[t])):
-                stack.append((c, False))
+            t = stack.pop()
+            out.append(t)
+            stack.extend(self._children[t])
+        out.reverse()
         return out
 
 
@@ -171,7 +170,14 @@ def width(td):
 
 def validate_decomposition(td, g):
     """True iff td is a tree whose bags cover vertices and edges of g and
-    satisfy the running intersection property."""
+    satisfy the running intersection property.
+
+    Uses td's own orientation (an unrooted td is rooted at its first node)
+    and checks both properties through top nodes: the nodes whose bag
+    holds v form a subtree exactly when one of them, v's top node, is the
+    root or has a parent whose bag lacks v; two such subtrees meet exactly
+    when the top node of one vertex holds the other.
+    """
     nodes = set(td.nodes)
     if not nodes or set(td.bags) != nodes:
         return False
@@ -181,43 +187,25 @@ def validate_decomposition(td, g):
     # tree: connected with |V|-1 edges
     if len(td.edges) != len(nodes) - 1:
         return False
-    adj = td.neighbors()
-    seen = {next(iter(nodes))}
-    queue = deque(seen)
-    while queue:
-        t = queue.popleft()
-        for u in adj[t]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if seen != nodes:
+    if td.root not in nodes:
+        td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
+                               root=td.nodes[0])
+    order = td.postorder()
+    if len(order) != len(nodes):
         return False
-    # vertex -> nodes whose bag holds it
-    occ = {}
-    for t in td.nodes:
-        for v in td.bags[t]:
-            occ.setdefault(v, set()).add(t)
+    top = {}  # vertex -> its top node
+    for t in order:
+        bag = frozenset(td.bags[t])
+        par = td.parent(t)
+        for v in (bag if par is None else bag.difference(td.bags[par])):
+            if v in top:
+                return False
+            top[v] = t
     # bags live inside 1..n and cover every vertex
-    if set(occ) != set(range(1, g.n + 1)):
+    if top.keys() != set(range(1, g.n + 1)):
         return False
-    # edge cover
-    for i, j in g.edges:
-        if not occ.get(i, set()) & occ.get(j, set()):
-            return False
-    # running intersection: occurrences of each vertex induce a subtree
-    for v, ts in occ.items():
-        start = next(iter(ts))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for u in adj[t]:
-                if u in ts and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        if seen != ts:
-            return False
-    return True
+    return all(j in td.bags[top[i]] or i in td.bags[top[j]]
+               for i, j in g.edges)
 
 
 def chordal_complete(g):

@@ -22,11 +22,10 @@ def write_sdpa(fh, m, block_sizes, rhs, entries):
     fh.write("%d\n" % len(block_sizes))
     fh.write(" ".join(str(int(b)) for b in block_sizes) + "\n")
     fh.write(" ".join(_fmt(v) for v in rhs) + "\n")
-    for matno, blkno, i, j, v in entries:
-        if i > j:
-            i, j = j, i
-        if v != 0.0:
-            fh.write("%d %d %d %d %s\n" % (matno, blkno, i, j, _fmt(v)))
+    line = "%d %d %d %d %r\n"  # %r of a float is _fmt
+    fh.writelines(line % (matno, blkno, i, j, float(v)) if i <= j
+                  else line % (matno, blkno, j, i, float(v))
+                  for matno, blkno, i, j, v in entries if v != 0.0)
 
 
 def parse_sdpa(fh):

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .completion_rank import (_block_ranks, _face_basis, _psd_factor, _svec,
-                              _sym, _unsvec)
+from .completion_rank import (_block_ranks, _face_basis, _face_bases,
+                              _psd_factor, _svec, _sym, _unsvec)
 
 __all__ = [
     "AdmmParams",
@@ -134,7 +134,8 @@ def admm_solve(bs, params=None):
     """
     params = params or AdmmParams()
     ids = sorted(bs.blocks)
-    basis = {t: _face_basis(bs.null_mats[t], len(bs.blocks[t])) for t in ids}
+    basis = dict(zip(ids, _face_bases([bs.null_mats[t] for t in ids],
+                                      [len(bs.blocks[t]) for t in ids])))
     groups = {}
     for t in ids:
         groups.setdefault(basis[t].shape, []).append(t)

@@ -10,6 +10,7 @@ block on the root's auxiliary indices.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -113,10 +114,15 @@ def canonical_relabel(td):
     new_of = {old: i + 1 for i, old in enumerate(order)}
     k = len(order)
     nodes = tuple(range(1, k + 1))
-    edges = frozenset((min(new_of[a], new_of[b]), max(new_of[a], new_of[b]))
-                      for a, b in td.edges)
     bags = {new_of[t]: td.bags[t] for t in td.nodes}
-    out = TreeDecomposition(nodes=nodes, edges=edges, bags=bags, root=k)
+    # the orientation carries over, children in ascending label as
+    # TreeDecomposition orients them; a child's label is below its parent's
+    parent = {new_of[t]: new_of.get(td.parent(t)) for t in order}
+    children = {new_of[t]: sorted(map(new_of.get, td.children(t)))
+                for t in order}
+    edges = frozenset((c, p) for c, p in parent.items() if p is not None)
+    out = TreeDecomposition(nodes=nodes, edges=edges, bags=bags, root=k,
+                            _parent=parent, _children=children)
     return out, tuple(order)
 
 
@@ -136,12 +142,9 @@ def build_extended_pattern(pattern, td, ell):
     n = pattern.n
     k = len(ctd.nodes)
     u = {t: tuple(range(n + (t - 1) * ell + 1, n + t * ell + 1)) for t in ctd.nodes}
-    ext_bags = {}
-    for t in ctd.nodes:
-        bag = set(ctd.bags[t]) | set(u[t])
-        for j in ctd.children(t):
-            bag |= set(u[j])
-        ext_bags[t] = frozenset(bag)
+    ext_bags = {t: frozenset(chain(ctd.bags[t], u[t],
+                                   *(u[j] for j in ctd.children(t))))
+                for t in ctd.nodes}
     return ExtendedPattern(n=n, ell=ell, k=k, td=ctd, node_order=node_order,
                            w=partition_bags(ctd), u=u, ext_bags=ext_bags)
 
@@ -156,19 +159,27 @@ def build_extension(p, td):
     if not validate_decomposition(td, p.pattern):
         raise ValueError("decomposition is not valid for the problem pattern")
     ext = build_extended_pattern(p.pattern, td, p.ell)
-    a_mats = {}
-    for t in ext.td.nodes:
-        bag = sorted(ext.ext_bags[t])
-        pos = {v: i for i, v in enumerate(bag)}
-        A = np.zeros((len(bag), ext.ell))
-        for v in ext.w[t]:
-            A[pos[v], :] = p.factor[v - 1, :]
-        for j in ext.td.children(t):
-            for h, x in enumerate(ext.u[j]):
-                A[pos[x], h] = 1.0
-        for h, x in enumerate(ext.u[t]):
-            A[pos[x], h] = -1.0
-        a_mats[t] = A
+    n, ell, labels = ext.n, ext.ell, ext.td.nodes
+    # every extended bag, sorted, one after another in label order
+    sizes = [len(ext.ext_bags[t]) for t in labels]
+    verts = np.fromiter(chain.from_iterable(sorted(ext.ext_bags[t])
+                                            for t in labels),
+                        dtype=np.int64, count=sum(sizes))
+    node = np.repeat(np.array(labels, dtype=np.int64), sizes)
+    counts = [len(ext.w[t]) for t in labels]
+    held = np.fromiter(chain.from_iterable(ext.w[t] for t in labels),
+                       dtype=np.int64, count=sum(counts))
+    # vertex -> the node whose W holds it; 0 on the auxiliary indices
+    home = np.zeros(ext.n_ext + 1, dtype=np.int64)
+    home[held] = np.repeat(labels, counts)
+    A = np.zeros((verts.size, ell))
+    own = home[verts] == node
+    A[own] = p.factor[verts[own] - 1]
+    aux = np.flatnonzero(verts > n)
+    x = verts[aux] - n - 1  # node (x // ell) + 1, column x % ell
+    A[aux, x % ell] = np.where(x // ell + 1 == node[aux], -1.0, 1.0)
+    ends = np.cumsum(sizes).tolist()
+    a_mats = {t: A[b - d:b] for t, b, d in zip(labels, ends, sizes)}
     return ExtendedSdp(base=p, pattern=ext, a_mats=a_mats)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -108,6 +109,81 @@ def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
     rec = _load(r)
     assert rec["mode"] == "tree"
     assert rec["rank"] <= rec["certified_bound"]
+
+
+def test_recover_problem_replaces_a_broken_embedded_extension(tmp_path):
+    # the embedded extension is not built when --problem supplies one, so
+    # a broken embedded tree no longer fails the run
+    p = gen_lb_tree(1)
+    ext, bs, _ = convert_problem(p)
+    R = np.random.default_rng(1).standard_normal((p.n, 2))
+    L = extend_solution(ext, FactoredSolution(R)).factor
+    blocks = {}
+    for t, idx in bs.blocks.items():
+        rows = L[[v - 1 for v in idx]]
+        blocks[t] = rows @ rows.T
+    d = fileio.solution_to_dict(blocks, extended=ext)
+    good, broken, e = (tmp_path / x for x in ("good.json", "broken.json",
+                                              "e.json"))
+    fileio.save(d, str(good))
+    d["extended"]["tree"]["bags"]["1"] = []  # vertices left uncovered
+    fileio.save(d, str(broken))
+    fileio.save(fileio.extended_to_dict(ext), str(e))
+    outs = []
+    for sol in (good, broken):
+        out = tmp_path / ("r-%s" % sol.name)
+        assert run(["recover", "--extended-solution", str(sol), "--problem",
+                    str(e), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    # without --problem the broken embedded extension is bad input
+    assert run(["recover", "--extended-solution", str(broken),
+                "--out", str(tmp_path / "r.json")]) == 1
+
+
+# sha256 of the files `gen minbisect -n 40 --seed 5 | convert | export`
+# writes; a change to any byte of the file layer shows here
+GOLDEN_SHA256 = {
+    "ext.json":
+        "77cfe32a224cba59a47e167fdb21c85994c7437664e3b2b99ec1bae4b71d28f5",
+    "conv.json":
+        "762b3a276206bc3691a0d20ee783814fefc3153fab1d7e5e2f55312a696e3557",
+    "prob.dat-s":
+        "06a3bed5630987ac97c5acbda612c946e3bdcf7d61935306375993c0d0dfcb74",
+}
+
+
+def test_convert_and_export_files_are_byte_stable(tmp_path):
+    f = {name: tmp_path / name for name in GOLDEN_SHA256}
+    p = tmp_path / "p.json"
+    assert run(["gen", "minbisect", "-n", "40", "--seed", "5",
+                "--out", str(p)]) == 0
+    assert run(["convert", "--in", str(p), "--out", str(f["ext.json"]),
+                "--report", str(f["conv.json"])]) == 0
+    assert run(["export", "--in", str(f["ext.json"]), "--out",
+                str(f["prob.dat-s"])]) == 0
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for name, path in f.items()}
+    assert got == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("breakage", ["outside", "non-integer", "m", "core"])
+def test_malformed_problem_rows_exit_1(tmp_path, capsys, breakage):
+    d = fileio.problem_to_dict(gen_lb_tree(1))
+    row = d["constraints"][2]
+    if breakage == "outside":
+        row["sparse_entries"].append([1, d["n"] + 1, 1.0])
+    elif breakage == "non-integer":
+        row["sparse_entries"].append([1.5, 2, 1.0])
+    elif breakage == "m":
+        d["m"] += 1
+    else:
+        row["core"] = [[1.0, 0.0]]
+    bad = tmp_path / "bad.json"
+    fileio.save(d, str(bad))
+    assert run(["convert", "--in", str(bad),
+                "--out", str(tmp_path / "e.json")]) == 1
+    assert "invalid input" in capsys.readouterr().err
 
 
 def _convert_both_ways(tmp_path, name, gen_argv):

@@ -4,8 +4,9 @@ from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from splrsdp.chordal_conversion import BlockSdp, assemble, convert_problem
-from splrsdp.completion_rank import (RANK_TOL, AffineSlice, RecoveryError,
-                                     _block_rank, bp_bound,
+from splrsdp.completion_rank import (PINV_RCOND, RANK_TOL, AffineSlice,
+                                     RecoveryError, _block_rank, _face_bases,
+                                     bp_bound,
                                      max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
@@ -203,11 +204,11 @@ def test_recover_low_rank_ell0_branching_tree():
             assert abs(v0 - v1) < 1e-9 * max(1.0, abs(v0))
 
 
-def _bag_layout(td):
+def _bag_layout(td, root=1):
     """A BlockSdp holding only what assemble reads: one block per bag of the
-    decomposition rooted at node 1, overlaps parents first."""
+    decomposition rooted at `root`, overlaps parents first."""
     td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
-                           root=1)
+                           root=root)
     overlaps = [(t, td.parent(t),
                  tuple(sorted(td.bags[t] & td.bags[td.parent(t)])))
                 for t in reversed(td.postorder()) if td.parent(t) is not None]
@@ -249,6 +250,84 @@ def test_assemble_measures_a_perturbed_shared_entry(seed, p, delta, pick):
     with pytest.raises(RecoveryError) as err:
         assemble(bad, bs, tol=0.5 * delta)
     assert abs(err.value.disagreement - delta) <= 1e-12
+
+
+def test_face_bases_equal_the_per_matrix_svd_bitwise():
+    rng = np.random.default_rng(8)
+    shapes = [(5, 1), (5, 2), (5, 1), (7, 3), (5, 0), (7, 3), (4, 1), (5, 2),
+              (6, 6)]
+    mats = [rng.standard_normal(s) for s in shapes]
+    mats.append(rng.standard_normal(3))  # one null vector given flat
+    sizes = [d for d, _ in shapes] + [3]
+    for A, d, Q in zip(mats, sizes, _face_bases(mats, sizes)):
+        if A.size:
+            U, s, _ = np.linalg.svd(A.reshape(d, -1), full_matrices=True)
+            want = U[:, int(np.sum(s > PINV_RCOND * s[0])):]
+        else:
+            want = np.eye(d)
+        assert Q.shape == want.shape
+        assert Q.tobytes() == want.tobytes()
+
+
+def test_face_bases_warn_for_each_dependent_member():
+    a = np.random.default_rng(9).standard_normal((5, 2))
+    dep = np.hstack([a[:, :1], -2.0 * a[:, :1]])
+    with pytest.warns(UserWarning, match="span of 1 of 2") as caught:
+        Q = _face_bases([a, dep, a, dep], [5] * 4)
+    assert len(caught) == 2
+    assert [B.shape for B in Q] == [(5, 3), (5, 4), (5, 3), (5, 4)]
+    assert np.abs(dep.T @ Q[1]).max() < 1e-12
+
+
+def _copy_down(blocks, bs):
+    """Reference agreement: symmetrize, then overwrite each child's shared
+    entries by its parent's, parents first; returns (bags, worst gap)."""
+    bags = {t: 0.5 * (B + B.T) for t, B in blocks.items()}
+    worst = 0.0
+    for t, par, shared in bs.overlaps:
+        if not shared:
+            continue
+        a = np.ix_(*[np.searchsorted(bs.blocks[t], shared)] * 2)
+        b = np.ix_(*[np.searchsorted(bs.blocks[par], shared)] * 2)
+        worst = max(worst, float(np.abs(bags[t][a] - bags[par][b]).max()))
+        bags[t][a] = bags[par][b]
+    return bags, worst
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 12),
+       independent=st.booleans())
+def test_assemble_equals_the_parents_first_copy_down(seed, p, independent):
+    rng = np.random.default_rng(seed)
+    td = random_valid_td(rng, p)[1]
+    _, bs = _bag_layout(td, root=int(rng.integers(1, p + 1)))
+    if independent:
+        # every block its own PSD matrix: shared entries disagree everywhere
+        blocks = {}
+        for t, idx in bs.blocks.items():
+            F = rng.standard_normal((len(idx), 2))
+            blocks[t] = F @ F.T
+    else:
+        F = rng.standard_normal((bs.n_ext, 2))
+        X = F @ F.T
+        blocks = {t: X[np.ix_(*[[v - 1 for v in idx]] * 2)]
+                  for t, idx in bs.blocks.items()}
+        shared = [(t, a, b) for t, _, sh in bs.overlaps
+                  for a in sh for b in sh if a <= b]
+        if shared:
+            t, a, b = shared[int(rng.integers(len(shared)))]
+            i, j = bs.blocks[t].index(a), bs.blocks[t].index(b)
+            blocks[t][i, j] += 0.1
+    want, worst = _copy_down(blocks, bs)
+    got = assemble(blocks, bs, tol=np.inf)
+    assert got.keys() == want.keys()
+    for t in want:
+        assert got[t].tobytes() == want[t].tobytes()
+    if worst > 0.0:
+        with pytest.raises(RecoveryError) as err:
+            assemble(blocks, bs, tol=0.0)
+        assert err.value.disagreement == worst
+    else:
+        assemble(blocks, bs, tol=0.0)
 
 
 def test_rank_reduce_affine_reaches_feasibility_bound():

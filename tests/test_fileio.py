@@ -11,7 +11,7 @@ from splrsdp.instances import (gen_bqp_relaxation, gen_lb_tree,
                                gen_min_bisection, gen_phi_witness, gen_simex)
 from splrsdp.solver import AdmmParams, SolveStats
 
-from conftest import random_valid_td
+from conftest import random_splr_problem, random_valid_td
 
 
 def _rt(d):
@@ -57,6 +57,59 @@ def test_problem_schema_and_m_guards():
     d["m"] = 99
     with pytest.raises(ValueError):
         fileio.problem_from_dict(d)
+
+
+def test_problem_dict_roundtrip_is_identity():
+    rng = np.random.default_rng(3)
+    probs = [
+        gen_simex(7, rng.normal(size=7) + 2.0),
+        gen_min_bisection(Graph.from_edges(6, [(1, 2), (2, 3), (3, 6), (1, 5),
+                                                (4, 5)])),
+        gen_bqp_relaxation(np.eye(3), np.ones(3), np.ones((1, 3)), np.ones(1),
+                           binary_set=(1, 2)),
+        gen_lb_tree(2),
+        random_splr_problem(rng, 9, 0),
+        random_splr_problem(rng, 9, 2),
+    ]
+    for p in probs:
+        d = _rt(fileio.problem_to_dict(p))
+        assert fileio.problem_to_dict(fileio.problem_from_dict(d)) == d
+
+
+def test_problem_rows_sum_repeated_entries_in_file_order():
+    d = fileio.problem_to_dict(gen_simex(4))
+    d["objective"]["sparse_entries"] = [[3, 1, 0.5], [2, 2, -0.0],
+                                        [1, 3, 0.25], [2.0, 4, 1.0]]
+    sp = fileio.problem_from_dict(d).objective.sparse
+    # keys in order of first entry; -0.0 comes out as 0.0 + -0.0 = 0.0
+    assert list(sp.entries.items()) == [((1, 3), 0.75), ((2, 2), 0.0),
+                                        ((2, 4), 1.0)]
+    assert all(type(i) is int and type(j) is int for i, j in sp.entries)
+    assert str(sp.entries[(2, 2)]) == "0.0"
+
+
+@pytest.mark.parametrize("where", ["objective", "constraint"])
+def test_problem_rows_reject_bad_entries(where):
+    def broken(entry=None, core=None):
+        d = fileio.problem_to_dict(gen_lb_tree(1))
+        row = d["objective"] if where == "objective" else d["constraints"][-1]
+        if entry is not None:
+            row["sparse_entries"] = row["sparse_entries"] + [entry]
+        if core is not None:
+            row["core"] = core
+        return d
+
+    n = gen_lb_tree(1).n
+    for entry, match in (([0, 1, 1.0], "outside 1..%d" % n),
+                         ([1, n + 1, 1.0], "outside 1..%d" % n),
+                         ([2.5, 1, 1.0], "non-integer"),
+                         (["x", 1, 1.0], "triples"),
+                         ([1, 2], "triples")):
+        with pytest.raises(ValueError, match=match):
+            fileio.problem_from_dict(broken(entry=entry))
+    for core in ([[1.0, 2.0]], [[1.0], [2.0]], [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            fileio.problem_from_dict(broken(core=core))
 
 
 def test_td_roundtrip():

@@ -1,4 +1,5 @@
 import io
+from collections import deque
 
 import numpy as np
 import pytest
@@ -113,6 +114,85 @@ def test_validate_decomposition_rejects_broken_inputs():
         bags={1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({1, 3})},
     )
     assert not validate_decomposition(bad_tree, g)
+
+
+def _valid_by_definition(td, g):
+    """Reference check: a tree, bags inside 1..n covering every vertex and
+    edge, and one breadth-first search per vertex over the nodes holding
+    it to see that they are connected."""
+    nodes = set(td.nodes)
+    if not nodes or set(td.bags) != nodes or len(td.edges) != len(nodes) - 1:
+        return False
+    if any(a not in nodes or b not in nodes for a, b in td.edges):
+        return False
+    adj = {t: set() for t in nodes}
+    for a, b in td.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def connected(ts):
+        start = next(iter(ts))
+        seen, queue = {start}, deque([start])
+        while queue:
+            for u in adj[queue.popleft()] & ts - seen:
+                seen.add(u)
+                queue.append(u)
+        return seen == ts
+
+    occ = {}
+    for t in nodes:
+        for v in td.bags[t]:
+            occ.setdefault(v, set()).add(t)
+    return (connected(nodes) and set(occ) == set(range(1, g.n + 1))
+            and all(occ[i] & occ[j] for i, j in g.edges)
+            and all(connected(ts) for ts in occ.values()))
+
+
+def _mutated(rng, g, td, kind):
+    """td and g with one change of the given kind."""
+    bags = dict(td.bags)
+    edges = set(g.edges)
+    t = int(rng.choice(td.nodes))
+    if kind == "remove" and bags[t]:
+        bags[t] = bags[t] - {int(rng.choice(sorted(bags[t])))}
+    elif kind == "add":
+        bags[t] = bags[t] | {int(rng.integers(1, g.n + 1))}
+    elif kind == "split":
+        # a vertex added to a node far from its occurrences
+        v = int(rng.integers(1, g.n + 1))
+        near = {s for s in td.nodes if v in bags[s]}
+        near |= {b if a in near else a for a, b in td.edges
+                 if (a in near) != (b in near)}
+        far = [s for s in td.nodes if s not in near]
+        if far:
+            s = int(rng.choice(far))
+            bags[s] = bags[s] | {v}
+    elif kind == "uncover":
+        pairs = [(i, j) for i in range(1, g.n + 1)
+                 for j in range(i + 1, g.n + 1) if (i, j) not in edges]
+        if pairs:
+            edges.add(pairs[int(rng.integers(len(pairs)))])
+    elif kind == "reroot":
+        return g, TreeDecomposition(nodes=td.nodes, edges=td.edges,
+                                    bags=bags, root=t)
+    return (Graph(g.n, frozenset(edges)),
+            TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=bags))
+
+
+def test_validate_decomposition_matches_the_definition():
+    rng = np.random.default_rng(23)
+    kinds = ("none", "remove", "add", "split", "uncover", "reroot")
+    verdicts = {kind: set() for kind in kinds}
+    for _ in range(120):
+        g, td = random_valid_td(rng, int(rng.integers(1, 10)))
+        for kind in kinds:
+            mg, mtd = _mutated(rng, g, td, kind)
+            want = _valid_by_definition(mtd, mg)
+            assert validate_decomposition(mtd, mg) == want, kind
+            verdicts[kind].add(want)
+    assert verdicts["none"] == verdicts["reroot"] == {True}
+    for kind in ("remove", "add", "split", "uncover"):
+        assert False in verdicts[kind], kind
 
 
 def test_chordal_complete_produces_chordal_supergraph():
