@@ -12,7 +12,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .completion_rank import PINV_RCOND, RecoveryError, _sym
+from .completion_rank import PINV_RCOND, RecoveryError, _sym, _two_child_nodes
 from .graph_core import (TreeDecomposition, chordal_complete, clique_tree,
                          root_binary, to_binary, width)
 from .sdpa import write_sdpa
@@ -182,15 +182,15 @@ def convert(ext):
     )
 
 
-def convert_problem(p, td=None, path_mode=False):
+def convert_problem(p, td=None):
     """Full pipeline from an SPLR problem to its block form.
 
     Completes the pattern, takes a clique tree, splits high-degree nodes,
     roots it, builds the extension and block conversion.  A tree
     decomposition can be supplied instead; an empty pattern defaults to the
-    path of singleton bags.  With path_mode the decomposition must already
-    be a path (tighter certificates apply).  Returns (extended problem,
-    block problem, report dict).
+    path of singleton bags.  The report's path_mode says whether the rooted
+    tree is a path, on which the tighter certificates apply.  Returns
+    (extended problem, block problem, report dict).
     """
     if td is not None:
         base = td
@@ -204,13 +204,7 @@ def convert_problem(p, td=None, path_mode=False):
         completed, _ = chordal_complete(p.pattern)
         base = clique_tree(completed)
     wid = width(base)
-    if path_mode:
-        if not base.is_path():
-            raise ValueError("decomposition is not a path; path mode unavailable")
-        rooted = root_binary(base)
-    else:
-        rooted = root_binary(to_binary(base))
-    ext = build_extension(p, rooted)
+    ext = build_extension(p, root_binary(to_binary(base)))
     bs = convert(ext)
     ext_wid = max(len(b) for b in ext.pattern.ext_bags.values()) - 1
     report = {
@@ -222,7 +216,7 @@ def convert_problem(p, td=None, path_mode=False):
         "width_after": ext_wid,
         "bound_3l": wid + 3 * p.ell,
         "bound_2l": wid + 2 * p.ell,
-        "path_mode": bool(path_mode),
+        "path_mode": not _two_child_nodes(ext.pattern.td),
     }
     return ext, bs, report
 

@@ -114,7 +114,7 @@ def _cmd_gen(args):
 def _cmd_convert(args):
     p = fileio.problem_from_dict(_read_json(args.infile))
     td = fileio.td_from_dict(fileio.load(args.td)) if args.td else None
-    ext, bs, report = convert_problem(p, td=td, path_mode=args.path_mode)
+    ext, bs, report = convert_problem(p, td=td)
     log.info("converted: n=%d -> n_hat=%d, k=%d, width %d -> %d",
              report["n"], report["n_hat"], report["k"],
              report["width_before"], report["width_after"])
@@ -186,12 +186,9 @@ def _cmd_recover(args):
     if ext is None:
         raise ValueError("solution file has no embedded problem; pass --problem")
     bs = convert(ext)
-    mode = args.mode
-    if mode is None:
-        mode = "path" if ext.pattern.td.is_path() else "tree"
     # tolerances sized for first-order solver output
-    sol, info = recover_low_rank(blocks, ext, bs, mode=mode,
-                                 overlap_tol=1e-3, psd_tol=1e-4)
+    sol, info = recover_low_rank(blocks, ext, bs, overlap_tol=1e-3,
+                                 psd_tol=1e-4)
     ok, rep = is_feasible(ext.base, sol, tol=1e-4)
     log.info("recovered rank %d (certified <= %d), max violation %.2e",
              info["rank"], info["certified_bound"], rep["max_violation"])
@@ -319,7 +316,6 @@ def _build_parser():
     sp = sub.add_parser("convert", help="build the extended sparse problem")
     sp.add_argument("--in", dest="infile", default=None)
     sp.add_argument("--td", default=None, help="tree decomposition JSON")
-    sp.add_argument("--path-mode", action="store_true")
     sp.add_argument("--out", default=None)
     sp.add_argument("--report", default=None)
     sp.set_defaults(func=_cmd_convert)
@@ -338,7 +334,6 @@ def _build_parser():
     sp = sub.add_parser("recover", help="rebuild a low-rank original solution")
     sp.add_argument("--extended-solution", default=None)
     sp.add_argument("--problem", default=None, help="extended problem JSON")
-    sp.add_argument("--mode", choices=("path", "tree"), default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_recover)
 
@@ -368,6 +363,10 @@ def _build_parser():
     return top
 
 
+# parse_args keeps no state between calls, so one parser serves every run
+_PARSER = _build_parser()
+
+
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
                "warning": logging.WARNING, "error": logging.ERROR}
 
@@ -377,9 +376,8 @@ def run(argv=None):
                             logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="splrsdp: %(levelname)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except _UsageError as err:
         print("splrsdp: error: %s" % err, file=sys.stderr)

@@ -447,7 +447,12 @@ def _block_ranks(blocks):
     return {t: ranks[t] for t in blocks}
 
 
-def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
+def _two_child_nodes(td):
+    """Sorted two-child nodes of a rooted tree; none on a path rooted at an end."""
+    return [t for t in sorted(td.nodes) if len(td.children(t)) == 2]
+
+
+def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
                      psd_tol=1e-6):
     """Turn a solved block problem into a low-rank factored solution.
 
@@ -459,7 +464,9 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     agree on their overlaps (chordal_conversion.assemble), completed at
     minimum rank along the extended clique tree on the faces of the
     accumulator constraints, and restricted to the original rows.  Solver
-    output too inexact for any of these steps raises RecoveryError.
+    output too inexact for any of these steps raises RecoveryError.  mode
+    defaults to "path" exactly when no node of ext.pattern.td has two
+    children.
 
     Returns (solution, info) where solution is a FactoredSolution on the
     original index range and info reports block ranks and the certified
@@ -472,20 +479,20 @@ def recover_low_rank(block_solution, ext, bs, mode="tree", overlap_tol=1e-6,
     td = pat.td
     # reduce_block, assemble and _block_ranks each symmetrize
     blocks = {t: np.asarray(block_solution[t], dtype=float) for t in bs.blocks}
-    two_child = [t for t in bs.blocks if len(td.children(t)) == 2]
+    two_child = _two_child_nodes(td)
+    if mode is None:
+        mode = "tree" if two_child else "path"
     if mode == "path":
         if two_child:
             raise ValueError("path mode needs a path decomposition; nodes %s have"
-                             " two children" % sorted(two_child))
+                             " two children" % two_child)
     elif mode != "tree":
         raise ValueError("mode must be 'path' or 'tree'")
 
-    reduced = []
-    if mode == "tree" and pat.ell:
-        for t in sorted(two_child):
-            p = len(td.bags[t])
-            blocks[t] = reduce_block(blocks[t], ext.a_mats[t][:p], pat.ell)
-            reduced.append(t)
+    reduced = two_child if mode == "tree" and pat.ell else []
+    for t in reduced:
+        p = len(td.bags[t])
+        blocks[t] = reduce_block(blocks[t], ext.a_mats[t][:p], pat.ell)
 
     bags = assemble(blocks, bs, tol=overlap_tol)
     ctd = TreeDecomposition(nodes=td.nodes, edges=td.edges,

@@ -64,34 +64,39 @@ def _sparse_out(sp):
     return [[i, j, float(v)] for (i, j), v in sorted(sp.entries.items())]
 
 
+def _index_rows(n, items, cols, shape_msg, label):
+    """items as a float array of `cols` columns, and the (min, max) int
+    columns of its leading index pairs, all checked at once: integers in
+    1..n.  Errors use shape_msg, or name pair k as label % items[k][:2].
+    """
+    try:
+        E = np.array(items, dtype=float).reshape(len(items), cols)
+    except (TypeError, ValueError):
+        raise ValueError(shape_msg) from None
+    ij = E[:, :2]
+    whole = np.isfinite(ij) & (ij == np.floor(ij))
+    bad = np.flatnonzero(~(whole & (ij >= 1) & (ij <= n)).all(axis=1))
+    if bad.size:
+        k = bad[0]
+        why = "outside 1..%d" % n if whole[k].all() \
+            else "has a non-integer index"
+        raise ValueError("%s %s" % (label % tuple(items[k][:2]), why))
+    return E, ij.min(axis=1).astype(np.int64), ij.max(axis=1).astype(np.int64)
+
+
 def _sparse_rows(n, rows):
     """One SparseSymMatrix per list of [i, j, value] entries.
 
-    All rows are checked at once: indices must be integers in 1..n.  As in
+    All rows are checked at once by _index_rows.  As in
     SparseSymMatrix.from_entries, (i, j) and (j, i) share the key (min,
     max), a repeated key sums its values in file order, and keys keep the
     order of their first entry.
     """
     counts = [len(r) for r in rows]
     flat = list(chain.from_iterable(rows))
-    try:
-        E = np.array(flat, dtype=float).reshape(-1, 3)
-    except (TypeError, ValueError):
-        msg = "sparse entries must be [i, j, value] triples"
-        raise ValueError(msg) from None
-    ij = E[:, :2]
-    whole = np.isfinite(ij) & (ij == np.floor(ij))
-    bad = np.flatnonzero(~(whole & (ij >= 1) & (ij <= n)).all(axis=1))
-    if bad.size:
-        k = bad[0]
-        if whole[k].all():
-            raise ValueError("entry (%d, %d) outside 1..%d"
-                             % (ij[k, 0], ij[k, 1], n))
-        raise ValueError("entry (%r, %r) has a non-integer index"
-                         % tuple(flat[k][:2]))
+    E, i, j = _index_rows(n, flat, 3, "sparse entries must be [i, j, value]"
+                          " triples", "entry (%r, %r)")
     row = np.repeat(np.arange(len(rows)), counts)
-    i = ij.min(axis=1).astype(np.int64)
-    j = ij.max(axis=1).astype(np.int64)
     key = (row * (n + 1) + i) * (n + 1) + j
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     vals = np.zeros(first.size)
@@ -130,7 +135,13 @@ def problem_from_dict(d):
     n = int(d["n"])
     ell = int(d["ell"])
     factor = np.asarray(d["factor"], dtype=float).reshape(n, ell)
-    edges = frozenset((int(i), int(j)) for i, j in d["pattern_edges"])
+    _, i, j = _index_rows(n, d["pattern_edges"], 2, "pattern edges must be"
+                          " [i, j] pairs", "pattern edge [%r, %r]")
+    loop = i[i == j]
+    if loop.size:
+        raise ValueError("pattern edge [%d, %d] is a self-loop"
+                         % (loop[0], loop[0]))
+    edges = frozenset(zip(i.tolist(), j.tolist()))
     rows = [d["objective"]] + list(d["constraints"])
     if "m" in d and int(d["m"]) != len(rows) - 1:
         raise ValueError("m = %s does not match %d constraints"

@@ -44,9 +44,6 @@ class Graph:
             norm.add((min(i, j), max(i, j)))
         return Graph(n, frozenset(norm))
 
-    def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
-
     def adjacency(self):
         """Vertex -> set of neighbors, including isolated vertices."""
         adj = {v: set() for v in range(1, self.n + 1)}
@@ -85,10 +82,6 @@ class TreeDecomposition:
             deg[a] += 1
             deg[b] += 1
         return deg
-
-    def is_path(self):
-        """True when no node has more than two tree neighbors."""
-        return max(self.degrees().values(), default=0) <= 2
 
     def _orient(self):
         if self.root is None:
@@ -367,14 +360,12 @@ def root_binary(td, root=None):
     among nodes of degree < 3.  An explicit `root` must have degree < 3.
     """
     deg = td.degrees()
-    if max(deg.values(), default=0) > 3:
+    top = max(deg.values(), default=0)
+    if top > 3:
         raise ValueError("decomposition is not binary (degree > 3)")
     if root is None:
-        if td.is_path():
-            ends = [t for t in td.nodes if deg[t] <= 1]
-            root = min(ends)
-        else:
-            root = min(t for t in td.nodes if deg[t] < 3)
+        # a path (top <= 2) has its ends below degree 2
+        root = min(t for t in td.nodes if deg[t] < max(top, 2))
     elif deg[root] >= 3:
         raise ValueError("requested root %d has degree %d" % (root, deg[root]))
     return TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=dict(td.bags), root=root)

@@ -277,7 +277,7 @@ def dense_reference_solve(p, params=None):
     face.  Returns (FactoredSolution, SolveStats); check stats.converged
     before trusting tight tolerances.  Residual blow-up raises
     AdmmDivergence, and infeasible instances show up as a primal residual
-    that stalls high.
+    that stalls high.  rho stays params.rho, so ADMM's convergence holds.
     """
     from .sdp_model import FactoredSolution
 
@@ -346,15 +346,6 @@ def dense_reference_solve(p, params=None):
         if pri + dua > 1e6 * max(sum(history[0]), 1.0):
             diverged = True
             break
-        if it % 25 == 0:
-            if pri > 10.0 * dua and rho < 1e6:
-                rho *= 2.0
-                lam /= 2.0
-                w /= 2.0
-            elif dua > 10.0 * pri and rho > 1e-6:
-                rho /= 2.0
-                lam *= 2.0
-                w *= 2.0
     stats = SolveStats(iterations=it, primal_residual=pri, dual_residual=dua,
                        objective=float(c @ x), block_ranks={}, rho=rho,
                        converged=converged, history=np.array(history))

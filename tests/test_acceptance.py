@@ -90,7 +90,8 @@ def test_extension_width_and_size_certificates():
             edges=frozenset((t, t + 1) for t in range(1, k)),
             bags={t: frozenset(range(t, t + w + 1)) for t in range(1, k + 1)})
         prob = random_splr_problem(rng, n, ell, graph=g)
-        _, _, rep = convert_problem(prob, td=td, path_mode=True)
+        _, _, rep = convert_problem(prob, td=td)
+        assert rep["path_mode"]
         assert rep["width_after"] <= rep["width_before"] + 2 * ell
         assert rep["n_hat"] <= n + k * ell
         checked += 1
@@ -119,7 +120,7 @@ def test_extension_value_equivalence():
 def test_end_to_end_chain_recovery():
     t0 = time.time()
     p = gen_simex(20)
-    ext, bs, _ = convert_problem(p, path_mode=True)
+    ext, bs, _ = convert_problem(p)
     par = AdmmParams(max_iter=5000, tol_primal=1e-9, tol_dual=1e-9)
     blocks, stats = admm_solve(bs, par)
     assert stats.converged and stats.iterations <= 5000

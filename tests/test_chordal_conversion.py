@@ -92,16 +92,15 @@ def test_convert_problem_path_mode():
     band = Graph.from_edges(n, {(i, i + 1) for i in range(1, n)}
                             | {(i, i + 2) for i in range(1, n - 1)})
     p = random_splr_problem(rng, n, 1, graph=band)
-    ext, bs, report = convert_problem(p, path_mode=True)
+    ext, bs, report = convert_problem(p)
     assert report["path_mode"]
     assert report["width_after"] <= report["width_before"] + 2 * p.ell
     assert report["n_hat"] == n + report["k"] * p.ell
-    # a branching clique tree is refused in path mode
+    # a branching clique tree converts, and the report says it is no path
     star_core = {(1, j) for j in range(2, 8)}
     p2 = random_splr_problem(rng, 9, 1,
                              graph=Graph.from_edges(9, star_core | {(2, 9), (3, 8)}))
-    with pytest.raises(ValueError):
-        convert_problem(p2, path_mode=True)
+    assert not convert_problem(p2)[2]["path_mode"]
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(3, 14),

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from splrsdp import fileio
-from splrsdp.chordal_conversion import convert_problem
+from splrsdp.chordal_conversion import convert, convert_problem
 from splrsdp.cli import run
-from splrsdp.graph_core import Graph, write_graph
+from splrsdp.completion_rank import bp_bound
+from splrsdp.graph_core import (Graph, TreeDecomposition, root_binary,
+                                write_graph)
 from splrsdp.instances import gen_lb_tree, gen_simex
 from splrsdp.sdp_model import FactoredSolution
-from splrsdp.sparse_extension import extend_solution
+from splrsdp.sparse_extension import build_extension, extend_solution
 
 
 def _load(path):
@@ -91,24 +93,44 @@ def test_verify_passes_on_matching_pair_and_fails_on_mismatch(tmp_path):
     assert _load(tmp_path / "w.json")["ok"] is False
 
 
-def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
-    # exact lift of a random point over the default decomposition of lb-tree,
-    # whose rooted tree has a two-child node
-    p = gen_lb_tree(1)
-    ext, bs, _ = convert_problem(p)
-    R = np.random.default_rng(0).standard_normal((p.n, 2))
+def _save_exact_lift(path, ext, bs, R):
+    """Save the exact lift of the point R R^T over ext as a solution file."""
     L = extend_solution(ext, FactoredSolution(R)).factor
-    blocks = {}
-    for t, idx in bs.blocks.items():
-        rows = L[[v - 1 for v in idx]]
-        blocks[t] = rows @ rows.T
-    s = tmp_path / "s.json"
-    r = tmp_path / "r.json"
-    fileio.save(fileio.solution_to_dict(blocks, extended=ext), str(s))
-    assert run(["recover", "--extended-solution", str(s), "--out", str(r)]) == 0
-    rec = _load(r)
-    assert rec["mode"] == "tree"
-    assert rec["rank"] <= rec["certified_bound"]
+    blocks = {t: L[[v - 1 for v in idx]] @ L[[v - 1 for v in idx]].T
+              for t, idx in bs.blocks.items()}
+    fileio.save(fileio.solution_to_dict(blocks, extended=ext), str(path))
+
+
+def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
+    # exact lifts over two rooted trees with a two-child node: the default
+    # decomposition of lb-tree, and a path of singleton bags rooted at an
+    # inner node, a path unrooted but not rooted
+    lb = gen_lb_tree(1)
+    ext, bs, _ = convert_problem(lb)
+    cases = [(ext, bs, np.random.default_rng(0).standard_normal((lb.n, 2)))]
+    # simex with b set so that a point with unit rows is feasible
+    n = 6
+    R = np.random.default_rng(2).standard_normal((n, 3))
+    R /= np.linalg.norm(R, axis=1, keepdims=True)
+    simex = gen_simex(n, None, float(np.sum(R.sum(axis=0) ** 2)))
+    path = TreeDecomposition(
+        nodes=tuple(range(1, n + 1)),
+        edges=frozenset((t, t + 1) for t in range(1, n)),
+        bags={t: frozenset({t}) for t in range(1, n + 1)})
+    ext = build_extension(simex, root_binary(path, root=3))
+    cases.append((ext, convert(ext), R))
+    for k, (ext, bs, R) in enumerate(cases):
+        s = tmp_path / ("s%d.json" % k)
+        r = tmp_path / ("r%d.json" % k)
+        _save_exact_lift(s, ext, bs, R)
+        assert run(["recover", "--extended-solution", str(s),
+                    "--out", str(r)]) == 0
+        rec = _load(r)
+        assert rec["mode"] == "tree"
+        assert rec["rank"] <= rec["certified_bound"]
+    # width 0 and ell 1 on the inner-rooted path
+    assert rec["certified_bound"] == bp_bound(1) + 1
+    assert rec["residuals"]["feasible_at_1e-4"]
 
 
 def test_recover_problem_replaces_a_broken_embedded_extension(tmp_path):
@@ -167,11 +189,17 @@ def test_convert_and_export_files_are_byte_stable(tmp_path):
     assert got == GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("breakage", ["outside", "non-integer", "m", "core"])
+@pytest.mark.parametrize("breakage", ["outside", "non-integer", "m", "core",
+                                      "edge-outside", "edge-loop",
+                                      "edge-non-integer"])
 def test_malformed_problem_rows_exit_1(tmp_path, capsys, breakage):
     d = fileio.problem_to_dict(gen_lb_tree(1))
     row = d["constraints"][2]
-    if breakage == "outside":
+    edge = {"edge-outside": [0, 9], "edge-loop": [3, 3],
+            "edge-non-integer": [2, 1.5]}.get(breakage)
+    if edge is not None:
+        d["pattern_edges"].append(edge)
+    elif breakage == "outside":
         row["sparse_entries"].append([1, d["n"] + 1, 1.0])
     elif breakage == "non-integer":
         row["sparse_entries"].append([1.5, 2, 1.0])
@@ -186,62 +214,48 @@ def test_malformed_problem_rows_exit_1(tmp_path, capsys, breakage):
     assert "invalid input" in capsys.readouterr().err
 
 
-def _convert_both_ways(tmp_path, name, gen_argv):
-    """Convert one generated problem with and without --path-mode; returns
-    the problem path and, per way, the (ext.json bytes, conv.json dict)."""
-    p = tmp_path / ("%s.json" % name)
-    assert run(["gen"] + gen_argv + ["--out", str(p)]) == 0
-    out = []
-    for flag in ([], ["--path-mode"]):
-        e = tmp_path / ("%s-e%d.json" % (name, len(flag)))
-        c = tmp_path / ("%s-c%d.json" % (name, len(flag)))
-        assert run(["convert", "--in", str(p), "--out", str(e), "--report",
-                    str(c)] + flag) == 0
-        out.append((e.read_bytes(), _load(c)))
-    return p, out
-
-
 def test_convert_path_mode_only_checks_the_shape(tmp_path, capsys):
-    # on a path, to_binary changes nothing, so the flag leaves the extended
-    # file byte-equal and flips only the report's path_mode
-    gfile = tmp_path / "band.txt"
+    # conv.json's path_mode reports whether convert's rooted tree is a path,
+    # and recover reads the same shape to pick its mode and certificate
     band = {(i, i + 1) for i in range(1, 10)} | {(i, i + 2) for i in range(1, 9)}
-    with open(gfile, "w") as fh:
-        write_graph(Graph.from_edges(10, band), fh)
-    for name, argv in (("band", ["minbisect", "--graph", str(gfile)]),
-                       ("simex", ["simex", "-n", "12"])):
-        p, ((e0, c0), (e1, c1)) = _convert_both_ways(tmp_path, name, argv)
-        assert e0 == e1
-        assert (c0["path_mode"], c1["path_mode"]) == (False, True)
-        assert dict(c0, path_mode=True) == c1
-        # recover picks path mode from the tree's shape, flag or not: exact
-        # lift over the decomposition converted without the flag
+    star = {(1, j) for j in range(2, 8)} | {(2, 9), (3, 8)}
+    for name, g, is_path in (("band", Graph.from_edges(10, band), True),
+                             ("simex", None, True),
+                             ("star", Graph.from_edges(9, star), False)):
+        p = tmp_path / ("%s.json" % name)
+        c = tmp_path / ("%s-c.json" % name)
+        if g is None:
+            argv = ["simex", "-n", "12"]
+        else:
+            gfile = tmp_path / ("%s.txt" % name)
+            with open(gfile, "w") as fh:
+                write_graph(g, fh)
+            argv = ["minbisect", "--graph", str(gfile)]
+        assert run(["gen"] + argv + ["--out", str(p)]) == 0
+        assert run(["convert", "--in", str(p), "--out",
+                    str(tmp_path / ("%s-e.json" % name)), "--report",
+                    str(c)]) == 0
+        assert _load(c)["path_mode"] is is_path
+        # exact lift over the same decomposition
         prob = fileio.problem_from_dict(_load(p))
         ext, bs, rep = convert_problem(prob)
-        R = np.random.default_rng(1).standard_normal((prob.n, 2))
-        L = extend_solution(ext, FactoredSolution(R)).factor
-        blocks = {t: L[[v - 1 for v in idx]] @ L[[v - 1 for v in idx]].T
-                  for t, idx in bs.blocks.items()}
         s = tmp_path / ("%s-s.json" % name)
         r = tmp_path / ("%s-r.json" % name)
-        fileio.save(fileio.solution_to_dict(blocks, extended=ext), str(s))
+        R = np.random.default_rng(1).standard_normal((prob.n, 2))
+        _save_exact_lift(s, ext, bs, R)
         assert run(["recover", "--extended-solution", str(s),
                     "--out", str(r)]) == 0
         rec = _load(r)
-        assert rec["mode"] == "path"
-        assert rec["certified_bound"] == rep["width_before"] + prob.ell + 1
-    # a branching clique tree is still refused: bad input, exit 1
-    gfile = tmp_path / "star.txt"
-    star = {(1, j) for j in range(2, 8)} | {(2, 9), (3, 8)}
-    with open(gfile, "w") as fh:
-        write_graph(Graph.from_edges(9, star), fh)
-    p = tmp_path / "star.json"
-    assert run(["gen", "minbisect", "--graph", str(gfile), "--out",
-                str(p)]) == 0
+        assert rec["mode"] == ("path" if is_path else "tree")
+        extra = prob.ell if is_path else bp_bound(prob.ell)
+        assert rec["certified_bound"] == rep["width_before"] + extra + 1
+    # the flags that restated the shape are gone: usage errors, exit 1
     capsys.readouterr()
-    assert run(["convert", "--in", str(p), "--out",
-                str(tmp_path / "star-e.json"), "--path-mode"]) == 1
-    assert "decomposition is not a path" in capsys.readouterr().err
+    assert run(["convert", "--in", str(p), "--path-mode"]) == 1
+    assert run(["recover", "--extended-solution", str(s), "--mode",
+                "path"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("unrecognized arguments") == 2
 
 
 def test_solve_iteration_cap_returns_numerical_failure(tmp_path):

@@ -473,7 +473,7 @@ def test_recover_low_rank_path():
         ell = int(rng.integers(1, 3))
         band = Graph.from_edges(n, {(i, i + 1) for i in range(1, n)})
         p = random_splr_problem(rng, n, ell, graph=band)
-        ext, bs, report = convert_problem(p, path_mode=True)
+        ext, bs, report = convert_problem(p)
         F = rng.standard_normal((n, 2))
         sol, info = recover_low_rank(_lifted_blocks(ext, bs, F), ext, bs, mode="path")
         wid = report["width_before"]

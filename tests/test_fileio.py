@@ -6,6 +6,7 @@ import pytest
 
 from splrsdp import fileio
 from splrsdp.chordal_conversion import convert, convert_problem
+from splrsdp.cli import run
 from splrsdp.graph_core import Graph
 from splrsdp.instances import (gen_bqp_relaxation, gen_lb_tree,
                                gen_min_bisection, gen_phi_witness, gen_simex)
@@ -74,6 +75,35 @@ def test_problem_dict_roundtrip_is_identity():
     for p in probs:
         d = _rt(fileio.problem_to_dict(p))
         assert fileio.problem_to_dict(fileio.problem_from_dict(d)) == d
+
+
+def test_pattern_edges_are_checked_on_load():
+    # one broken edge added to the output of `gen simex -n 5`
+    for edge, match in (([0, 9], r"edge \[0, 9\] outside 1\.\.5"),
+                        ([3, 3], r"edge \[3, 3\] is a self-loop"),
+                        ([2, 1.5], r"edge \[2, 1\.5\] has a non-integer"),
+                        ([1, 2, 3], "pairs"), (["x", 1], "pairs")):
+        d = _rt(fileio.problem_to_dict(gen_simex(5)))
+        d["pattern_edges"].append(edge)
+        with pytest.raises(ValueError, match=match):
+            fileio.problem_from_dict(d)
+    # reversed and float-valued edges load as (min, max) Python ints
+    d["pattern_edges"] = [[4, 2], [1.0, 2]]
+    edges = fileio.problem_from_dict(d).pattern.edges
+    assert edges == {(2, 4), (1, 2)}
+    assert all(type(v) is int for e in edges for v in e)
+
+
+@pytest.mark.parametrize("argv", [["simex", "-n", "7"],
+                                  ["minbisect", "-n", "9", "--seed", "3"],
+                                  ["bqp", "-n", "6", "--eq", "2"],
+                                  ["lb-tree", "--ell", "2"],
+                                  ["lb-padded", "--sigma", "2"]])
+def test_generated_problems_round_trip_unchanged(tmp_path, argv):
+    path = tmp_path / "p.json"
+    assert run(["gen"] + argv + ["--out", str(path)]) == 0
+    d = fileio.load(str(path))
+    assert fileio.problem_to_dict(fileio.problem_from_dict(d)) == d
 
 
 def test_problem_rows_sum_repeated_entries_in_file_order():
@@ -152,7 +182,7 @@ def test_slice_roundtrip():
 
 def test_solution_roundtrip_with_stats_and_problem():
     p = gen_simex(6)
-    ext, bs, _ = convert_problem(p, path_mode=True)
+    ext, bs, _ = convert_problem(p)
     blocks = {t: np.eye(len(bs.blocks[t])) for t in bs.blocks}
     st = SolveStats(iterations=12, primal_residual=1e-9, dual_residual=2e-9,
                     objective=0.5, block_ranks={t: 1 for t in blocks},

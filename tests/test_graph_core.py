@@ -369,7 +369,7 @@ def test_clique_tree_of_completed_long_cycle_is_a_fan_path():
     td = clique_tree(h)
     bags = list(td.bags.values())
     assert len(bags) == n - 2 and all(len(b) == 3 for b in bags)
-    assert td.is_path()
+    assert max(td.degrees().values()) == 2
     assert len(frozenset.intersection(*bags)) == 1
     assert validate_decomposition(td, h)
 

@@ -182,7 +182,7 @@ def test_admm_interval_row_picks_the_right_end():
 
 def test_admm_simex_chain():
     p = gen_simex(10)
-    ext, bs, rep = convert_problem(p, path_mode=True)
+    ext, bs, rep = convert_problem(p)
     blocks, stats = admm_solve(bs, AdmmParams(max_iter=5000, tol_primal=1e-8,
                                               tol_dual=1e-8))
     assert stats.converged
@@ -202,7 +202,7 @@ def test_admm_simex_chain():
 
 def test_admm_residual_trend():
     p = gen_simex(8)
-    ext, bs, rep = convert_problem(p, path_mode=True)
+    ext, bs, rep = convert_problem(p)
     _, stats = admm_solve(bs, AdmmParams(max_iter=2000, tol_primal=1e-10,
                                          tol_dual=1e-10))
     assert stats.converged
@@ -214,7 +214,7 @@ def test_admm_residual_trend():
 
 def test_admm_counts_anderson_steps():
     p = gen_simex(8)
-    ext, bs, rep = convert_problem(p, path_mode=True)
+    ext, bs, rep = convert_problem(p)
     _, stats = admm_solve(bs, AdmmParams(max_iter=2000, tol_primal=1e-10,
                                          tol_dual=1e-10))
     assert stats.converged and stats.aa_accepted > 0
@@ -229,7 +229,7 @@ def test_admm_counts_anderson_steps():
 
 def test_admm_seed_moves_the_start():
     p = gen_simex(8)
-    ext, bs, rep = convert_problem(p, path_mode=True)
+    ext, bs, rep = convert_problem(p)
     _, s0 = admm_solve(bs, AdmmParams(max_iter=300, seed=0))
     _, s1 = admm_solve(bs, AdmmParams(max_iter=300, seed=1))
     assert (s0.history[0] != s1.history[0]).any()
