@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from .completion_rank import PINV_RCOND, RecoveryError, _sym, _two_child_nodes
 from .graph_core import (TreeDecomposition, chordal_complete, clique_tree,
                          root_binary, to_binary, width)
+from .sdp_model import _entries
 from .sdpa import write_sdpa
 from .sparse_extension import build_extension
 
@@ -98,9 +99,11 @@ def _face_rows(constraints, ell):
     ranges, orthonormalised together so repeated or overlapping cores add
     no dependent vectors.
     """
+    row, _, _, v = _entries(constraints)
+    has_sparse = np.bincount(row[v != 0.0], minlength=len(constraints))
     moved, spans = set(), []
     for r, c in enumerate(constraints):
-        if c.lower != 0.0 or c.upper != 0.0 or any(c.sparse.entries.values()):
+        if c.lower != 0.0 or c.upper != 0.0 or has_sparse[r]:
             continue
         w, U = np.linalg.eigh(_sym(np.asarray(c.core, dtype=float)))
         live = np.abs(w) > PINV_RCOND * np.abs(w).max(initial=0.0)
@@ -135,22 +138,17 @@ def convert(ext):
     terms = [p.objective] + cons  # each with .sparse and .core
     # every row's sparse entries, then every row's core entries, which sit
     # on the root's auxiliary pairs J x J
-    m, counts = len(terms), [len(t.sparse.entries) for t in terms]
+    m = len(terms)
+    row, i, j, v = _entries(terms)
     ja, jb = np.triu_indices(pat.ell)
     J = np.asarray(pat.index_j, dtype=np.int64)
-    uv = np.concatenate([
-        np.fromiter(chain.from_iterable(chain.from_iterable(t.sparse.entries)
-                                        for t in terms),
-                    dtype=np.int64, count=2 * sum(counts)).reshape(-1, 2),
-        np.tile(np.column_stack([J[ja], J[jb]]), (m, 1))])
+    uv = np.concatenate([np.column_stack([i + 1, j + 1]),
+                         np.tile(np.column_stack([J[ja], J[jb]]), (m, 1))])
     vals = np.concatenate([
-        np.fromiter(chain.from_iterable(t.sparse.entries.values()
-                                        for t in terms),
-                    dtype=float, count=sum(counts)),
+        v,
         np.array([t.core for t in terms],
                  dtype=float).reshape(m, pat.ell, pat.ell)[:, ja, jb].ravel()])
-    ri = np.concatenate([np.repeat(np.arange(m), counts),
-                         np.repeat(np.arange(m), ja.size)])
+    ri = np.concatenate([row, np.repeat(np.arange(m), ja.size)])
     key = uv[:, 0] * stride + uv[:, 1]
     pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
     missing = keys[pos] != key

@@ -13,7 +13,7 @@ import numpy as np
 from .completion_rank import AffineSlice
 from .graph_core import Graph, TreeDecomposition, read_graph
 from .sdp_model import (Constraint, SparseSymMatrix, SplrSdp, Term,
-                        detect_splr)
+                        detect_splr, validate_problem)
 from .sdpa import parse_sdpa
 from .solver import AdmmParams
 from .sparse_extension import build_extension
@@ -152,8 +152,10 @@ def problem_from_dict(d):
     cons = [Constraint(a, core, _bound_in(c["lower"], -1.0),
                        _bound_in(c["upper"], 1.0))
             for a, core, c in zip(sparse[1:], cores[1:], rows[1:])]
-    return SplrSdp(n=n, ell=ell, pattern=Graph(n, edges), factor=factor,
-                   objective=Term(sparse[0], cores[0]), constraints=cons)
+    p = SplrSdp(n=n, ell=ell, pattern=Graph(n, edges), factor=factor,
+                objective=Term(sparse[0], cores[0]), constraints=cons)
+    validate_problem(p)
+    return p
 
 
 def td_to_dict(td):

@@ -10,8 +10,8 @@ constraints lower_i <= <A_i, X> <= upper_i on a PSD variable X; equalities
 use lower == upper, and infinite bounds mark one-sided rows.
 """
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "SplrSdp",
     "FactoredSolution",
     "validate_problem",
-    "eval_term",
     "eval_constraint",
     "eval_objective",
     "is_feasible",
@@ -30,6 +29,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8  # relative eigenvalue cut of every reported rank
+# floats gathered per step when row values read factor rows: at n = 2000 a
+# whole-problem gather at full rank would take hundreds of MB
+_GATHER = 1 << 16
 
 
 def _rank_mask(w):
@@ -62,14 +64,11 @@ class SparseSymMatrix:
     @staticmethod
     def from_dense(M, tol=0.0):
         M = np.asarray(M, dtype=float)
-        n = M.shape[0]
-        ent = {}
-        for i in range(n):
-            for j in range(i, n):
-                v = 0.5 * (M[i, j] + M[j, i])
-                if abs(v) > tol:
-                    ent[(i + 1, j + 1)] = v
-        return SparseSymMatrix(n, ent)
+        i, j = np.triu_indices(M.shape[0])
+        v = 0.5 * (M[i, j] + M[j, i])
+        keep = np.abs(v) > tol
+        keys = zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())
+        return SparseSymMatrix(M.shape[0], dict(zip(keys, v[keep].tolist())))
 
     def to_dense(self):
         M = np.zeros((self.n, self.n))
@@ -81,20 +80,6 @@ class SparseSymMatrix:
     def support(self):
         """Off-diagonal support as normalized (i, j) pairs."""
         return {(i, j) for (i, j) in self.entries if i != j}
-
-    def inner_dense(self, X):
-        s = 0.0
-        for (i, j), v in self.entries.items():
-            s += v * X[i - 1, j - 1] * (1.0 if i == j else 2.0)
-        return s
-
-    def inner_rows(self, R):
-        """<A, R R^T> without forming R R^T."""
-        s = 0.0
-        for (i, j), v in self.entries.items():
-            x = float(np.dot(R[i - 1], R[j - 1]))
-            s += v * x * (1.0 if i == j else 2.0)
-        return s
 
 
 @dataclass(frozen=True)
@@ -164,34 +149,60 @@ class FactoredSolution:
 
 
 def validate_problem(p):
-    """Raise ValueError if the instance is structurally inconsistent."""
+    """Raise ValueError if the instance is structurally inconsistent or
+    holds a non-finite number other than an infinite bound.
+
+    One array pass over all entries, cores and bounds, cheap enough for
+    every load.
+    """
     if p.pattern.n != p.n:
         raise ValueError("pattern has %d vertices, problem has %d" % (p.pattern.n, p.n))
     if p.factor.shape != (p.n, p.ell):
         raise ValueError("factor shape %s, expected (%d, %d)" % (p.factor.shape, p.n, p.ell))
-    terms = [("objective", p.objective)] + [
-        ("constraint %d" % (i + 1), c.term) for i, c in enumerate(p.constraints)
-    ]
-    for name, t in terms:
-        if t.sparse.n != p.n:
-            raise ValueError("%s sparse part has wrong dimension" % name)
-        if t.core.shape != (p.ell, p.ell):
-            raise ValueError("%s core shape %s, expected (%d, %d)"
-                             % (name, t.core.shape, p.ell, p.ell))
-        if t.core.size and not np.allclose(t.core, t.core.T, atol=1e-12):
-            raise ValueError("%s core is not symmetric" % name)
-        bad = t.sparse.support() - p.pattern.edges
-        if bad:
-            raise ValueError("%s sparse part leaves the pattern: %s" % (name, sorted(bad)[:3]))
-    for i, c in enumerate(p.constraints):
-        if math.isnan(c.lower) or math.isnan(c.upper):
-            raise ValueError("constraint %d has NaN bound" % (i + 1))
-        if c.lower > c.upper:
-            raise ValueError("constraint %d has lower > upper" % (i + 1))
-        if math.isinf(c.lower) and c.lower > 0:
-            raise ValueError("constraint %d has lower = +inf" % (i + 1))
-        if math.isinf(c.upper) and c.upper < 0:
-            raise ValueError("constraint %d has upper = -inf" % (i + 1))
+    if not np.isfinite(p.factor).all():
+        raise ValueError("factor has a non-finite entry")
+    terms = [p.objective, *p.constraints]
+
+    def name(k):
+        return "constraint %d" % k if k else "objective"
+
+    for k, t in enumerate(terms):
+        if (t.sparse.n, *t.core.shape) != (p.n, p.ell, p.ell):
+            raise ValueError("%s has sparse dimension %d and core shape %s, expected"
+                             " %d and (%d, %d)" % (name(k), t.sparse.n, t.core.shape,
+                                                   p.n, p.ell, p.ell))
+    cores = np.array([t.core for t in terms], dtype=float)
+    row, i, j, v = _entries(terms)
+    e = np.fromiter(chain.from_iterable(p.pattern.edges), np.int64).reshape(-1, 2) - 1
+    off = np.flatnonzero(i != j)
+    off = off[~np.isin(i[off] * p.n + j[off], e[:, 0] * p.n + e[:, 1])]
+    at = "(%d, %d)" % (i[off[0]] + 1, j[off[0]] + 1) if off.size else ""
+    # the objective's place holds bounds [0, 0]
+    lo, hi = np.array([(0.0, 0.0)] + [(c.lower, c.upper) for c in p.constraints]).T
+    for bad, why in (
+            (~np.isfinite(cores).all(axis=(1, 2)), "core has a non-finite entry"),
+            (~np.isclose(cores, cores.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2)),
+             "core is not symmetric"),
+            (np.bincount(row[~np.isfinite(v)], minlength=len(terms)) > 0,
+             "sparse part has a non-finite value"),
+            (np.bincount(row[off], minlength=len(terms)) > 0,
+             "sparse part leaves the pattern at " + at),
+            (np.isnan(lo) | np.isnan(hi), "has NaN bound"),
+            (lo > hi, "has lower > upper"),
+            (lo == np.inf, "has lower = +inf"),
+            (hi == -np.inf, "has upper = -inf")):
+        if bad.any():
+            raise ValueError("%s %s" % (name(np.argmax(bad)), why))
+
+
+def _entries(terms):
+    """Every term's sparse entries as flat arrays (term position, 0-based
+    i <= j, value): terms in order, each one's entries in key order."""
+    counts = [len(t.sparse.entries) for t in terms]
+    ij = np.fromiter(chain.from_iterable(chain.from_iterable(t.sparse.entries)
+                                         for t in terms), np.int64).reshape(-1, 2) - 1
+    v = np.fromiter(chain.from_iterable(t.sparse.entries.values() for t in terms), float)
+    return np.repeat(np.arange(len(terms)), counts), ij[:, 0], ij[:, 1], v
 
 
 def _core_gram(p, sol):
@@ -204,54 +215,47 @@ def _core_gram(p, sol):
     return p.factor.T @ np.asarray(sol) @ p.factor
 
 
-def _term_value(term, sol, core_gram):
-    """<A, X>: the sparse part against X plus core . core_gram (see _core_gram).
-
-    `sol` may be a FactoredSolution or a dense symmetric matrix.
+def _values(terms, sol, core_gram):
+    """Every term's <A, X> at once: the sparse part against X plus core .
+    core_gram (see _core_gram).  `sol` is a FactoredSolution or a dense X.
     """
+    row, i, j, v = _entries(terms)
     if isinstance(sol, FactoredSolution):
-        val = term.sparse.inner_rows(sol.factor)
+        R = sol.factor
+        x = np.empty(i.size)
+        step = _GATHER // max(R.shape[1], 1) + 1
+        for s in range(0, i.size, step):
+            x[s:s + step] = np.einsum("ij,ij->i", R[i[s:s + step]], R[j[s:s + step]])
     else:
-        val = term.sparse.inner_dense(np.asarray(sol))
+        x = np.asarray(sol)[i, j]
+    # off-diagonal entries stand for (i, j) and (j, i)
+    out = np.bincount(row, np.where(i == j, v, 2.0 * v) * x, len(terms)).astype(float)
     if core_gram is not None:
-        val += float(np.sum(term.core * core_gram))
-    return val
-
-
-def eval_term(p, term, sol):
-    """<A, X> for a term, using the factored forms on both sides.
-
-    `sol` may be a FactoredSolution or a dense symmetric matrix.
-    """
-    return _term_value(term, sol, _core_gram(p, sol))
+        cores = np.array([t.core for t in terms], dtype=float)
+        out += cores.reshape(len(terms), core_gram.size) @ core_gram.ravel()
+    return out
 
 
 def eval_constraint(p, i, sol):
-    """Value of constraint row i (1-based)."""
-    return eval_term(p, p.constraints[i - 1].term, sol)
+    """Value of constraint row i (1-based); `sol` as in _values."""
+    return float(_values([p.constraints[i - 1]], sol, _core_gram(p, sol))[0])
 
 
 def eval_objective(p, sol):
-    return eval_term(p, p.objective, sol)
+    return float(_values([p.objective], sol, _core_gram(p, sol))[0])
 
 
 def is_feasible(p, sol, tol=1e-8):
     """Check all constraint rows to absolute tolerance `tol`.
 
-    Returns (ok, report) where report carries per-row violations.
+    Returns (ok, report) where report carries per-row violations.  A NaN
+    row value has a NaN violation, which is never within `tol`.
     """
-    gram = _core_gram(p, sol)
-    viol = []
-    for c in p.constraints:
-        v = _term_value(c.term, sol, gram)
-        over = 0.0
-        if v < c.lower:
-            over = c.lower - v
-        elif v > c.upper:
-            over = v - c.upper
-        viol.append(over)
-    worst = max(viol, default=0.0)
-    return worst <= tol, {"max_violation": worst, "violations": viol}
+    v = _values(p.constraints, sol, _core_gram(p, sol))
+    lo, hi = np.array([(c.lower, c.upper) for c in p.constraints]).reshape(-1, 2).T
+    viol = np.maximum(np.maximum(lo - v, v - hi), 0.0)
+    worst = float(viol.max(initial=0.0))
+    return worst <= tol, {"max_violation": worst, "violations": viol.tolist()}
 
 
 def _off_pattern_part(M, pattern):

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .graph_core import TreeDecomposition, validate_decomposition
-from .sdp_model import FactoredSolution, _core_gram, _term_value
+from .sdp_model import FactoredSolution, _core_gram, _values
 
 __all__ = [
     "ExtendedPattern",
@@ -46,7 +46,6 @@ class ExtendedPattern:
     ell: int
     k: int
     td: TreeDecomposition  # relabeled, rooted at k
-    node_order: tuple  # node_order[t-1] = original node id of label t
     w: dict  # node -> frozenset, bag partition
     u: dict  # node -> tuple of auxiliary indices
     ext_bags: dict  # node -> frozenset
@@ -81,7 +80,9 @@ def partition_bags(td):
 
     For a valid decomposition these partition the union of all bags: the
     occurrences of a vertex form a subtree, and W_t keeps the vertex only at
-    that subtree's highest node.  Returns {node: W_t}.
+    that subtree's highest node.  Every vertex of a bag is in some W_t:
+    walking up from its bag while the parent's bag still holds it ends at
+    a node whose W holds it.  Returns {node: W_t}.
     """
     if td.root is None:
         raise ValueError("decomposition is not rooted")
@@ -96,11 +97,6 @@ def partition_bags(td):
                 raise ValueError("vertex %d appears in W_%d and W_%d; "
                                  "running intersection violated" % (v, seen[v], t))
             seen[v] = t
-    covered = set()
-    for bag in td.bags.values():
-        covered |= bag
-    if set(seen) != covered:
-        raise ValueError("bag difference sets do not cover all vertices")
     return w
 
 
@@ -138,15 +134,15 @@ def _check_rooted_binary(td):
 def build_extended_pattern(pattern, td, ell):
     """Extended bags for `ell` auxiliary indices per node."""
     _check_rooted_binary(td)
-    ctd, node_order = canonical_relabel(td)
+    ctd, _ = canonical_relabel(td)
     n = pattern.n
     k = len(ctd.nodes)
     u = {t: tuple(range(n + (t - 1) * ell + 1, n + t * ell + 1)) for t in ctd.nodes}
     ext_bags = {t: frozenset(chain(ctd.bags[t], u[t],
                                    *(u[j] for j in ctd.children(t))))
                 for t in ctd.nodes}
-    return ExtendedPattern(n=n, ell=ell, k=k, td=ctd, node_order=node_order,
-                           w=partition_bags(ctd), u=u, ext_bags=ext_bags)
+    return ExtendedPattern(n=n, ell=ell, k=k, td=ctd, w=partition_bags(ctd),
+                           u=u, ext_bags=ext_bags)
 
 
 def build_extension(p, td):
@@ -234,8 +230,8 @@ def eval_extended(ext, ext_sol):
     if pat.ell:
         rows_j = ext_sol.factor[[x - 1 for x in pat.index_j], :]
         gram = rows_j @ rows_j.T
-    return (_term_value(p.objective, ext_sol, gram),
-            [_term_value(c.term, ext_sol, gram) for c in p.constraints])
+    vals = _values([p.objective, *p.constraints], ext_sol, gram)
+    return float(vals[0]), vals[1:]
 
 
 def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
@@ -249,6 +245,7 @@ def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
     worst_null = 0.0
     worst_val = 0.0
     worst_restrict = 0.0
+    terms = [p.objective, *p.constraints]
     for _ in range(samples):
         r = int(rng.integers(1, p.n + 1))
         sol = FactoredSolution(rng.standard_normal((p.n, r)) / np.sqrt(r))
@@ -256,10 +253,8 @@ def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
         res = null_residuals(ext, lifted)
         worst_null = max(worst_null, max(res.values(), default=0.0))
         obj, vals = eval_extended(ext, lifted)
-        gram = _core_gram(p, sol)
-        worst_val = max(worst_val, abs(obj - _term_value(p.objective, sol, gram)))
-        for i, c in enumerate(p.constraints):
-            worst_val = max(worst_val, abs(vals[i] - _term_value(c.term, sol, gram)))
+        gap = np.r_[obj, vals] - _values(terms, sol, _core_gram(p, sol))
+        worst_val = max(worst_val, float(np.abs(gap).max()))
         back = restrict_solution(lifted, ext)
         worst_restrict = max(worst_restrict, float(np.abs(back.factor - sol.factor).max()))
     return {

@@ -191,9 +191,14 @@ def test_convert_and_export_files_are_byte_stable(tmp_path):
 
 @pytest.mark.parametrize("breakage", ["outside", "non-integer", "m", "core",
                                       "edge-outside", "edge-loop",
-                                      "edge-non-integer"])
+                                      "edge-non-integer", "lower-nan",
+                                      "lower-above-upper", "sparse-nan",
+                                      "factor-nan", "core-nan",
+                                      "core-asymmetric"])
 def test_malformed_problem_rows_exit_1(tmp_path, capsys, breakage):
-    d = fileio.problem_to_dict(gen_lb_tree(1))
+    # an asymmetric core needs ell >= 2
+    d = fileio.problem_to_dict(gen_lb_tree(2 if breakage == "core-asymmetric"
+                                           else 1))
     row = d["constraints"][2]
     edge = {"edge-outside": [0, 9], "edge-loop": [3, 3],
             "edge-non-integer": [2, 1.5]}.get(breakage)
@@ -205,13 +210,27 @@ def test_malformed_problem_rows_exit_1(tmp_path, capsys, breakage):
         row["sparse_entries"].append([1.5, 2, 1.0])
     elif breakage == "m":
         d["m"] += 1
+    elif breakage == "lower-nan":
+        row["lower"] = float("nan")
+    elif breakage == "lower-above-upper":
+        row["lower"], row["upper"] = 2.0, 1.0
+    elif breakage == "sparse-nan":
+        row["sparse_entries"][0][2] = float("nan")
+    elif breakage == "factor-nan":
+        d["factor"][0][0] = float("nan")
+    elif breakage == "core-nan":
+        row["core"][0][0] = float("nan")
+    elif breakage == "core-asymmetric":
+        row["core"][0][1] += 1.0
     else:
         row["core"] = [[1.0, 0.0]]
     bad = tmp_path / "bad.json"
-    fileio.save(d, str(bad))
-    assert run(["convert", "--in", str(bad),
-                "--out", str(tmp_path / "e.json")]) == 1
+    # fileio.save refuses NaN, so the file is written as raw JSON text
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "e.json"
+    assert run(["convert", "--in", str(bad), "--out", str(out)]) == 1
     assert "invalid input" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_path_mode_only_checks_the_shape(tmp_path, capsys):

@@ -108,6 +108,7 @@ def test_generated_problems_round_trip_unchanged(tmp_path, argv):
 
 def test_problem_rows_sum_repeated_entries_in_file_order():
     d = fileio.problem_to_dict(gen_simex(4))
+    d["pattern_edges"] = [[1, 3], [2, 4]]
     d["objective"]["sparse_entries"] = [[3, 1, 0.5], [2, 2, -0.0],
                                         [1, 3, 0.25], [2.0, 4, 1.0]]
     sp = fileio.problem_from_dict(d).objective.sparse

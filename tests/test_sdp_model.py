@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from splrsdp.graph_core import Graph
+from splrsdp.instances import gen_simex
 from splrsdp.sdp_model import (
+    _GATHER,
     Constraint,
     FactoredSolution,
     SparseSymMatrix,
@@ -11,12 +15,11 @@ from splrsdp.sdp_model import (
     detect_splr,
     eval_constraint,
     eval_objective,
-    eval_term,
     is_feasible,
     validate_problem,
 )
 
-from conftest import random_graph
+from conftest import random_graph, random_splr_problem
 
 
 def laplacian(g):
@@ -35,11 +38,15 @@ def test_sparse_sym_matrix_roundtrip_and_inner():
     assert A.entries == {(1, 2): 1.0, (3, 3): -2.0}
     D = A.to_dense()
     assert D[0, 1] == 1.0 and D[1, 0] == 1.0 and D[2, 2] == -2.0
+    p = SplrSdp(n=4, ell=0, pattern=Graph.from_edges(4, [(1, 2)]),
+                factor=np.zeros((4, 0)), objective=Term(A, np.zeros((0, 0))),
+                constraints=[])
     X = rng.standard_normal((4, 4))
     X = X + X.T
-    assert np.isclose(A.inner_dense(X), np.sum(D * X))
+    assert np.isclose(eval_objective(p, X), np.sum(D * X))
     R = rng.standard_normal((4, 2))
-    assert np.isclose(A.inner_rows(R), np.sum(D * (R @ R.T)))
+    assert np.isclose(eval_objective(p, FactoredSolution(R)),
+                      np.sum(D * (R @ R.T)))
     with pytest.raises(ValueError):
         SparseSymMatrix.from_entries(2, [(1, 3, 1.0)])
 
@@ -48,6 +55,14 @@ def test_from_dense_symmetrizes():
     M = np.array([[1.0, 2.0], [0.0, 3.0]])
     A = SparseSymMatrix.from_dense(M)
     assert A.entries == {(1, 1): 1.0, (1, 2): 1.0, (2, 2): 3.0}
+
+
+def test_from_dense_keys_follow_the_upper_triangle_row_by_row():
+    M = np.array([[0.0, 2.0, -1.0], [0.0, 5.0, 0.5], [3.0, 0.5, 1e-3]])
+    A = SparseSymMatrix.from_dense(M, tol=1e-2)
+    assert list(A.entries.items()) == [((1, 2), 1.0), ((1, 3), 1.0),
+                                       ((2, 2), 5.0), ((2, 3), 0.5)]
+    assert all(type(v) is float for v in A.entries.values())
 
 
 def make_toy_problem():
@@ -108,6 +123,48 @@ def test_is_feasible_interval_semantics():
                                    float("-inf"), 5.0)
     ok, rep = is_feasible(p, sol)
     assert ok and rep["max_violation"] == 0.0
+
+
+def test_is_feasible_reports_a_nan_point():
+    ok, rep = is_feasible(gen_simex(5), FactoredSolution(np.full((5, 2), np.nan)),
+                          tol=1e-4)
+    assert not ok
+    assert np.isnan(rep["max_violation"])
+    assert all(np.isnan(rep["violations"]))
+
+
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 8), ell=st.integers(0, 3),
+       case=st.sampled_from(["gather steps", "dense X", "empty rows"]))
+def test_row_values_match_dense_sums(seed, n, ell, case):
+    # every row value against <A, X> on the dense A of Term.dense
+    rng = np.random.default_rng(seed)
+    p = random_splr_problem(rng, n, ell, p_edge=0.4)
+    if case == "empty rows":
+        # the objective and every other row without sparse entries; a
+        # single empty row is a call with no entries at all
+        p.objective = Term(SparseSymMatrix(n, {}), p.objective.core)
+        p.constraints[::2] = [Constraint(SparseSymMatrix(n, {}), c.core,
+                                         c.lower, c.upper)
+                              for c in p.constraints[::2]]
+    r = _GATHER // 3 if case == "gather steps" else 3
+    R = rng.standard_normal((n, r)) / np.sqrt(r)
+    X = R @ R.T
+    sol = X if case == "dense X" else FactoredSolution(R)
+    if case == "gather steps":
+        # more entries than one gather step holds
+        assume(sum(len(c.sparse.entries) for c in p.constraints)
+               > _GATHER // r + 1)
+    want = [np.sum(c.term.dense(p.factor) * X) for c in p.constraints]
+    obj = eval_objective(p, sol)
+    assert type(obj) is float
+    assert np.isclose(obj, np.sum(p.objective.dense(p.factor) * X),
+                      rtol=1e-10, atol=1e-10)
+    for i, w in enumerate(want, start=1):
+        assert np.isclose(eval_constraint(p, i, sol), w, rtol=1e-10, atol=1e-10)
+    _, rep = is_feasible(p, sol)
+    over = [max(c.lower - w, w - c.upper, 0.0)
+            for c, w in zip(p.constraints, want)]
+    assert np.allclose(rep["violations"], over, rtol=1e-10, atol=1e-10)
 
 
 def test_factored_solution_rank():

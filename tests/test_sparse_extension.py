@@ -107,7 +107,6 @@ def test_extension_reproduces_worked_example():
     ext = build_extension(p, td)
     pat = ext.pattern
     assert pat.k == n and pat.n_ext == 2 * n
-    assert pat.node_order == tuple(range(1, n + 1))
     assert pat.u == {t: (n + t,) for t in range(1, n + 1)}
     assert pat.ext_bags[1] == frozenset({1, n + 1})
     for t in range(2, n + 1):
