@@ -109,6 +109,12 @@ def _sparse_rows(n, rows):
 
 
 def problem_to_dict(p):
+    """The problem file's dict; a NaN bound raises ValueError, as null
+    would read back as an infinite one."""
+    nan = [r for r, c in enumerate(p.constraints, start=1)
+           if np.isnan(c.lower) or np.isnan(c.upper)]
+    if nan:
+        raise ValueError("constraint %d has a NaN bound" % nan[0])
     return {
         "schema": PROBLEM_SCHEMA,
         "n": p.n,

@@ -1,7 +1,10 @@
 """ADMM solvers for the block problem and a dense reference oracle.
 
-The block solver works on a consensus vector x over the union of block entry
-positions (off-diagonal entries scaled by sqrt(2) so inner products are dot
+The block solver first merges each tree node with its parent while the
+parent's group holds fewer than GROUP_SIZE nodes, solves on the merged
+blocks, and slices every fine block back out of its group's block.  It
+works on a consensus vector x over the union of block entry positions
+(off-diagonal entries scaled by sqrt(2) so inner products are dot
 products).  Block iterates are full d x d matrices stored in slabs, one slab
 per (block size, face dimension) group, and with the data row values they
 form one vector v = K x at consensus, K = [G; A] stacking the gather matrix
@@ -15,11 +18,13 @@ makes it usable as an independent cross-check.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .chordal_conversion import BlockSdp
 from .completion_rank import (_block_ranks, _face_basis, _face_bases,
                               _psd_factor, _svec, _sym, _unsvec)
 
@@ -33,6 +38,7 @@ __all__ = [
 ]
 
 AA_MEMORY = 10  # Anderson acceleration memory of admm_solve
+GROUP_SIZE = 2  # fine tree nodes per merged block of admm_solve
 
 
 @dataclass
@@ -102,10 +108,94 @@ def project_null_psd(M, null_vectors):
     return _face_project(M, _face_basis(null_vectors, M.shape[0]))
 
 
+def _merge_pairs(bs):
+    """The block problem on parent-child groups of bs's tree.
+
+    Parents first along bs.overlaps, a node joins its parent's group while
+    that group has fewer than GROUP_SIZE nodes and otherwise starts its
+    own; a group is labelled by its top node.  Its block is the sorted
+    union of its members' index sets, its null vectors are the members'
+    null_mats embedded in its rows and stacked side by side (for PSD Y,
+    a^T Y a = 0 on the group block is a_t^T Y_t a_t = 0 on the member's
+    principal submatrix), and each data entry moves from its fine column
+    to the group column holding the same pair.  The fine blocks are
+    principal submatrices of the group blocks, so the merged problem has
+    the fine problem's feasible values and objective.  Returns (merged
+    BlockSdp, {t: (group, rows of bs.blocks[t] in the group block)}); the
+    merged problem carries no overlaps, as the solver reads the coupling
+    from the shared pairs.
+    """
+    ids = sorted(bs.blocks)
+    top = dict(zip(ids, ids))
+    size = dict.fromkeys(ids, 1)
+    for t, par, _ in bs.overlaps:  # parents first
+        g = top[par]
+        if size[g] < GROUP_SIZE:
+            top[t] = g
+            size[g] += 1
+    gids = sorted(set(top.values()))
+    # every fine block's indices, blocks in node order, keyed by group rank
+    sizes = np.array([len(bs.blocks[t]) for t in ids], dtype=np.int64)
+    fstart = np.cumsum(sizes) - sizes
+    flat = np.fromiter(chain.from_iterable(bs.blocks[t] for t in ids),
+                       dtype=np.int64, count=int(sizes.sum()))
+    grank = np.searchsorted(gids, [top[t] for t in ids])
+    stride = bs.n_ext + 1
+    key = np.repeat(grank, sizes) * stride + flat
+    merged, loc = np.unique(key, return_inverse=True)
+    gsize = np.bincount(merged // stride, minlength=len(gids))
+    gstart = np.cumsum(gsize) - gsize
+    loc = loc.ravel() - np.repeat(gstart[grank], sizes)
+    blocks = {g: tuple(x.tolist()) for g, x in
+              zip(gids, np.split(merged % stride, gstart[1:]))}
+    # fine column (node, i, j) -> group column of the pair (loc[i], loc[j])
+    node, i, j, _, _ = bs.columns
+    k = np.searchsorted(ids, node)
+    a, b = loc[fstart[k] + i], loc[fstart[k] + j]
+    D = gsize[grank[k]]
+    ntri = gsize * (gsize + 1) // 2
+    col = (np.cumsum(ntri) - ntri)[grank[k]] + a * D - a * (a - 1) // 2 + b - a
+    # copied, as sum_duplicates sorts in place
+    rows = sp.csr_matrix((bs.rows.data, col[bs.rows.indices], bs.rows.indptr),
+                         shape=(bs.rows.shape[0], int(ntri.sum())), copy=True)
+    rows.sum_duplicates()
+    # members' null vectors side by side in their group's rows
+    q = np.array([np.shape(bs.null_mats[t])[1] for t in ids], dtype=np.int64)
+    gq = np.bincount(grank, weights=q, minlength=len(gids)).astype(np.int64)
+    # each member's first null column within its group, members in node order
+    order = np.argsort(grank, kind="stable")
+    qstart = np.empty_like(q)
+    qstart[order] = np.cumsum(q[order]) - q[order] - (
+        np.cumsum(gq) - gq)[grank[order]]
+    # entry (r, h) of member t's null_mats goes to row loc of its r-th
+    # index and column qstart[t] + h of its group's matrix
+    vals = np.concatenate([np.asarray(bs.null_mats[t], dtype=float).ravel()
+                           for t in ids])
+    owner = np.repeat(np.arange(len(ids)), sizes * q)
+    within = np.arange(vals.size) - np.repeat(np.cumsum(sizes * q)
+                                              - sizes * q, sizes * q)
+    r, h = within // q[owner], within % q[owner]
+    gbase = np.cumsum(gsize * gq) - gsize * gq
+    null = np.zeros(int((gsize * gq).sum()))
+    null[gbase[grank[owner]] + loc[fstart[owner] + r] * gq[grank[owner]]
+         + qstart[owner] + h] = vals
+    null_mats = {g: null[o:o + d * w].reshape(d, w) for g, o, d, w in
+                 zip(gids, gbase.tolist(), gsize.tolist(), gq.tolist())}
+    place = {t: (top[t], loc[o:o + d]) for t, o, d in
+             zip(ids, fstart.tolist(), sizes.tolist())}
+    return BlockSdp(n_ext=bs.n_ext, blocks=blocks, rows=rows,
+                    bounds=bs.bounds, null_mats=null_mats,
+                    overlaps=[]), place
+
+
 def admm_solve(bs, params=None):
     """Solve the coupled block problem; returns ({t: Y_t}, SolveStats).
 
-    The blocks are grouped by (size d, face dimension), groups and members
+    The ADMM runs on the merged problem of _merge_pairs, and every fine
+    block Y_t, t in bs.blocks, is sliced out of its group's block, so fine
+    blocks of one group agree bitwise on their shared pairs; block_ranks
+    count the fine blocks.  Below, "blocks" are the merged ones.  The
+    blocks are grouped by (size d, face dimension), groups and members
     in node order, and each group is one contiguous slab of full d x d
     matrices in the stacked block vector y.  The sparse gather matrix G
     copies the consensus x into both triangles of every block holding a
@@ -133,6 +223,7 @@ def admm_solve(bs, params=None):
     value) raises AdmmDivergence carrying the stats.
     """
     params = params or AdmmParams()
+    bs, place = _merge_pairs(bs)
     ids = sorted(bs.blocks)
     basis = dict(zip(ids, _face_bases([bs.null_mats[t] for t in ids],
                                       [len(bs.blocks[t]) for t in ids])))
@@ -253,8 +344,8 @@ def admm_solve(bs, params=None):
         slot = (slot + 1) % AA_MEMORY
         zeta, ev = new, ev_new
 
-    blocks = {t: v[offset[t]:offset[t] + len(Q) ** 2].reshape(len(Q), -1)
-              for t, Q in basis.items()}
+    blocks = {t: v[offset[g] + len(basis[g]) * r[:, None] + r]
+              for t, (g, r) in place.items()}
     ranks = _block_ranks(blocks)
     stats = SolveStats(iterations=it, primal_residual=float(pri),
                        dual_residual=float(dua), objective=float(c @ x),

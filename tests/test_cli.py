@@ -49,6 +49,34 @@ def test_gen_convert_solve_recover_files(tmp_path):
     assert rep["n_hat"] == rep["n"] + rep["k"] * rep["ell"]
 
 
+def test_solve_writes_one_block_per_fine_node(tmp_path):
+    # the solver merges parent-child pairs internally; its solution file,
+    # the recovered certificate and the export stay those of the fine tree
+    f = {name: tmp_path / name for name in
+         ("p.json", "e.json", "rep.json", "x.dat-s", "s.json", "r.json")}
+    assert run(["gen", "minbisect", "-n", "12", "--seed", "3",
+                "--out", str(f["p.json"])]) == 0
+    assert run(["convert", "--in", str(f["p.json"]), "--out", str(f["e.json"]),
+                "--report", str(f["rep.json"])]) == 0
+    assert run(["export", "--in", str(f["e.json"]),
+                "--out", str(f["x.dat-s"])]) == 0
+    assert hashlib.sha256(f["x.dat-s"].read_bytes()).hexdigest() == (
+        "188795f9feb59c433b0105d0e789b8f6ad84421888486b8a3dc8f7f7f495cc49")
+    assert run(["solve", "--in", str(f["e.json"]), "--tol", "1e-8",
+                "--max-iter", "20000", "--out", str(f["s.json"])]) == 0
+    ext = fileio.extended_from_dict(_load(f["e.json"]))
+    blocks = _load(f["s.json"])["blocks"]
+    assert sorted(map(int, blocks)) == sorted(ext.pattern.ext_bags)
+    for t, Y in blocks.items():
+        d = len(ext.pattern.ext_bags[int(t)])
+        assert np.shape(Y) == (d, d)
+    assert run(["recover", "--extended-solution", str(f["s.json"]),
+                "--out", str(f["r.json"])]) == 0
+    rec = _load(f["r.json"])
+    assert rec["mode"] == "tree" and rec["certified_bound"] == 8
+    assert rec["rank"] <= rec["certified_bound"]
+
+
 def test_shell_pipeline_matches_the_documented_flow(tmp_path):
     exe = shutil.which("splrsdp")
     if exe is None:

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_problem_infinite_bounds_travel_as_null():
     q = fileio.problem_from_dict(_rt(d))
     assert any(np.isinf(c.upper) for c in q.constraints)
     assert all(np.isfinite(c.lower) for c in q.constraints)
+
+
+def test_problem_with_a_nan_bound_is_refused_before_writing(tmp_path):
+    p = gen_simex(5)
+    p.constraints[0] = replace(p.constraints[0], lower=float("nan"))
+    path = tmp_path / "p.json"
+    with pytest.raises(ValueError, match="constraint 1 has a NaN bound"):
+        fileio.save(fileio.problem_to_dict(p), str(path))
+    assert not path.exists()
 
 
 def test_problem_schema_and_m_guards():
