@@ -6,6 +6,7 @@ path.
 """
 
 import json
+import math
 from itertools import chain, islice
 
 import numpy as np
@@ -112,7 +113,7 @@ def problem_to_dict(p):
     """The problem file's dict; a NaN bound raises ValueError, as null
     would read back as an infinite one."""
     nan = [r for r, c in enumerate(p.constraints, start=1)
-           if np.isnan(c.lower) or np.isnan(c.upper)]
+           if math.isnan(c.lower) or math.isnan(c.upper)]
     if nan:
         raise ValueError("constraint %d has a NaN bound" % nan[0])
     return {
