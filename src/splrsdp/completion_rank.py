@@ -464,7 +464,8 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
     agree on their overlaps (chordal_conversion.assemble), completed at
     minimum rank along the extended clique tree on the faces of the
     accumulator constraints, and restricted to the original rows.  Solver
-    output too inexact for any of these steps raises RecoveryError.  mode
+    output too inexact for any of these steps raises RecoveryError, and a
+    block_solution whose keys are not exactly bs's nodes ValueError.  mode
     defaults to "path" exactly when no node of ext.pattern.td has two
     children.
 
@@ -475,6 +476,13 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
     """
     from .chordal_conversion import assemble
 
+    missing = [t for t in sorted(bs.blocks) if t not in block_solution]
+    if missing:
+        raise ValueError("block solution has no block %s" % missing[0])
+    extra = [t for t in block_solution if t not in bs.blocks]
+    if extra:
+        raise ValueError("block solution has block %s, which is no tree node"
+                         % extra[0])
     pat = ext.pattern
     td = pat.td
     # reduce_block, assemble and _block_ranks each symmetrize

@@ -54,7 +54,7 @@ REPORT_SCHEMA = "splr-report/1"
 
 
 def _bound_out(v):
-    return None if not np.isfinite(v) else float(v)
+    return None if not math.isfinite(v) else float(v)
 
 
 def _bound_in(v, sign):
@@ -267,15 +267,22 @@ def params_to_dict(par):
 
 
 def params_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError("solver parameters must be a JSON object")
     base = params_to_dict(AdmmParams())
     unknown = set(d) - set(base)
     if unknown:
         raise ValueError("unknown solver parameters: %s" % sorted(unknown))
-    base.update(d)
-    return AdmmParams(rho=float(base["rho"]), max_iter=int(base["max_iter"]),
-                      tol_primal=float(base["tol_primal"]),
-                      tol_dual=float(base["tol_dual"]),
-                      seed=int(base["seed"]))
+    par = {}
+    # each value takes the type of its default
+    for key, default in base.items():
+        value = d.get(key, default)
+        try:
+            par[key] = type(default)(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("solver parameter %s must be a number, got %r"
+                             % (key, value)) from None
+    return AdmmParams(**par)
 
 
 def dump(d, fh):

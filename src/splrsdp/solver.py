@@ -18,13 +18,12 @@ makes it usable as an independent cross-check.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chordal_conversion import BlockSdp
+from .chordal_conversion import _columns
 from .completion_rank import (_block_ranks, _face_basis, _face_bases,
                               _psd_factor, _svec, _sym, _unsvec)
 
@@ -109,21 +108,19 @@ def project_null_psd(M, null_vectors):
 
 
 def _merge_pairs(bs):
-    """The block problem on parent-child groups of bs's tree.
+    """The solver's layout of bs on parent-child groups of its tree.
 
     Parents first along bs.overlaps, a node joins its parent's group while
     that group has fewer than GROUP_SIZE nodes and otherwise starts its
     own; a group is labelled by its top node.  Its block is the sorted
-    union of its members' index sets, its null vectors are the members'
-    null_mats embedded in its rows and stacked side by side (for PSD Y,
-    a^T Y a = 0 on the group block is a_t^T Y_t a_t = 0 on the member's
-    principal submatrix), and each data entry moves from its fine column
-    to the group column holding the same pair.  The fine blocks are
-    principal submatrices of the group blocks, so the merged problem has
-    the fine problem's feasible values and objective.  Returns (merged
-    BlockSdp, {t: (group, rows of bs.blocks[t] in the group block)}); the
-    merged problem carries no overlaps, as the solver reads the coupling
-    from the shared pairs.
+    union of its members' index sets, and its null vectors are the
+    members' null_mats embedded in its rows and stacked side by side (for
+    PSD Y, a^T Y a = 0 on the group block is a_t^T Y_t a_t = 0 on the
+    member's principal submatrix).  The fine blocks are principal
+    submatrices of the group blocks, so solving on the groups has the fine
+    problem's feasible values and objective.  Returns (blocks, null_mats,
+    place), the first two keyed by group and place[t] = (group, rows of
+    bs.blocks[t] in the group block).
     """
     ids = sorted(bs.blocks)
     top = dict(zip(ids, ids))
@@ -133,65 +130,28 @@ def _merge_pairs(bs):
         if size[g] < GROUP_SIZE:
             top[t] = g
             size[g] += 1
-    gids = sorted(set(top.values()))
-    # every fine block's indices, blocks in node order, keyed by group rank
-    sizes = np.array([len(bs.blocks[t]) for t in ids], dtype=np.int64)
-    fstart = np.cumsum(sizes) - sizes
-    flat = np.fromiter(chain.from_iterable(bs.blocks[t] for t in ids),
-                       dtype=np.int64, count=int(sizes.sum()))
-    grank = np.searchsorted(gids, [top[t] for t in ids])
-    stride = bs.n_ext + 1
-    key = np.repeat(grank, sizes) * stride + flat
-    merged, loc = np.unique(key, return_inverse=True)
-    gsize = np.bincount(merged // stride, minlength=len(gids))
-    gstart = np.cumsum(gsize) - gsize
-    loc = loc.ravel() - np.repeat(gstart[grank], sizes)
-    blocks = {g: tuple(x.tolist()) for g, x in
-              zip(gids, np.split(merged % stride, gstart[1:]))}
-    # fine column (node, i, j) -> group column of the pair (loc[i], loc[j])
-    node, i, j, _, _ = bs.columns
-    k = np.searchsorted(ids, node)
-    a, b = loc[fstart[k] + i], loc[fstart[k] + j]
-    D = gsize[grank[k]]
-    ntri = gsize * (gsize + 1) // 2
-    col = (np.cumsum(ntri) - ntri)[grank[k]] + a * D - a * (a - 1) // 2 + b - a
-    # copied, as sum_duplicates sorts in place
-    rows = sp.csr_matrix((bs.rows.data, col[bs.rows.indices], bs.rows.indptr),
-                         shape=(bs.rows.shape[0], int(ntri.sum())), copy=True)
-    rows.sum_duplicates()
-    # members' null vectors side by side in their group's rows
-    q = np.array([np.shape(bs.null_mats[t])[1] for t in ids], dtype=np.int64)
-    gq = np.bincount(grank, weights=q, minlength=len(gids)).astype(np.int64)
-    # each member's first null column within its group, members in node order
-    order = np.argsort(grank, kind="stable")
-    qstart = np.empty_like(q)
-    qstart[order] = np.cumsum(q[order]) - q[order] - (
-        np.cumsum(gq) - gq)[grank[order]]
-    # entry (r, h) of member t's null_mats goes to row loc of its r-th
-    # index and column qstart[t] + h of its group's matrix
-    vals = np.concatenate([np.asarray(bs.null_mats[t], dtype=float).ravel()
-                           for t in ids])
-    owner = np.repeat(np.arange(len(ids)), sizes * q)
-    within = np.arange(vals.size) - np.repeat(np.cumsum(sizes * q)
-                                              - sizes * q, sizes * q)
-    r, h = within // q[owner], within % q[owner]
-    gbase = np.cumsum(gsize * gq) - gsize * gq
-    null = np.zeros(int((gsize * gq).sum()))
-    null[gbase[grank[owner]] + loc[fstart[owner] + r] * gq[grank[owner]]
-         + qstart[owner] + h] = vals
-    null_mats = {g: null[o:o + d * w].reshape(d, w) for g, o, d, w in
-                 zip(gids, gbase.tolist(), gsize.tolist(), gq.tolist())}
-    place = {t: (top[t], loc[o:o + d]) for t, o, d in
-             zip(ids, fstart.tolist(), sizes.tolist())}
-    return BlockSdp(n_ext=bs.n_ext, blocks=blocks, rows=rows,
-                    bounds=bs.bounds, null_mats=null_mats,
-                    overlaps=[]), place
+    members = {}
+    for t in ids:
+        members.setdefault(top[t], []).append(t)
+    blocks, null_mats, place = {}, {}, {}
+    for g in sorted(members):
+        block = np.unique(np.concatenate([bs.blocks[t] for t in members[g]]))
+        mats = [np.asarray(bs.null_mats[t], dtype=float) for t in members[g]]
+        null = np.zeros((block.size, sum(a.shape[1] for a in mats)))
+        h = 0
+        for t, a in zip(members[g], mats):
+            rows = np.searchsorted(block, bs.blocks[t])
+            null[rows, h:h + a.shape[1]] = a
+            h += a.shape[1]
+            place[t] = (g, rows)
+        blocks[g], null_mats[g] = block, null
+    return blocks, null_mats, place
 
 
 def admm_solve(bs, params=None):
     """Solve the coupled block problem; returns ({t: Y_t}, SolveStats).
 
-    The ADMM runs on the merged problem of _merge_pairs, and every fine
+    The ADMM runs on the merged blocks of _merge_pairs, and every fine
     block Y_t, t in bs.blocks, is sliced out of its group's block, so fine
     blocks of one group agree bitwise on their shared pairs; block_ranks
     count the fine blocks.  Below, "blocks" are the merged ones.  The
@@ -201,8 +161,9 @@ def admm_solve(bs, params=None):
     copies the consensus x into both triangles of every block holding a
     pair (weight 1/sqrt(2) off the diagonal), so ||G x - y|| is the svec
     distance, G^T y is the svec sum and G^T G the diagonal of pair
-    multiplicities.  With the data rows A this is one splitting K x = v,
-    K = [G; A], v = [y; z] and scaled dual u = [lam; w].
+    multiplicities.  The data rows A are bs.rows with each fine column
+    moved to the consensus coordinate of its index pair, which makes one
+    splitting K x = v, K = [G; A], v = [y; z] and scaled dual u = [lam; w].
 
     The ADMM runs as Douglas-Rachford on zeta = K x + u: with P the
     projection of every slab onto its PSD face and of z into its interval
@@ -223,10 +184,10 @@ def admm_solve(bs, params=None):
     value) raises AdmmDivergence carrying the stats.
     """
     params = params or AdmmParams()
-    bs, place = _merge_pairs(bs)
-    ids = sorted(bs.blocks)
-    basis = dict(zip(ids, _face_bases([bs.null_mats[t] for t in ids],
-                                      [len(bs.blocks[t]) for t in ids])))
+    blocks, null_mats, place = _merge_pairs(bs)
+    ids = sorted(blocks)
+    basis = dict(zip(ids, _face_bases([null_mats[t] for t in ids],
+                                      [len(blocks[t]) for t in ids])))
     groups = {}
     for t in ids:
         groups.setdefault(basis[t].shape, []).append(t)
@@ -237,12 +198,14 @@ def admm_solve(bs, params=None):
         slabs.append((slice(offset[members[0]], ny), d,
                       np.stack([basis[t] for t in members])))
 
-    node, i, j, pu, pv = bs.columns
-    _, first, inv = np.unique(pu * (bs.n_ext + 1) + pv, return_index=True,
-                              return_inverse=True)
+    node, i, j, pu, pv = _columns(blocks)
+    stride = bs.n_ext + 1
+    keys, first, inv = np.unique(pu * stride + pv, return_index=True,
+                                 return_inverse=True)
     # consensus coordinates: index pairs in order of first appearance
-    _, cols = np.unique(first[inv], return_inverse=True)
-    L, N = cols.size, first.size
+    rank = np.argsort(np.argsort(first))
+    cols = rank[inv]
+    N = first.size
     # each column's place in its block's slab, and that of its mirror entry
     k = np.searchsorted(ids, node)
     d, base = np.array([(len(basis[t]), offset[t]) for t in ids])[k].T
@@ -252,11 +215,14 @@ def admm_solve(bs, params=None):
     G = sp.csr_matrix((np.concatenate([weight, weight[~diag]]),
                        (np.concatenate([at, (base + j * d + i)[~diag]]),
                         np.concatenate([cols, cols[~diag]]))), shape=(ny, N))
-    # data rows in consensus coordinates: rows . diag(svec scale) . 0/1 map
-    scaled = bs.rows.copy()
-    scaled.data *= np.where(diag, 1.0, np.sqrt(2.0))[scaled.indices]
-    rows = scaled @ sp.csr_matrix((np.ones(L), (np.arange(L), cols)),
-                                  shape=(L, N))
+    # data rows in consensus coordinates, svec-scaled: a row holds each pair
+    # once, so each fine column maps to its pair's coordinate alone
+    _, fi, fj, fu, fv = bs.columns
+    fcol = rank[np.searchsorted(keys, fu * stride + fv)]
+    scale = np.where(fi == fj, 1.0, np.sqrt(2.0))
+    rows = sp.csr_matrix((bs.rows.data * scale[bs.rows.indices],
+                          fcol[bs.rows.indices], bs.rows.indptr),
+                         shape=(bs.rows.shape[0], N))
     c = rows[0].toarray().ravel()
     K = sp.vstack([G, rows[1:]]).tocsr()
     # stored transpose: building a .T view costs more than the product

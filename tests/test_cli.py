@@ -455,3 +455,50 @@ def test_report_of_solution_carries_stats(tmp_path):
     d = _load(rep)
     assert d["kind"] == fileio.SOLUTION_SCHEMA
     assert d["converged"] is True and d["iterations"] > 0
+
+
+def _solved_simex(tmp_path):
+    """gen simex -n 5 | convert | solve, as files; returns the solution's."""
+    p, e, s = (tmp_path / name for name in ("p.json", "e.json", "s.json"))
+    assert run(["gen", "simex", "-n", "5", "--out", str(p)]) == 0
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    assert run(["solve", "--in", str(e), "--out", str(s)]) == 0
+    return s
+
+
+@pytest.mark.parametrize("edit, named", [("drop", "no block 3"),
+                                         ("add", "block 99")])
+def test_recover_refuses_block_ids_off_the_tree(tmp_path, capsys, edit, named):
+    s = _solved_simex(tmp_path)
+    d = _load(s)
+    assert "3" in d["blocks"] and "99" not in d["blocks"]
+    if edit == "drop":
+        del d["blocks"]["3"]
+    else:
+        d["blocks"]["99"] = d["blocks"]["3"]
+    fileio.save(d, str(s))
+    capsys.readouterr()
+    assert run(["recover", "--extended-solution", str(s),
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "splrsdp: invalid input: block solution has %s" % named in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("params, named", [
+    ('{"tol_primal": null}', "tol_primal"),
+    ('{"rho": [1]}', "rho"),
+    ('{"max_iter": 1e400}', "max_iter"),
+    ("[1, 2]", "must be a JSON object"),
+])
+def test_solve_rejects_malformed_params_files(tmp_path, capsys, params, named):
+    p = tmp_path / "p.json"
+    assert run(["gen", "simex", "-n", "5", "--out", str(p)]) == 0
+    (tmp_path / "par.json").write_text(params)
+    capsys.readouterr()
+    assert run(["solve", "--in", str(p), "--params", str(tmp_path / "par.json"),
+                "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: ")
+    assert named in err
+    assert "Traceback" not in err
