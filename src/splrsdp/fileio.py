@@ -251,7 +251,14 @@ def solution_from_dict(d):
     """Returns (blocks dict, stats dict or None, ExtendedSdp or None)."""
     if d.get("schema") != SOLUTION_SCHEMA:
         raise ValueError("not a solution file (schema %r)" % d.get("schema"))
-    blocks = {int(t): np.asarray(Y, dtype=float) for t, Y in d["blocks"].items()}
+    blocks = {}
+    for t, Y in d["blocks"].items():
+        try:
+            node = int(t)
+        except ValueError:
+            raise ValueError("solution blocks key %r is not an integer node id"
+                             % t) from None
+        blocks[node] = np.asarray(Y, dtype=float)
     ext = extended_from_dict(d["extended"]) if "extended" in d else None
     return blocks, d.get("stats"), ext
 
@@ -266,6 +273,24 @@ def params_to_dict(par):
     }
 
 
+def _param(key, value, default):
+    """value as the type of default; a value the cast would change (a
+    string, a bool, a fractional count, a negative seed) raises."""
+    kind = type(default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        why = "must be a number"
+    elif kind is int and isinstance(value, float) and not value.is_integer():
+        why = "must be an integer"
+    elif key == "seed" and value < 0:
+        why = "must be non-negative"
+    else:
+        try:
+            return kind(value)
+        except OverflowError:
+            why = "is out of range"
+    raise ValueError("solver parameter %s %s, got %r" % (key, why, value))
+
+
 def params_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError("solver parameters must be a JSON object")
@@ -273,20 +298,18 @@ def params_from_dict(d):
     unknown = set(d) - set(base)
     if unknown:
         raise ValueError("unknown solver parameters: %s" % sorted(unknown))
-    par = {}
-    # each value takes the type of its default
-    for key, default in base.items():
-        value = d.get(key, default)
-        try:
-            par[key] = type(default)(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("solver parameter %s must be a number, got %r"
-                             % (key, value)) from None
-    return AdmmParams(**par)
+    return AdmmParams(**{key: _param(key, d.get(key, default), default)
+                         for key, default in base.items()})
 
 
 def dump(d, fh):
-    json.dump(d, fh, indent=2, sort_keys=True, allow_nan=False)
+    # the indenting encoder is pure Python and yields one short string per
+    # token, which json.dump writes one by one; joined in batches they make
+    # a few large writes, and unlike json.dumps the whole text is never held
+    chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                              allow_nan=False).iterencode(d)
+    for part in iter(lambda: "".join(islice(chunks, 1 << 14)), ""):
+        fh.write(part)
     fh.write("\n")
 
 

@@ -121,6 +121,23 @@ def test_verify_passes_on_matching_pair_and_fails_on_mismatch(tmp_path):
     assert _load(tmp_path / "w.json")["ok"] is False
 
 
+def test_verify_fails_on_an_extension_with_a_perturbed_factor_row(tmp_path):
+    # the extension file's factor fills the accumulator rows, so with one
+    # row off they no longer carry the problem's low-rank part to the root
+    p, e, v = (tmp_path / name for name in ("p.json", "e.json", "v.json"))
+    assert run(["gen", "simex", "-n", "12", "--out", str(p)]) == 0
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    d = _load(e)
+    d["base"]["factor"][4][0] += 0.25
+    fileio.save(d, str(e))
+    assert run(["verify", "--problem", str(p), "--extension", str(e),
+                "--out", str(v)]) == 1
+    rep = _load(v)
+    assert rep["ok"] is False
+    assert rep["max_value_mismatch"] > 1e-3
+    assert rep["max_null_residual"] <= 1e-10
+
+
 def _save_exact_lift(path, ext, bs, R):
     """Save the exact lift of the point R R^T over ext as a solution file."""
     L = extend_solution(ext, FactoredSolution(R)).factor
@@ -485,11 +502,31 @@ def test_recover_refuses_block_ids_off_the_tree(tmp_path, capsys, edit, named):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_recover_names_a_block_key_that_is_not_an_integer(tmp_path, capsys):
+    s = _solved_simex(tmp_path)
+    d = _load(s)
+    d["blocks"]["abc"] = d["blocks"].pop("3")
+    fileio.save(d, str(s))
+    capsys.readouterr()
+    assert run(["recover", "--extended-solution", str(s),
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "splrsdp: invalid input: solution blocks key 'abc'" in err
+    assert "invalid literal" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("params, named", [
     ('{"tol_primal": null}', "tol_primal"),
     ('{"rho": [1]}', "rho"),
     ('{"max_iter": 1e400}', "max_iter"),
     ("[1, 2]", "must be a JSON object"),
+    # values the type cast would change: 2.7 ran 2 iterations, the strings
+    # were taken as numbers, and -1 failed later without naming the key
+    ('{"max_iter": 2.7}', "max_iter must be an integer, got 2.7"),
+    ('{"seed": "4"}', "seed must be a number, got '4'"),
+    ('{"rho": "1.0"}', "rho must be a number, got '1.0'"),
+    ('{"seed": -1}', "seed must be non-negative, got -1"),
 ])
 def test_solve_rejects_malformed_params_files(tmp_path, capsys, params, named):
     p = tmp_path / "p.json"

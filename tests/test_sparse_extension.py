@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splrsdp import sparse_extension
+from splrsdp.chordal_conversion import convert_problem
 from splrsdp.graph_core import (
     Graph,
     TreeDecomposition,
@@ -11,6 +17,7 @@ from splrsdp.graph_core import (
     validate_decomposition,
     width,
 )
+from splrsdp.instances import gen_simex
 from splrsdp.sdp_model import (
     Constraint,
     FactoredSolution,
@@ -223,6 +230,95 @@ def test_verify_extension_report():
     assert rep["max_null_residual"] <= 1e-10
     assert rep["max_value_mismatch"] <= 1e-9
     assert rep["max_restriction_error"] == 0.0
+
+
+def _loop_extend(ext, R):
+    """extend_solution one node, column and vertex at a time."""
+    pat = ext.pattern
+    out = np.zeros((pat.n_ext, R.shape[1]))
+    out[:pat.n] = R
+    for t in range(1, pat.k + 1):
+        for h in range(pat.ell):
+            row = np.zeros(R.shape[1])
+            for v in pat.w[t]:
+                row += ext.base.factor[v - 1, h] * R[v - 1]
+            for j in pat.td.children(t):
+                row += out[pat.u[j][h] - 1]
+            out[pat.u[t][h] - 1] = row
+    return out
+
+
+def _loop_null_residuals(ext, L):
+    """null_residuals one node at a time."""
+    out = {}
+    for t, A in ext.a_mats.items():
+        G = A.T @ L[[v - 1 for v in sorted(ext.pattern.ext_bags[t])]]
+        out[t] = float(np.abs(G @ G.T).max())
+    return out
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 12),
+       ell=st.integers(1, 2))
+def test_lift_and_null_residuals_match_a_loop_reference(seed, nodes, ell):
+    rng = np.random.default_rng(seed)
+    g, td = random_valid_td(rng, nodes)
+    p = random_splr_problem(rng, g.n, ell, graph=g)
+    ext = build_extension(p, root_binary(to_binary(td)))
+    # rank 0 included: the lift of X = 0 has no columns either
+    R = rng.standard_normal((g.n, int(rng.integers(0, 4))))
+    # same sums in the same order: bitwise equal
+    L = extend_solution(ext, FactoredSolution(R)).factor
+    assert np.array_equal(L, _loop_extend(ext, R))
+    # at a point that is no lift the residuals are far from zero
+    for F in (L, rng.standard_normal(L.shape)):
+        got = null_residuals(ext, FactoredSolution(F))
+        want = _loop_null_residuals(ext, F)
+        assert list(got) == list(want)
+        assert np.allclose(list(got.values()), list(want.values()),
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("fault", ["aux sign", "factor row"])
+def test_verify_extension_fails_on_a_broken_accumulator(monkeypatch, fault):
+    rng = np.random.default_rng(29)
+    p = random_splr_problem(rng, 12, 2)
+    h, _ = chordal_complete(p.pattern)
+    ext = build_extension(p, root_binary(to_binary(clique_tree(h))))
+    pat = ext.pattern
+    t = next(t for t in pat.td.nodes if pat.w[t])
+    bag = sorted(pat.ext_bags[t])
+    if fault == "aux sign":
+        ext.a_mats[t][bag.index(pat.u[t][1]), 1] *= -1.0
+    else:
+        ext.a_mats[t][bag.index(min(pat.w[t])), 0] += 0.5
+    ranks = []
+
+    def recording(ext, sol):
+        ranks.append(sol.factor.shape[1])
+        return extend_solution(ext, sol)
+
+    monkeypatch.setattr(sparse_extension, "extend_solution", recording)
+    rep = verify_extension(p, ext, samples=5, seed=3)
+    assert 1 <= min(ranks) and max(ranks) <= p.ell + 2
+    assert rep["ok"] is False
+    assert rep["max_null_residual"] > 1e-3
+    assert rep["max_value_mismatch"] <= 1e-9
+
+
+def test_verify_extension_memory_is_linear_in_n():
+    # a sample's factor has at most ell + 2 columns; with its rank drawn up
+    # to n, this call peaked at 164 MB
+    p = gen_simex(2000)
+    ext, _, _ = convert_problem(p)
+    tracemalloc.start()
+    try:
+        rep = verify_extension(p, ext, samples=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"]
+    assert peak < 4e6
 
 
 def test_build_extension_rejects_bad_decomposition():
