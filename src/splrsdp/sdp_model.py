@@ -215,11 +215,13 @@ def _core_gram(p, sol):
     return p.factor.T @ np.asarray(sol) @ p.factor
 
 
-def _values(terms, sol, core_gram):
+def _values(terms, sol, core_gram, entries=None):
     """Every term's <A, X> at once: the sparse part against X plus core .
     core_gram (see _core_gram).  `sol` is a FactoredSolution or a dense X.
+    `entries` is _entries(terms) when the caller evaluates the same terms
+    at many points, so the entry dicts are read once.
     """
-    row, i, j, v = _entries(terms)
+    row, i, j, v = _entries(terms) if entries is None else entries
     if isinstance(sol, FactoredSolution):
         R = sol.factor
         x = np.empty(i.size)

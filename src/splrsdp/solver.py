@@ -7,14 +7,15 @@ works on a consensus vector x over the union of block entry positions
 (off-diagonal entries scaled by sqrt(2) so inner products are dot
 products).  Block iterates are full d x d matrices stored in slabs, one slab
 per (block size, face dimension) group, and with the data row values they
-form one vector v = K x at consensus, K = [G; A] stacking the gather matrix
-G and the data rows A.  Each evaluation of the ADMM map projects each slab
-onto its null-constrained PSD faces with one batched eigh, clips row values
-into their interval bounds, and solves a prefactored least-squares system
-for the consensus; safeguarded Anderson acceleration of that map picks the
-steps.  The dense reference solver runs plain ADMM on the full matrix of
-the original problem and shares no conversion or projection code, which
-makes it usable as an independent cross-check.
+form one vector v = K x at consensus, K = [G; W A] stacking the gather
+matrix G and the data rows A weighted by W = DATA_WEIGHT.  Each evaluation
+of the ADMM map projects each slab onto its null-constrained PSD faces with
+one batched eigh, clips row values into their interval bounds, and solves a
+prefactored least-squares system for the consensus; safeguarded Anderson
+acceleration of that map picks the steps.  The dense reference solver
+runs plain ADMM on the full matrix of the original problem and shares no
+conversion or projection code, which makes it usable as an independent
+cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ __all__ = [
 
 AA_MEMORY = 10  # Anderson acceleration memory of admm_solve
 GROUP_SIZE = 2  # fine tree nodes per merged block of admm_solve
+DATA_WEIGHT = 2.0  # scale of admm_solve's data rows and bounds in K
 
 
 @dataclass
@@ -163,25 +165,32 @@ def admm_solve(bs, params=None):
     distance, G^T y is the svec sum and G^T G the diagonal of pair
     multiplicities.  The data rows A are bs.rows with each fine column
     moved to the consensus coordinate of its index pair, which makes one
-    splitting K x = v, K = [G; A], v = [y; z] and scaled dual u = [lam; w].
+    splitting K x = v, K = [G; W A], v = [y; z] and scaled dual u = [lam; w].
+    The data rows and their bounds are scaled by W = DATA_WEIGHT, which
+    penalises them W^2 times as hard as the block copies (the per-row
+    penalty of OSQP and COSMO) and changes neither the feasible set nor
+    the objective c, the objective row.
 
     The ADMM runs as Douglas-Rachford on zeta = K x + u: with P the
     projection of every slab onto its PSD face and of z into its interval
     bounds, and X(w) the x minimising c.x + rho/2 ||K x - w||^2, one step
     is T(zeta) = zeta - P(zeta) + K X(2 P(zeta) - zeta).  Each evaluation
     of T yields v = P(zeta), u = zeta - v (exactly complementary to v) and
-    x; the primal residual is ||K x - v|| over max(1, ||K x||, ||v||) and
-    the dual residual ||c + rho K^T u|| over max(1, ||rho K^T u||).  Type-II
-    Anderson acceleration with memory AA_MEMORY proposes a candidate from
-    the last steps; the safeguard takes it only if its fixed-point residual
-    ||T(c) - c|| is no larger than the plain step's ||T(zeta) - zeta||, and
-    otherwise takes the plain step T(zeta).  One iteration is one step
-    taken, so it costs one evaluation of T, or two when the candidate is
-    rejected; max_iter caps these steps and per-iteration timings divide
-    by them.  Every 25 iterations rho is doubled or halved when one
-    residual exceeds the other tenfold, which clears the memory.
-    Divergence (combined residual growing past 1e6 times its starting
-    value) raises AdmmDivergence carrying the stats.
+    x; the primal residual is ||K x - v|| over max(1, ||K x||, ||v||), each
+    vector's data part divided by W first, so it is that of the unweighted
+    rows and tol_primal, history and stats keep their meaning.  The dual
+    residual is ||c + rho K^T u|| over max(1, ||rho K^T u||); K^T u = G^T
+    lam + A^T (W w) is already the unweighted problem's, with dual W w on
+    the data rows.  Type-II Anderson acceleration with memory AA_MEMORY
+    proposes a candidate from the last steps; the safeguard takes it only
+    if its fixed-point residual ||T(c) - c|| is no larger than the plain
+    step's ||T(zeta) - zeta||, and otherwise takes the plain step T(zeta).
+    One iteration is one step taken, so it costs one evaluation of T, or
+    two when the candidate is rejected; max_iter caps these steps and
+    per-iteration timings divide by them.  Every 25 iterations rho is
+    doubled or halved when one residual exceeds the other tenfold, which
+    clears the memory.  Divergence (combined residual growing past 1e6
+    times its starting value) raises AdmmDivergence carrying the stats.
     """
     params = params or AdmmParams()
     blocks, null_mats, place = _merge_pairs(bs)
@@ -224,12 +233,20 @@ def admm_solve(bs, params=None):
                           fcol[bs.rows.indices], bs.rows.indptr),
                          shape=(bs.rows.shape[0], N))
     c = rows[0].toarray().ravel()
-    K = sp.vstack([G, rows[1:]]).tocsr()
+    K = sp.vstack([G, DATA_WEIGHT * rows[1:]]).tocsr()
     # stored transpose: building a .T view costs more than the product
     KT = K.T.tocsr()
     solve = spla.factorized((KT @ K).tocsc())
-    lo = np.concatenate([np.full(ny, -np.inf), [b[0] for b in bs.bounds]])
-    hi = np.concatenate([np.full(ny, np.inf), [b[1] for b in bs.bounds]])
+    lo = np.concatenate([np.full(ny, -np.inf),
+                         [DATA_WEIGHT * b[0] for b in bs.bounds]])
+    hi = np.concatenate([np.full(ny, np.inf),
+                         [DATA_WEIGHT * b[1] for b in bs.bounds]])
+    shrink = 1.0 - DATA_WEIGHT ** -2
+
+    def norm(y):
+        """||y|| with the data part divided by DATA_WEIGHT: the norm of the
+        unweighted rows, from two dot products and no copy."""
+        return np.sqrt(y @ y - shrink * (y[ny:] @ y[ny:]))
 
     def project(zeta):
         v = np.clip(zeta, lo, hi)
@@ -264,8 +281,7 @@ def admm_solve(bs, params=None):
     converged = diverged = False
     for it in range(1, params.max_iter + 1):
         v, u, KTu, x, Kx, f = ev
-        pri = np.linalg.norm(f) / max(1.0, np.linalg.norm(Kx),
-                                      np.linalg.norm(v))
+        pri = norm(f) / max(1.0, norm(Kx), norm(v))
         dua = np.linalg.norm(c + rho * KTu) / max(
             1.0, rho * np.linalg.norm(KTu))
         history.append((pri, dua))

@@ -6,11 +6,13 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splrsdp import fileio, solver
 from splrsdp.chordal_conversion import BlockSdp, convert_problem
+from splrsdp.cli import run
 from splrsdp.completion_rank import (_two_child_nodes, bp_bound,
                                      recover_low_rank)
 from splrsdp.graph_core import Graph
-from splrsdp.instances import gen_min_bisection, gen_simex
+from splrsdp.instances import gen_lb_tree, gen_min_bisection, gen_simex
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, Term, eval_constraint, is_feasible)
 from splrsdp.solver import (AdmmDivergence, AdmmParams, _face_basis,
@@ -235,6 +237,66 @@ def test_admm_seed_moves_the_start():
     _, s0 = admm_solve(bs, AdmmParams(max_iter=300, seed=0))
     _, s1 = admm_solve(bs, AdmmParams(max_iter=300, seed=1))
     assert (s0.history[0] != s1.history[0]).any()
+
+
+@pytest.fixture(scope="module")
+def bqp8(tmp_path_factory):
+    """`splrsdp gen bqp -n 8 --binary` at gen's default seed."""
+    path = tmp_path_factory.mktemp("bqp") / "bqp.json"
+    assert run(["gen", "bqp", "-n", "8", "--binary", "--out", str(path)]) == 0
+    return fileio.problem_from_dict(fileio.load(path))
+
+
+def test_data_weight_one_is_the_unweighted_solver(monkeypatch):
+    # the solve before the data rows were weighted took 307 iterations
+    _, bs, _ = convert_problem(gen_lb_tree(1))
+    monkeypatch.setattr(solver, "DATA_WEIGHT", 1.0)
+    _, stats = admm_solve(bs)
+    assert stats.converged and stats.iterations == 307
+
+
+def test_data_weight_cuts_iterations_at_the_same_objective(monkeypatch, bqp8):
+    for p in (gen_lb_tree(1), bqp8):
+        _, bs, _ = convert_problem(p)
+        _, weighted = admm_solve(bs)
+        monkeypatch.setattr(solver, "DATA_WEIGHT", 1.0)
+        _, plain = admm_solve(bs)
+        monkeypatch.undo()
+        assert weighted.converged and plain.converged
+        assert weighted.iterations < plain.iterations
+        assert abs(weighted.objective - plain.objective) <= 1e-4 * (
+            1.0 + abs(plain.objective))
+
+
+@pytest.mark.parametrize("weight", [0.1, 10.0])
+def test_data_weight_is_undone_in_the_primal_residual(monkeypatch, bqp8,
+                                                      weight):
+    # the tolerance is that of the unweighted rows: on the returned blocks
+    # each row lies within 10 tol_primal (on this problem's unit row scale)
+    # of its bounds.  Counting the data part of the residual weighted, or
+    # weighted twice, leaves a row 24 to 170 tol_primal outside at one of
+    # the two weights
+    monkeypatch.setattr(solver, "DATA_WEIGHT", weight)
+    _, bs, _ = convert_problem(bqp8)
+    par = AdmmParams()
+    blocks, stats = admm_solve(bs, par)
+    assert stats.converged and stats.primal_residual <= par.tol_primal
+    vals = block_row_values(bs, blocks)[1:]
+    lo, hi = np.array(bs.bounds).T
+    viol = np.maximum(np.maximum(lo - vals, vals - hi), 0.0)
+    assert viol.max() <= 10 * par.tol_primal * max(1.0, np.abs(vals).max())
+
+
+def test_dense_reference_ignores_the_data_weight(monkeypatch):
+    p = gen_simex(6)
+    par = AdmmParams(max_iter=300)
+    sol, stats = dense_reference_solve(p, par)
+    for weight in (0.1, 10.0):
+        monkeypatch.setattr(solver, "DATA_WEIGHT", weight)
+        sol_w, stats_w = dense_reference_solve(p, par)
+        assert np.array_equal(sol_w.factor, sol.factor)
+        assert np.array_equal(stats_w.history, stats.history)
+        assert stats_w.objective == stats.objective
 
 
 def test_divergence_exception_carries_stats():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,20 @@ def test_verify_extension_report():
     assert rep["max_null_residual"] <= 1e-10
     assert rep["max_value_mismatch"] <= 1e-9
     assert rep["max_restriction_error"] == 0.0
+
+
+def test_verify_extension_gates_value_mismatch_relative_to_the_row():
+    # rows scaled by 1e6 keep their relative rounding, so their absolute
+    # mismatch (about 2e-8 here) passes a gate of 10 tol max(1, |value|)
+    p = gen_simex(10)
+    s = 1e6
+    q = replace(p, constraints=[
+        Constraint(SparseSymMatrix(c.sparse.n, {k: s * v for k, v in c.sparse.entries.items()}),
+                   s * c.core, s * c.lower, s * c.upper) for c in p.constraints])
+    ext, _, _ = convert_problem(q)
+    rep = verify_extension(q, ext, samples=25)
+    assert rep["ok"]
+    assert rep["max_value_mismatch"] > 1e-9
 
 
 def _loop_extend(ext, R):
