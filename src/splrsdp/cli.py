@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
                         gen_lb_tree, gen_min_bisection, gen_phi_witness,
                         gen_simex)
 from .sdp_model import eval_objective, is_feasible
-from .solver import AdmmDivergence, AdmmParams, admm_solve
+from .solver import AdmmParams, admm_solve
 from .sparse_extension import verify_extension
 
 log = logging.getLogger("splrsdp")
@@ -138,31 +139,15 @@ def _load_extended(d):
 def _solver_params(args):
     par = fileio.params_from_dict(fileio.load(args.params)) if args.params \
         else AdmmParams()
-    over = {}
-    if args.tol is not None:
-        over["tol_primal"] = over["tol_dual"] = args.tol
-    for name in ("max_iter", "rho", "seed"):
-        v = getattr(args, name)
-        if v is not None:
-            over[name] = v
-    if over:
-        d = fileio.params_to_dict(par)
-        d.update(over)
-        par = fileio.params_from_dict(d)
-    return par
+    over = {"tol_primal": args.tol, "tol_dual": args.tol,
+            "max_iter": args.max_iter, "rho": args.rho, "seed": args.seed}
+    return replace(par, **{k: v for k, v in over.items() if v is not None})
 
 
 def _cmd_solve(args):
     ext = _load_extended(_read_json(args.infile))
     bs = convert(ext)
-    par = _solver_params(args)
-    try:
-        blocks, stats = admm_solve(bs, par)
-    except AdmmDivergence as err:
-        if args.stats:
-            _write_json(fileio.stats_to_dict(err.stats), args.stats)
-        log.error("solver diverged: %s", err)
-        return 2
+    blocks, stats = admm_solve(bs, _solver_params(args))
     log.info("solved: %d iterations, residuals %.2e/%.2e, objective %.6g",
              stats.iterations, stats.primal_residual, stats.dual_residual,
              stats.objective)
@@ -386,7 +371,7 @@ def run(argv=None):
         log.debug("input failure", exc_info=True)
         print("splrsdp: invalid input: %s" % err, file=sys.stderr)
         return 1
-    except (AdmmDivergence, np.linalg.LinAlgError, RuntimeError) as err:
+    except (np.linalg.LinAlgError, RuntimeError) as err:
         log.debug("numerical failure", exc_info=True)
         print("splrsdp: numerical failure: %s" % err, file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph_core import TreeDecomposition
+from .graph_core import TreeDecomposition, width
 from .sdp_model import RANK_TOL, FactoredSolution, _rank_mask
 from .sparse_extension import restrict_solution
 
@@ -336,6 +336,27 @@ def rank_reduce_affine(slc, feas_tol=1e-6):
     return FactoredSolution(R)
 
 
+def _coupled_slice(G, target, point):
+    """{Y PSD, 2l x 2l : both diagonal blocks I, sym(G Y G^T) = target}
+    for l x 2l G, with the feasible point given.  Each identity row off the
+    diagonal holds two unit entries and rhs 0; each coupling row (a, b),
+    a <= b, is sym(G[a] G[b]^T) with rhs target[a, b]."""
+    ell = G.shape[0]
+    mats, rhs = [], []
+    for off in (0, ell):
+        for a in range(ell):
+            for b in range(a, ell):
+                M = np.zeros((2 * ell, 2 * ell))
+                M[off + a, off + b] = M[off + b, off + a] = 1.0
+                mats.append(M)
+                rhs.append(1.0 if a == b else 0.0)
+    for a in range(ell):
+        for b in range(a, ell):
+            mats.append(_sym(np.outer(G[a], G[b])))
+            rhs.append(target[a, b])
+    return AffineSlice(mats, rhs, point)
+
+
 def reduce_block(Z, v_part, ell):
     """Lower the rank of a two-child block while keeping its data entries.
 
@@ -391,28 +412,11 @@ def reduce_block(Z, v_part, ell):
     Q1, R1_ = q1.T, l1.T
     Q2, R2_ = q2.T, l2.T
     R3_ = l3.T
-    G = np.hstack([R1_, R2_])  # ell x 2ell
-    target = R3_ @ R3_.T
-
-    mats = []
-    rhs = []
-    for blk, off in ((0, 0), (1, ell)):
-        for a in range(ell):
-            for b in range(a, ell):
-                Bmat = np.zeros((2 * ell, 2 * ell))
-                Bmat[off + a, off + b] = 1.0
-                Bmat[off + b, off + a] = 1.0
-                mats.append(Bmat)
-                rhs.append(1.0 if a == b else 0.0)
-    for a in range(ell):
-        for b in range(a, ell):
-            Bmat = _sym(np.outer(G[a], G[b]))
-            mats.append(Bmat)
-            rhs.append(target[a, b])
     Y0 = np.vstack([Q1, Q2]) @ np.vstack([Q1, Q2]).T
-    init_resid = max(abs(float(np.sum(B_ * Y0)) - c) for B_, c in zip(mats, rhs))
-    W = rank_reduce_affine(AffineSlice(mats, rhs, Y0),
-                           feas_tol=max(1e-8, 10.0 * init_resid)).factor
+    slc = _coupled_slice(np.hstack([R1_, R2_]), R3_ @ R3_.T, Y0)
+    init_resid = max(abs(float(np.sum(B_ * Y0)) - c)
+                     for B_, c in zip(slc.mats, slc.rhs))
+    W = rank_reduce_affine(slc, feas_tol=max(1e-8, 10.0 * init_resid)).factor
     Q1n, Q2n = W[:ell], W[ell:]
     P = R1_ @ Q1n + R2_ @ Q2n
     Q3n = np.linalg.pinv(R3_, rcond=PINV_RCOND) @ P
@@ -517,7 +521,7 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
                                  face_mats=ext.a_mats)
     restricted = restrict_solution(full, ext)
 
-    wid = max(len(b) for b in td.bags.values()) - 1
+    wid = width(td)
     if mode == "path":
         cert = wid + pat.ell + 1
     else:

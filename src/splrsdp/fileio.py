@@ -7,6 +7,7 @@ path.
 
 import json
 import math
+from dataclasses import asdict, fields
 from itertools import chain, islice
 
 import numpy as np
@@ -264,42 +265,18 @@ def solution_from_dict(d):
 
 
 def params_to_dict(par):
-    return {
-        "rho": par.rho,
-        "max_iter": par.max_iter,
-        "tol_primal": par.tol_primal,
-        "tol_dual": par.tol_dual,
-        "seed": par.seed,
-    }
-
-
-def _param(key, value, default):
-    """value as the type of default; a value the cast would change (a
-    string, a bool, a fractional count, a negative seed) raises."""
-    kind = type(default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        why = "must be a number"
-    elif kind is int and isinstance(value, float) and not value.is_integer():
-        why = "must be an integer"
-    elif key == "seed" and value < 0:
-        why = "must be non-negative"
-    else:
-        try:
-            return kind(value)
-        except OverflowError:
-            why = "is out of range"
-    raise ValueError("solver parameter %s %s, got %r" % (key, why, value))
+    return asdict(par)
 
 
 def params_from_dict(d):
+    """AdmmParams from a params-file object; a missing key takes its
+    default, and AdmmParams checks the values."""
     if not isinstance(d, dict):
         raise ValueError("solver parameters must be a JSON object")
-    base = params_to_dict(AdmmParams())
-    unknown = set(d) - set(base)
+    unknown = set(d) - {f.name for f in fields(AdmmParams)}
     if unknown:
         raise ValueError("unknown solver parameters: %s" % sorted(unknown))
-    return AdmmParams(**{key: _param(key, d.get(key, default), default)
-                         for key, default in base.items()})
+    return AdmmParams(**d)
 
 
 def dump(d, fh):

@@ -9,7 +9,7 @@ certified rank bound.
 
 import numpy as np
 
-from .completion_rank import AffineSlice
+from .completion_rank import _coupled_slice
 from .graph_core import Graph
 from .sdp_model import Constraint, SparseSymMatrix, SplrSdp, Term
 
@@ -191,11 +191,17 @@ def gen_bqp_relaxation(Q, c, Aeq=None, beq=None, binary_set=()):
                    objective=objective, constraints=cons)
 
 
+def _witness_d(ell):
+    """diag(1, ..., 1, 1/2), the coupling of the witness frame."""
+    D = np.eye(ell)
+    D[ell - 1, ell - 1] = 0.5
+    return D
+
+
 def phi_witness_matrix(ell):
     """The unique element of the coupled slice: identity diagonal blocks
     linked by diag(1, ..., 1, 1/2)."""
-    D = np.eye(ell)
-    D[ell - 1, ell - 1] = 0.5
+    D = _witness_d(ell)
     return np.block([[np.eye(ell), D], [D, np.eye(ell)]])
 
 
@@ -221,33 +227,9 @@ def gen_phi_witness(ell):
     U^T Y U = diag(4, ..., 4, 3) with U = [I; I]."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    dim = 2 * ell
-    mats = []
-    rhs = []
-    for off in (0, ell):
-        for a in range(1, ell + 1):
-            for b in range(a, ell + 1):
-                M = np.zeros((dim, dim))
-                if a == b:
-                    M[off + a - 1, off + a - 1] = 1.0
-                else:
-                    M[off + a - 1, off + b - 1] = 0.5
-                    M[off + b - 1, off + a - 1] = 0.5
-                mats.append(M)
-                rhs.append(1.0 if a == b else 0.0)
-    target = np.full(ell, 4.0)
-    target[ell - 1] = 3.0
-    for a in range(1, ell + 1):
-        ua = np.zeros(dim)
-        ua[a - 1] = 1.0
-        ua[ell + a - 1] = 1.0
-        for b in range(a, ell + 1):
-            ub = np.zeros(dim)
-            ub[b - 1] = 1.0
-            ub[ell + b - 1] = 1.0
-            mats.append(0.5 * (np.outer(ua, ub) + np.outer(ub, ua)))
-            rhs.append(float(target[a - 1]) if a == b else 0.0)
-    return AffineSlice(mats, rhs, phi_witness_matrix(ell))
+    target = np.diag(np.r_[np.full(ell - 1, 4.0), 3.0])
+    return _coupled_slice(np.hstack([np.eye(ell), np.eye(ell)]), target,
+                          phi_witness_matrix(ell))
 
 
 def gen_lb_small(ell):
@@ -311,9 +293,7 @@ def gen_lb_padded(base, sigma, n_hat):
 
 def _default_m_blocks(ell):
     # gluing two copies of the witness frame: M3 = 2(I + D)
-    D = np.eye(ell)
-    D[ell - 1, ell - 1] = 0.5
-    return np.eye(ell), np.eye(ell), 2.0 * (np.eye(ell) + D)
+    return np.eye(ell), np.eye(ell), 2.0 * (np.eye(ell) + _witness_d(ell))
 
 
 def gen_lb_tree(ell, M1=None, M2=None, M3=None):
@@ -393,8 +373,7 @@ def gen_lb_tree(ell, M1=None, M2=None, M3=None):
 
 def lb_tree_feasible_point(ell):
     """Feasible (and optimal) solution of gen_lb_tree with default blocks."""
-    D = np.eye(ell)
-    D[ell - 1, ell - 1] = 0.5
+    D = _witness_d(ell)
     I = np.eye(ell)
     Z = np.zeros((ell, ell))
     Y3 = -I

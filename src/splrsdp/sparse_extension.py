@@ -9,7 +9,7 @@ together, and the low-rank part of every constraint becomes a small dense
 block on the root's auxiliary indices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -42,7 +42,10 @@ class ExtendedPattern:
     Nodes are relabeled 1..k so that children precede parents and the root is
     k.  Auxiliary indices for node t are u[t] = (n+(t-1)ell+1, ..., n+t*ell);
     ext_bags[t] = bag(t) + u[t] + children's u blocks; the solver side works
-    with the chordal cover in which every extended bag is a clique.
+    with the chordal cover in which every extended bag is a clique.  The
+    same sets as flat arrays in label order: bag_verts holds every extended
+    bag sorted, bag_sizes their sizes, held every W_t's vertices and owner
+    the label holding each.
     """
 
     n: int
@@ -52,6 +55,10 @@ class ExtendedPattern:
     w: dict  # node -> frozenset, bag partition
     u: dict  # node -> tuple of auxiliary indices
     ext_bags: dict  # node -> frozenset
+    bag_verts: np.ndarray = field(repr=False, compare=False)
+    bag_sizes: np.ndarray = field(repr=False, compare=False)
+    held: np.ndarray = field(repr=False, compare=False)
+    owner: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_ext(self):
@@ -144,22 +151,16 @@ def build_extended_pattern(pattern, td, ell):
     ext_bags = {t: frozenset(chain(ctd.bags[t], u[t],
                                    *(u[j] for j in ctd.children(t))))
                 for t in ctd.nodes}
-    return ExtendedPattern(n=n, ell=ell, k=k, td=ctd, w=partition_bags(ctd),
-                           u=u, ext_bags=ext_bags)
-
-
-def _bag_rows(pat):
-    """Every extended bag, sorted, one after another in label order; sizes."""
-    sizes = np.array([len(pat.ext_bags[t]) for t in pat.td.nodes])
-    bags = chain.from_iterable(sorted(pat.ext_bags[t]) for t in pat.td.nodes)
-    return np.fromiter(bags, np.int64, sizes.sum()), sizes
-
-
-def _held(pat):
-    """Every W_t's vertices in label order, and the label holding each."""
-    counts = [len(pat.w[t]) for t in pat.td.nodes]
-    held = chain.from_iterable(map(pat.w.get, pat.td.nodes))
-    return np.fromiter(held, np.int64, sum(counts)), np.repeat(pat.td.nodes, counts)
+    w = partition_bags(ctd)
+    sizes = np.array([len(ext_bags[t]) for t in ctd.nodes])
+    verts = chain.from_iterable(sorted(ext_bags[t]) for t in ctd.nodes)
+    counts = [len(w[t]) for t in ctd.nodes]
+    held = chain.from_iterable(map(w.get, ctd.nodes))
+    return ExtendedPattern(
+        n=n, ell=ell, k=k, td=ctd, w=w, u=u, ext_bags=ext_bags,
+        bag_verts=np.fromiter(verts, np.int64, sizes.sum()), bag_sizes=sizes,
+        held=np.fromiter(held, np.int64, sum(counts)),
+        owner=np.repeat(ctd.nodes, counts))
 
 
 def build_extension(p, td):
@@ -173,12 +174,11 @@ def build_extension(p, td):
         raise ValueError("decomposition is not valid for the problem pattern")
     ext = build_extended_pattern(p.pattern, td, p.ell)
     n, ell, labels = ext.n, ext.ell, ext.td.nodes
-    verts, sizes = _bag_rows(ext)
+    verts, sizes = ext.bag_verts, ext.bag_sizes
     node = np.repeat(labels, sizes)
-    held, owner = _held(ext)
     # vertex -> the node whose W holds it; 0 on the auxiliary indices
     home = np.zeros(ext.n_ext + 1, dtype=np.int64)
-    home[held] = owner
+    home[ext.held] = ext.owner
     A = np.zeros((verts.size, ell))
     own = home[verts] == node
     A[own] = p.factor[verts[own] - 1]
@@ -198,7 +198,7 @@ def extend_solution(ext, sol):
     """
     pat = ext.pattern
     R = sol.factor
-    held, owner = _held(pat)
+    held, owner = pat.held, pat.owner
     acc = np.zeros((pat.k, pat.ell, R.shape[1]))
     np.add.at(acc, owner - 1, ext.base.factor[held - 1, :, None] * R[held - 1, None, :])
     for t in pat.td.nodes[:-1]:
@@ -214,7 +214,7 @@ def restrict_solution(ext_sol, ext):
 def null_residuals(ext, ext_sol):
     """max |a_mats[t].T X a_mats[t]| per node for a factored extended point:
     one gather and one batched product per extended-bag size."""
-    verts, sizes = _bag_rows(ext.pattern)
+    verts, sizes = ext.pattern.bag_verts, ext.pattern.bag_sizes
     start = np.cumsum(sizes) - sizes
     worst = np.zeros(sizes.size)
     for s in np.unique(sizes):

@@ -34,6 +34,27 @@ def test_admm_params_validation():
                         ("tol_primal", np.nan)):
         with pytest.raises(ValueError, match=name):
             AdmmParams(**{name: value})
+    # the values a params file may carry, refused with the texts the CLI
+    # prints for them (json.load reads 1e400 as inf)
+    for name, value, why in (
+            ("tol_primal", None, "must be a number, got None"),
+            ("rho", [1], "must be a number, got [1]"),
+            ("max_iter", 2.7, "must be an integer, got 2.7"),
+            ("seed", "4", "must be a number, got '4'"),
+            ("rho", "1.0", "must be a number, got '1.0'"),
+            ("seed", -1, "must be non-negative, got -1"),
+            ("max_iter", 1e400, "must be an integer, got inf"),
+            ("rho", 10 ** 400, "is out of range"),
+            ("max_iter", True, "must be a number, got True")):
+        with pytest.raises(ValueError) as err:
+            AdmmParams(**{name: value})
+        assert str(err.value).startswith("solver parameter %s %s"
+                                         % (name, why))
+    # numpy scalars are numbers, cast to the field's type
+    par = AdmmParams(max_iter=np.int64(10), rho=np.float64(0.5), seed=3.0)
+    assert (par.max_iter, par.rho, par.seed) == (10, 0.5, 3)
+    assert type(par.max_iter) is int and type(par.rho) is float
+    assert type(par.seed) is int
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -229,6 +250,28 @@ def test_admm_counts_anderson_steps():
     _, capped = admm_solve(bs, AdmmParams(max_iter=7))
     assert capped.iterations == 7 and capped.history.shape == (7, 2)
     assert capped.aa_accepted + capped.aa_rejected <= 6
+
+
+def test_block_residuals_are_bounded_so_no_divergence_exit_is_needed():
+    # ||Kx - v|| <= ||Kx|| + ||v|| puts the primal residual at most 2, and
+    # ||c + rho K^T u|| <= ||c|| + rho ||K^T u|| the dual at most ||c|| + 1,
+    # even for a large objective at a large rho (slack: rounding only)
+    p = gen_min_bisection(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
+    big = replace(p, objective=Term(
+        SparseSymMatrix(p.n, {k: 1e7 * v
+                              for k, v in p.objective.sparse.entries.items()}),
+        1e7 * p.objective.core))
+    for prob, par in ((gen_lb_tree(1), AdmmParams()),
+                      (big, AdmmParams(rho=1e6))):
+        _, bs, _ = convert_problem(prob)
+        _, stats = admm_solve(bs, par)
+        _, fi, fj, _, _ = bs.columns
+        c0 = bs.rows[0]
+        c = c0.data * np.where(fi == fj, 1.0, np.sqrt(2.0))[c0.indices]
+        pri, dua = stats.history.T
+        assert stats.converged
+        assert (pri <= 2.0 * (1 + 1e-12)).all()
+        assert (dua <= (np.linalg.norm(c) + 1.0) * (1 + 1e-12)).all()
 
 
 def test_admm_seed_moves_the_start():
