@@ -18,6 +18,7 @@ conversion or projection code, which makes it usable as an independent
 cross-check.
 """
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -39,9 +40,12 @@ __all__ = [
     "dense_reference_solve",
 ]
 
-AA_MEMORY = 10  # Anderson acceleration memory of admm_solve
+AA_MEMORY = 25  # Anderson acceleration memory of admm_solve
 GROUP_SIZE = 2  # fine tree nodes per merged block of admm_solve
 DATA_WEIGHT = 2.0  # scale of admm_solve's data rows and bounds in K
+
+log = logging.getLogger("splrsdp")
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass
@@ -134,6 +138,22 @@ def project_null_psd(M, null_vectors):
     return _face_project(M, _face_basis(null_vectors, M.shape[0]))
 
 
+def _anderson_weights(gram, rhs):
+    """Anderson weights gamma solving (gram + lam I) gamma = rhs by one LU
+    solve, lam = m eps max(diag gram, tiny) for m x m gram.
+
+    lam is the cut scale of lstsq's default rcond (eps max(m, n)) put on
+    the diagonal: it makes the system positive definite when residual
+    differences repeat or vanish, and an all-zero gram (so rhs = 0) gives
+    gamma = 0, the plain step.  An m x m solve costs a fraction of the SVD
+    behind lstsq, which is what lets the memory grow.
+    """
+    m = len(gram)
+    shifted = gram.copy()
+    shifted.flat[::m + 1] += m * _EPS * max(gram.diagonal().max(), _TINY)
+    return np.linalg.solve(shifted, rhs)
+
+
 def _merge_pairs(bs):
     """The solver's layout of bs on parent-child groups of its tree.
 
@@ -207,17 +227,26 @@ def admm_solve(bs, params=None):
     residual is ||c + rho K^T u|| over max(1, ||rho K^T u||); K^T u = G^T
     lam + A^T (W w) is already the unweighted problem's, with dual W w on
     the data rows.  Type-II Anderson acceleration with memory AA_MEMORY
-    proposes a candidate from the last steps; the safeguard takes it only
-    if its fixed-point residual ||T(c) - c|| is no larger than the plain
-    step's ||T(zeta) - zeta||, and otherwise takes the plain step T(zeta).
-    One iteration is one step taken, so it costs one evaluation of T, or
-    two when the candidate is rejected; max_iter caps these steps and
-    per-iteration timings divide by them.  Every 25 iterations rho is
+    proposes a candidate from the last steps, its weights from the
+    regularised normal equations of _anderson_weights (one LU solve, where
+    an SVD least squares at memory 25 would cost most of what the longer
+    memory saves); the safeguard takes it only if its fixed-point residual
+    ||T(c) - c|| is no larger than the plain step's ||T(zeta) - zeta||,
+    and otherwise takes the plain step T(zeta).  Memory 25 is the best of
+    a sweep over 10-40 (README): against 10 it takes the benchmark's
+    `chain` from 1089 to about 720 iterations and minbisect C64 at tol
+    1e-8 from 13432 to 2341, while at 30 and 40 C64 and `wide` lose again
+    and refusals climb.  One iteration is one step taken, so it costs one
+    evaluation of T, or two when the candidate is rejected; max_iter caps
+    these steps and per-iteration timings divide by them.  Every 25 iterations rho is
     doubled or halved when one residual exceeds the other tenfold, which
-    clears the memory.  The loop ends at the tolerances or at max_iter and
+    clears the memory; each of these checks logs one debug line on the
+    "splrsdp" logger (iteration, residuals, rho, candidates taken/refused,
+    memory filled).  The loop ends at the tolerances or at max_iter and
     has no divergence exit: the primal residual is at most 2 (triangle
     inequality) and the dual residual at most ||c|| + 1, so neither can
-    grow without bound.
+    grow without bound.  stats.objective is the objective row on the
+    returned fine blocks, which lie off consensus by the primal residual.
     """
     params = params or AdmmParams()
     blocks, null_mats, place = _merge_pairs(bs)
@@ -306,6 +335,7 @@ def admm_solve(bs, params=None):
     filled = slot = accepted = rejected = 0
     history = []
     converged = False
+    debug = log.isEnabledFor(logging.DEBUG)
     for it in range(1, params.max_iter + 1):
         v, u, KTu, x, Kx, f = ev
         pri = norm(f) / max(1.0, norm(Kx), norm(v))
@@ -318,6 +348,10 @@ def admm_solve(bs, params=None):
         if it == params.max_iter:
             break
         if it % 25 == 0:
+            if debug:
+                log.debug("admm it %d pri %.3e dua %.3e rho %.3g aa %d/%d "
+                          "memory %d/%d", it, pri, dua, rho, accepted,
+                          rejected, filled, AA_MEMORY)
             step = (2.0 if pri > 10.0 * dua and rho < 1e6 else
                     0.5 if dua > 10.0 * pri and rho > 1e-6 else None)
             if step is not None:
@@ -330,8 +364,8 @@ def admm_solve(bs, params=None):
 
         new = None
         if filled:
-            gamma = np.linalg.lstsq(gram[:filled, :filled], dF[:filled] @ f,
-                                    rcond=None)[0]
+            gamma = _anderson_weights(gram[:filled, :filled],
+                                      dF[:filled] @ f)
             cand = zeta + f - gamma @ dG[:filled]
             ev_c = evaluate(cand, project(cand))
             if np.linalg.norm(ev_c[-1]) <= np.linalg.norm(f):
@@ -353,8 +387,13 @@ def admm_solve(bs, params=None):
     blocks = {t: v[offset[g] + len(basis[g]) * r[:, None] + r]
               for t, (g, r) in place.items()}
     ranks = _block_ranks(blocks)
+    # bs.columns run over the fine nodes in order, each upper triangle row
+    # by row
+    upper = np.concatenate([B[np.triu_indices(len(B))]
+                            for _, B in sorted(blocks.items())])
+    objective = bs.rows[0].dot(upper * np.where(fi == fj, 1.0, 2.0))[0]
     stats = SolveStats(iterations=it, primal_residual=float(pri),
-                       dual_residual=float(dua), objective=float(c @ x),
+                       dual_residual=float(dua), objective=float(objective),
                        block_ranks=ranks, rho=float(rho), converged=converged,
                        aa_accepted=accepted, aa_rejected=rejected,
                        history=np.array(history))

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,10 @@ from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_lb_tree, gen_min_bisection, gen_simex
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, Term, eval_constraint, is_feasible)
-from splrsdp.solver import (AdmmDivergence, AdmmParams, _face_basis,
-                            _face_project, _merge_pairs, admm_solve,
-                            dense_reference_solve, project_null_psd)
+from splrsdp.solver import (AdmmDivergence, AdmmParams, _anderson_weights,
+                            _face_basis, _face_project, _merge_pairs,
+                            admm_solve, dense_reference_solve,
+                            project_null_psd)
 
 from conftest import block_row_values, random_splr_problem, random_valid_td
 
@@ -252,6 +254,55 @@ def test_admm_counts_anderson_steps():
     assert capped.aa_accepted + capped.aa_rejected <= 6
 
 
+def test_anderson_weights_without_a_pseudo_inverse():
+    rng = np.random.default_rng(0)
+    # an all-zero gram (every residual difference zero) is the plain step
+    gamma = _anderson_weights(np.zeros((4, 4)), np.zeros(4))
+    assert np.array_equal(gamma, np.zeros(4))
+    # repeated difference rows make gram singular; the weights stay finite
+    dF = rng.standard_normal((3, 50))
+    dF = np.vstack([dF, dF[:2]])
+    f = rng.standard_normal(50)
+    gamma = _anderson_weights(dF @ dF.T, dF @ f)
+    assert np.isfinite(gamma).all()
+    # on a well-conditioned gram they are lstsq's
+    dF = rng.standard_normal((6, 50))
+    gram = dF @ dF.T
+    ref = np.linalg.lstsq(gram, dF @ f, rcond=None)[0]
+    gamma = _anderson_weights(gram, dF @ f)
+    assert np.linalg.norm(gamma - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_objective_is_that_of_the_returned_blocks():
+    # the blocks lie off the consensus x by the primal residual, so the
+    # objective is the objective row on them, not c.x (1.9e-6 apart on this
+    # instance at Anderson memory 10)
+    cycle = Graph.from_edges(8, [(i, i % 8 + 1) for i in range(1, 9)])
+    ext, bs, _ = convert_problem(gen_min_bisection(cycle))
+    td = ext.pattern.td
+    assert all(len(td.children(t)) <= 1 for t in td.nodes)
+    assert len(_merge_pairs(bs)[0]) < bs.k
+    blocks, stats = admm_solve(bs)
+    ref = block_row_values(bs, blocks)[0]
+    assert abs(stats.objective - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_admm_logs_progress_at_the_rho_checks(caplog):
+    _, bs, _ = convert_problem(gen_lb_tree(1))
+    with caplog.at_level(logging.DEBUG, logger="splrsdp"):
+        _, stats = admm_solve(bs)
+    lines = [m for m in (r.getMessage() for r in caplog.records)
+             if m.startswith("admm")]
+    assert len(lines) == (stats.iterations - 1) // 25 > 0
+    assert lines[0].startswith("admm it 25 pri ")
+    assert all(" rho " in m and " aa " in m and " memory " in m
+               for m in lines)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="splrsdp"):
+        admm_solve(bs)
+    assert not caplog.records
+
+
 def test_block_residuals_are_bounded_so_no_divergence_exit_is_needed():
     # ||Kx - v|| <= ||Kx|| + ||v|| puts the primal residual at most 2, and
     # ||c + rho K^T u|| <= ||c|| + rho ||K^T u|| the dual at most ||c|| + 1,
@@ -291,9 +342,11 @@ def bqp8(tmp_path_factory):
 
 
 def test_data_weight_one_is_the_unweighted_solver(monkeypatch):
-    # the solve before the data rows were weighted took 307 iterations
+    # the solve before the data rows were weighted took 307 iterations, at
+    # Anderson memory 10
     _, bs, _ = convert_problem(gen_lb_tree(1))
     monkeypatch.setattr(solver, "DATA_WEIGHT", 1.0)
+    monkeypatch.setattr(solver, "AA_MEMORY", 10)
     _, stats = admm_solve(bs)
     assert stats.converged and stats.iterations == 307
 
@@ -309,6 +362,21 @@ def test_data_weight_cuts_iterations_at_the_same_objective(monkeypatch, bqp8):
         assert weighted.iterations < plain.iterations
         assert abs(weighted.objective - plain.objective) <= 1e-4 * (
             1.0 + abs(plain.objective))
+
+
+def test_anderson_memory_cuts_iterations_at_the_same_objective(monkeypatch):
+    cycle = Graph.from_edges(16, [(i, i % 16 + 1) for i in range(1, 17)])
+    tight = AdmmParams(tol_primal=1e-8, tol_dual=1e-8)
+    for p, par in ((gen_min_bisection(cycle), tight),
+                   (gen_lb_tree(1), AdmmParams())):
+        _, bs, _ = convert_problem(p)
+        _, long = admm_solve(bs, par)
+        monkeypatch.setattr(solver, "AA_MEMORY", 10)
+        _, short = admm_solve(bs, par)
+        monkeypatch.undo()
+        assert long.converged and short.converged
+        assert long.iterations < short.iterations
+        assert abs(long.objective - short.objective) <= 1e-6
 
 
 @pytest.mark.parametrize("weight", [0.1, 10.0])
