@@ -16,7 +16,6 @@ from .completion_rank import PINV_RCOND, RecoveryError, _sym, _two_child_nodes
 from .graph_core import (TreeDecomposition, chordal_complete, clique_tree,
                          root_binary, to_binary, width)
 from .sdp_model import _entries
-from .sdpa import write_sdpa
 from .sparse_extension import build_extension
 
 __all__ = [
@@ -274,7 +273,10 @@ def export_sdpa(bs, fh):
     rows, one-sided rows with a nonnegative slack in a trailing LP block, and
     one rank-one equality row per null_mats column (accumulator and face
     vectors; blocks may carry different counts).  The file encodes
-    min sum_t <F_0 blk t, Y_t> subject to row values = rhs.
+    min sum_t <F_0 blk t, Y_t> subject to row values = rhs: the row count,
+    the block count, the block sizes (the LP block's negative), the rhs,
+    then one "matno blkno i j value" line per entry (rows store no zeros),
+    1-based with i <= j and matno 0 for the objective, floats by repr.
     """
     block_ids = sorted(bs.blocks)
     node, i, j, _, _ = bs.columns
@@ -327,5 +329,8 @@ def export_sdpa(bs, fh):
         (blk[c] + 1, np.full(slack.size, len(block_ids) + 1)),
         (i[c] + 1, diag), (j[c] + 1, diag), (M.data[at], sign[slack]))]
     order = np.argsort(cols[0], kind="stable")
-    write_sdpa(fh, len(rows), sizes, [b for _, b, _ in rows],
-               zip(*(x[order].tolist() for x in cols)))
+    fh.write("%d\n%d\n%s\n%s\n" % (
+        len(rows), len(sizes), " ".join(map(str, sizes)),
+        " ".join(repr(float(b)) for _, b, _ in rows)))
+    fh.writelines("%d %d %d %d %r\n" % e
+                  for e in zip(*(x[order].tolist() for x in cols)))

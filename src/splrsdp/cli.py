@@ -41,9 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json(path):
-    if path is None or path == "-":
-        return json.load(sys.stdin)
-    return fileio.load(path)
+    return fileio.load(sys.stdin if path is None or path == "-" else path)
 
 
 def _write_json(d, path):
@@ -65,7 +63,8 @@ def _random_connected_graph(rng, n, p_edge):
 
 
 def _cmd_gen(args):
-    rng = np.random.default_rng(args.seed)
+    # only the families that draw random numbers take --seed
+    rng = np.random.default_rng(args.seed) if "seed" in args else None
     fam = args.family
     if fam == "simex":
         a = rng.standard_normal(args.n) + 2.0 if args.random_a else None
@@ -261,8 +260,9 @@ def _build_parser():
     gen = sub.add_parser("gen", help="write a generated problem as JSON")
     gsub = gen.add_subparsers(dest="family", required=True)
 
-    def gcommon(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def gcommon(sp, seeded=False):
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=_cmd_gen)
 
@@ -270,18 +270,18 @@ def _build_parser():
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--b", type=float, default=None)
     sp.add_argument("--random-a", action="store_true")
-    gcommon(sp)
+    gcommon(sp, seeded=True)
     sp = gsub.add_parser("minbisect", help="graph bisection relaxation")
     sp.add_argument("-n", type=int, default=8)
     sp.add_argument("--p-edge", type=float, default=0.3)
     sp.add_argument("--graph", default=None, help="text graph file instead of random")
-    gcommon(sp)
+    gcommon(sp, seeded=True)
     sp = gsub.add_parser("bqp", help="boxed quadratic program relaxation")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--eq", type=int, default=0, help="number of equality rows")
     sp.add_argument("--binary", action="store_true")
-    gcommon(sp)
+    gcommon(sp, seeded=True)
     sp = gsub.add_parser("phi", help="coupled slice with a unique rank l+1 element")
     sp.add_argument("--ell", type=int, required=True)
     gcommon(sp)

@@ -7,16 +7,15 @@ path.
 
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import fields
 from itertools import chain, islice
 
 import numpy as np
 
 from .completion_rank import AffineSlice
-from .graph_core import Graph, TreeDecomposition, read_graph
+from .graph_core import Graph, TreeDecomposition
 from .sdp_model import (Constraint, SparseSymMatrix, SplrSdp, Term,
-                        detect_splr, validate_problem)
-from .sdpa import parse_sdpa
+                        validate_problem)
 from .solver import AdmmParams
 from .sparse_extension import build_extension
 
@@ -38,12 +37,10 @@ __all__ = [
     "solution_to_dict",
     "solution_from_dict",
     "stats_to_dict",
-    "params_to_dict",
     "params_from_dict",
     "dump",
     "load",
     "save",
-    "load_sdpa_problem",
 ]
 
 PROBLEM_SCHEMA = "splr-problem/1"
@@ -264,15 +261,9 @@ def solution_from_dict(d):
     return blocks, d.get("stats"), ext
 
 
-def params_to_dict(par):
-    return asdict(par)
-
-
 def params_from_dict(d):
     """AdmmParams from a params-file object; a missing key takes its
     default, and AdmmParams checks the values."""
-    if not isinstance(d, dict):
-        raise ValueError("solver parameters must be a JSON object")
     unknown = set(d) - {f.name for f in fields(AdmmParams)}
     if unknown:
         raise ValueError("unknown solver parameters: %s" % sorted(unknown))
@@ -299,44 +290,13 @@ def save(d, path_or_file):
 
 
 def load(path_or_file):
+    """The JSON object in a file; any other top level raises ValueError."""
     if hasattr(path_or_file, "read"):
-        return json.load(path_or_file)
-    with open(path_or_file) as fh:
-        return json.load(fh)
-
-
-def load_sdpa_problem(dat, pattern, rank_tol=1e-9):
-    """Dense-matrix import: an SDPA sparse file plus a pattern graph file.
-
-    Rebuilds one dense symmetric matrix per row from the block entries
-    (negative block sizes mean diagonal-only blocks), then recovers the
-    sparse-plus-low-rank split against the pattern.  SDPA rows carry a
-    single right-hand side, so constraints come back as equalities.
-    """
-    if hasattr(dat, "read"):
-        m, sizes, rhs, entries = parse_sdpa(dat)
+        d = json.load(path_or_file)
     else:
-        with open(dat) as fh:
-            m, sizes, rhs, entries = parse_sdpa(fh)
-    g = pattern if isinstance(pattern, Graph) else read_graph(pattern)
-    offsets = []
-    n = 0
-    for s in sizes:
-        offsets.append(n)
-        n += abs(s)
-    if g.n != n:
-        raise ValueError("pattern has %d vertices, SDPA blocks cover %d"
-                         % (g.n, n))
-    mats = [np.zeros((n, n)) for _ in range(m + 1)]
-    for matno, blk, i, j, v in entries:
-        if not (0 <= matno <= m and 1 <= blk <= len(sizes)):
-            raise ValueError("entry (%d, %d, %d, %d) out of range"
-                             % (matno, blk, i, j))
-        if sizes[blk - 1] < 0 and i != j:
-            raise ValueError("off-diagonal entry in diagonal block %d" % blk)
-        gi = offsets[blk - 1] + i - 1
-        gj = offsets[blk - 1] + j - 1
-        mats[matno][gi, gj] = v
-        mats[matno][gj, gi] = v
-    bounds = [(b, b) for b in rhs]
-    return detect_splr(mats, bounds, g, rank_tol=rank_tol)
+        with open(path_or_file) as fh:
+            d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("top level must be a JSON object, not %s"
+                         % type(d).__name__)
+    return d

@@ -13,11 +13,9 @@ __all__ = [
     "Graph",
     "TreeDecomposition",
     "read_graph",
-    "write_graph",
     "validate_decomposition",
     "width",
     "chordal_complete",
-    "is_chordal",
     "clique_tree",
     "split_vertex",
     "to_binary",
@@ -148,12 +146,6 @@ def read_graph(path_or_file):
     return Graph.from_edges(n, edges)
 
 
-def write_graph(g, fh):
-    fh.write("%d %d\n" % (g.n, len(g.edges)))
-    for i, j in sorted(g.edges):
-        fh.write("%d %d\n" % (i, j))
-
-
 def width(td):
     """Largest bag size minus one."""
     if not td.bags:
@@ -272,10 +264,6 @@ def _is_peo(g, order):
     return True
 
 
-def is_chordal(g):
-    return _is_peo(g, _mcs_order(g)[::-1])
-
-
 def clique_tree(g):
     """Maximal cliques of a chordal graph arranged in a clique tree.
 
@@ -353,21 +341,18 @@ def to_binary(td):
     return out
 
 
-def root_binary(td, root=None):
+def root_binary(td):
     """Pick a root of degree < 3 and orient the tree.
 
-    Default: for a path, the smallest-id endpoint; otherwise the smallest id
-    among nodes of degree < 3.  An explicit `root` must have degree < 3.
+    For a path, the smallest-id endpoint; otherwise the smallest id among
+    nodes of degree < 3.
     """
     deg = td.degrees()
     top = max(deg.values(), default=0)
     if top > 3:
         raise ValueError("decomposition is not binary (degree > 3)")
-    if root is None:
-        # a path (top <= 2) has its ends below degree 2
-        root = min(t for t in td.nodes if deg[t] < max(top, 2))
-    elif deg[root] >= 3:
-        raise ValueError("requested root %d has degree %d" % (root, deg[root]))
+    # a path (top <= 2) has its ends below degree 2
+    root = min(t for t in td.nodes if deg[t] < max(top, 2))
     return TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=dict(td.bags), root=root)
 
 

@@ -291,36 +291,17 @@ def gen_lb_padded(base, sigma, n_hat):
                    constraints=cons)
 
 
-def _default_m_blocks(ell):
-    # gluing two copies of the witness frame: M3 = 2(I + D)
-    return np.eye(ell), np.eye(ell), 2.0 * (np.eye(ell) + _witness_d(ell))
-
-
-def gen_lb_tree(ell, M1=None, M2=None, M3=None):
+def gen_lb_tree(ell):
     """Worst-case instance on 6l vertices whose pattern is chordal with
     tree-width 3l - 1 yet every optimal solution has rank >= 3l + (l+1).
 
     Eight groups of sparse block equations fix most of the matrix; one
     rank-l row V^T X V = 0 with V = [-I; -I; -I; I; I; -I] couples the
-    free blocks.  Default M blocks come from the coupled-slice witness.
+    free blocks.  Blocks 4, 5 and 6 are pinned to 2I, 2I and 3I + 2D, D
+    the coupling of the witness frame: gluing two copies of that frame.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    defaults = _default_m_blocks(ell)
-    blocks = []
-    for name, M, dflt in (("M1", M1, defaults[0]), ("M2", M2, defaults[1]),
-                          ("M3", M3, defaults[2])):
-        if M is None:
-            M = dflt
-        M = np.asarray(M, dtype=float)
-        if M.shape != (ell, ell):
-            raise ValueError("%s must be %d x %d" % (name, ell, ell))
-        if not np.allclose(M, M.T, atol=1e-12):
-            raise ValueError("%s is not symmetric" % name)
-        if np.linalg.eigvalsh(M)[0] < -1e-10 * max(1.0, np.abs(M).max()):
-            raise ValueError("%s is not positive semidefinite" % name)
-        blocks.append(M)
-    M1, M2, M3 = blocks
 
     n = 6 * ell
 
@@ -347,9 +328,9 @@ def gen_lb_tree(ell, M1=None, M2=None, M3=None):
     pin_zero_block(rng_of(5), [1])
     pin_zero_block(rng_of(5), [3])
     pin_zero_block(rng_of(6), [1, 2])
-    pin_sym_block(4, np.eye(ell) + M1)
-    pin_sym_block(5, np.eye(ell) + M2)
-    pin_sym_block(6, np.eye(ell) + M3)
+    pin_sym_block(4, 2.0 * np.eye(ell))
+    pin_sym_block(5, 2.0 * np.eye(ell))
+    pin_sym_block(6, 3.0 * np.eye(ell) + 2.0 * _witness_d(ell))
     for i in range(1, 3 * ell + 1):
         for j in range(i, 3 * ell + 1):
             coeff = 1.0 if i == j else 0.5
@@ -372,7 +353,7 @@ def gen_lb_tree(ell, M1=None, M2=None, M3=None):
 
 
 def lb_tree_feasible_point(ell):
-    """Feasible (and optimal) solution of gen_lb_tree with default blocks."""
+    """Feasible (and optimal) solution of gen_lb_tree."""
     D = _witness_d(ell)
     I = np.eye(ell)
     Z = np.zeros((ell, ell))

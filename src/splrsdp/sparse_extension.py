@@ -9,6 +9,7 @@ together, and the low-rank part of every constraint becomes a small dense
 block on the root's auxiliary indices.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -27,7 +28,6 @@ __all__ = [
     "extend_solution",
     "restrict_solution",
     "null_residuals",
-    "eval_extended",
     "verify_extension",
 ]
 
@@ -234,14 +234,6 @@ def _root_gram(ext, ext_sol):
     return rows_j @ rows_j.T
 
 
-def eval_extended(ext, ext_sol):
-    """Objective and constraint values of the extended problem: the sparse
-    parts on the original indices, the cores on the root accumulator block."""
-    p = ext.base
-    vals = _values([p.objective, *p.constraints], ext_sol, _root_gram(ext, ext_sol))
-    return float(vals[0]), vals[1:]
-
-
 def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
     """Certify the extension numerically on random lifted points.
 
@@ -252,8 +244,14 @@ def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
     probability one: R has rank uniform in 1..min(n, ell +
     SAMPLE_RANK_EXTRA), O(n + k ell) memory.  Returns a report dict whose
     max_value_mismatch is the largest absolute gap; "ok" is the overall
-    verdict.
+    verdict.  samples must be an integer >= 1 and tol positive and finite,
+    as a check of no point or at no tolerance certifies nothing.
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
+            or samples < 1:
+        raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     rng = np.random.default_rng(seed)
     # the extension is evaluated on its own copy of the problem, so a
     # mismatched pair shows as a value gap

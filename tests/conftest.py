@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from splrsdp.graph_core import Graph, TreeDecomposition
+from splrsdp.graph_core import Graph, TreeDecomposition, _is_peo, _mcs_order
+from splrsdp.sdp_model import _values
+from splrsdp.sparse_extension import _root_gram
 
 # every property test runs the same examples on every run, with no deadline
 # (the first call of a test can pay for imports and LAPACK warm-up)
@@ -131,3 +133,71 @@ def random_splr_problem(rng, n, ell, p_edge=0.15, m_extra=3, graph=None):
         cons.append(Constraint(random_sparse(), random_core(), lo, hi))
     return SplrSdp(n=n, ell=ell, pattern=g, factor=factor,
                    objective=obj, constraints=cons)
+
+
+def write_graph(g, fh):
+    """The text graph format read_graph takes: "n m", then one "i j" line
+    per edge."""
+    fh.write("%d %d\n" % (g.n, len(g.edges)))
+    for i, j in sorted(g.edges):
+        fh.write("%d %d\n" % (i, j))
+
+
+def is_chordal(g):
+    """True iff the reverse of a maximum cardinality search order is a
+    perfect elimination order."""
+    return _is_peo(g, _mcs_order(g)[::-1])
+
+
+def eval_extended(ext, ext_sol):
+    """Objective and constraint values of the extended problem: the sparse
+    parts on the original indices, the cores on the root accumulator block."""
+    p = ext.base
+    vals = _values([p.objective, *p.constraints], ext_sol, _root_gram(ext, ext_sol))
+    return float(vals[0]), vals[1:]
+
+
+def parse_sdpa(fh):
+    """Reads a sparse SDPA (.dat-s) file: the row count m, the block count,
+    the block sizes (negative for a diagonal block), the m right-hand sides,
+    then "matno blkno i j value" lines with i <= j, matno 0 the objective.
+    Lines starting with '"' or '*' are comments; brace, comma and
+    parenthesis decorations on the size and rhs lines are accepted.
+    Returns (m, block_sizes, rhs, entries), entries as 1-based
+    (matno, blkno, i, j, value).
+    """
+    lines = []
+    for raw in fh:
+        line = raw.strip()
+        if not line or line[0] in "\"*":
+            continue
+        lines.append(line)
+    if len(lines) < 4:
+        raise ValueError("truncated SDPA file")
+    m = int(lines[0].split()[0])
+    nblocks = int(lines[1].split()[0])
+    clean = lines[2].replace(",", " ").replace("{", " ").replace("}", " ")
+    clean = clean.replace("(", " ").replace(")", " ")
+    block_sizes = [int(float(tok)) for tok in clean.split()]
+    if len(block_sizes) != nblocks:
+        raise ValueError("expected %d block sizes, got %d" % (nblocks, len(block_sizes)))
+    clean = lines[3].replace(",", " ").replace("{", " ").replace("}", " ")
+    rhs = [float(tok) for tok in clean.split()]
+    if len(rhs) != m:
+        raise ValueError("expected %d rhs values, got %d" % (m, len(rhs)))
+    entries = []
+    for line in lines[4:]:
+        toks = line.split()
+        if len(toks) != 5:
+            raise ValueError("bad entry line: %r" % line)
+        matno, blkno, i, j = (int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]))
+        v = float(toks[4])
+        if not (0 <= matno <= m):
+            raise ValueError("matrix index %d out of range" % matno)
+        if not (1 <= blkno <= nblocks):
+            raise ValueError("block index %d out of range" % blkno)
+        dim = abs(block_sizes[blkno - 1])
+        if not (1 <= i <= j <= dim):
+            raise ValueError("entry (%d, %d) outside block %d" % (i, j, blkno))
+        entries.append((matno, blkno, i, j, v))
+    return m, block_sizes, rhs, entries

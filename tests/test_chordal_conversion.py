@@ -14,10 +14,10 @@ from splrsdp.instances import gen_lb_tree, gen_min_bisection
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, eval_constraint, eval_objective)
 from splrsdp.solver import AdmmParams, admm_solve
-from splrsdp.sdpa import parse_sdpa
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import block_row_values, random_splr_problem, random_valid_td
+from conftest import (block_row_values, parse_sdpa, random_splr_problem,
+                      random_valid_td)
 
 
 def _lift_blocks(ext, bs, F):

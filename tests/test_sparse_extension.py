@@ -32,7 +32,6 @@ from splrsdp.sparse_extension import (
     build_extended_pattern,
     build_extension,
     canonical_relabel,
-    eval_extended,
     extend_solution,
     null_residuals,
     partition_bags,
@@ -40,7 +39,7 @@ from splrsdp.sparse_extension import (
     verify_extension,
 )
 
-from conftest import random_splr_problem, random_valid_td
+from conftest import eval_extended, random_splr_problem, random_valid_td
 
 
 def singleton_path_problem(n, a, b):
@@ -65,7 +64,7 @@ def singleton_path_td(n):
 
 
 def test_partition_bags_path():
-    td = root_binary(singleton_path_td(4), root=4)
+    td = replace(singleton_path_td(4), root=4)
     assert partition_bags(td) == {i: frozenset({i}) for i in range(1, 5)}
 
 
@@ -111,7 +110,7 @@ def test_extension_reproduces_worked_example():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(n)
     p = singleton_path_problem(n, a, b=2.5)
-    td = root_binary(singleton_path_td(n), root=n)
+    td = replace(singleton_path_td(n), root=n)
     ext = build_extension(p, td)
     pat = ext.pattern
     assert pat.k == n and pat.n_ext == 2 * n
@@ -135,7 +134,7 @@ def test_extend_solution_accumulates_factor_products():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(n)
     p = singleton_path_problem(n, a, b=1.0)
-    td = root_binary(singleton_path_td(n), root=n)
+    td = replace(singleton_path_td(n), root=n)
     ext = build_extension(p, td)
     R = rng.standard_normal((n, 3))
     lifted = extend_solution(ext, FactoredSolution(R))

@@ -1,0 +1,65 @@
+"""The library holds no code that only tests reach.
+
+Every name a module lists in `__all__` is re-exported by the package or
+reached from `src/` or the benchmark, apart from its own definition and
+its `__all__` entry.  A use inside a definition counts only when that
+definition is itself reached, so a helper of dead code is dead too.  Test
+oracles live in `conftest.py`.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "splrsdp"
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _reads(node):
+    """Names read under node, bare or as attributes; imports do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def _unreached_exports():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    package_api = {alias.name for node in init.body
+                   if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    candidates = {name: module for module, tree in modules.items()
+                  for name in _exports(tree) if name not in package_api}
+    inside = {}  # candidate -> names its definition reads
+    reached = set()
+    sources = list(modules.values()) + [ast.parse(path.read_text())
+                                        for path in (ROOT / "benchmark").glob("*.py")]
+    for tree in sources:
+        for node in tree.body:
+            name = getattr(node, "name", None)
+            if name in candidates and tree is modules[candidates[name]]:
+                inside[name] = _reads(node)
+            else:
+                reached |= _reads(node)
+    todo = list(reached & set(candidates))
+    while todo:
+        new = inside.get(todo.pop(), set()) & set(candidates) - reached
+        reached |= new
+        todo.extend(new)
+    return sorted("%s.%s" % (module, name) for name, module in candidates.items()
+                  if name not in reached)
+
+
+def test_every_export_is_reached_outside_the_tests():
+    unreached = _unreached_exports()
+    assert unreached == [], "exported but only tests reach: %s" % unreached
