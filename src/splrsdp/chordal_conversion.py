@@ -40,7 +40,7 @@ class BlockSdp:
     rows is a CSR matrix with the objective in row 0 and the r-th kept
     constraint in row r; a row holds each of its data entries X[u, v],
     u <= v, once, in the first column of the pair (u, v), and stores no
-    zeros.  bounds[r - 1] is the (lower, upper) interval of row r.  Rows and
+    zeros.  bounds[r - 1] is the [lower, upper] interval of row r.  Rows and
     bounds omit the constraints convert moves into the root face (no sparse
     part, bounds [0, 0], semidefinite core); the others keep their order.
     null_mats[t] carries the accumulator constraint matrix of the block
@@ -53,7 +53,7 @@ class BlockSdp:
     n_ext: int
     blocks: dict
     rows: object  # scipy.sparse CSR, (1 + m) x stacked columns
-    bounds: list  # per constraint: (lower, upper)
+    bounds: np.ndarray  # (m, 2) floats, per constraint: lower, upper
     null_mats: dict
     overlaps: list
 
@@ -173,7 +173,8 @@ def convert(ext):
         n_ext=pat.n_ext,
         blocks=blocks,
         rows=rows,
-        bounds=[(c.lower, c.upper) for c in cons],
+        bounds=np.array([(c.lower, c.upper) for c in cons],
+                        dtype=float).reshape(-1, 2),
         null_mats=null_mats,
         overlaps=overlaps,
     )
@@ -302,7 +303,7 @@ def export_sdpa(bs, fh):
     M = sp.vstack([bs.rows, acc], format="csr")
 
     rows = []  # (row of M, rhs, slack_sign or 0)
-    for r, (lo, hi) in enumerate(bs.bounds, start=1):
+    for r, (lo, hi) in enumerate(bs.bounds.tolist(), start=1):
         if lo == hi:
             rows.append((r, lo, 0))
             continue

@@ -63,9 +63,15 @@ def _random_connected_graph(rng, n, p_edge):
 
 
 def _cmd_gen(args):
-    # only the families that draw random numbers take --seed
-    rng = np.random.default_rng(args.seed) if "seed" in args else None
+    # only the families that draw random numbers take --seed, and simex and
+    # minbisect only when they draw
     fam = args.family
+    if getattr(args, "seed", None) is not None and (
+            fam == "simex" and not args.random_a
+            or fam == "minbisect" and args.graph):
+        raise _UsageError("--seed has no effect on gen %s %s" % (
+            fam, "without --random-a" if fam == "simex" else "with --graph"))
+    rng = np.random.default_rng(args.seed or 0) if "seed" in args else None
     if fam == "simex":
         a = rng.standard_normal(args.n) + 2.0 if args.random_a else None
         p = gen_simex(args.n, a, args.b)
@@ -217,22 +223,24 @@ def _cmd_report(args):
     d = _read_json(args.infile)
     schema = d.get("schema", "")
     out = {"schema": fileio.REPORT_SCHEMA, "kind": schema}
+    typed = fileio._typed  # the containers a count indexes
     if schema == fileio.PROBLEM_SCHEMA:
-        out.update(n=d["n"], ell=d["ell"], m=d["m"],
-                   pattern_edges=len(d["pattern_edges"]))
+        out.update(n=d["n"], ell=d["ell"], m=d["m"], pattern_edges=len(
+            typed(d["pattern_edges"], list, "pattern_edges")))
     elif schema == fileio.EXTENDED_SCHEMA:
-        out.update(n=d["base"]["n"], ell=d["base"]["ell"],
-                   k=len(d["tree"]["nodes"]),
-                   n_hat=d["base"]["n"] + d["base"]["ell"] * len(d["tree"]["nodes"]))
+        base = typed(d["base"], dict, "base")
+        k = len(typed(typed(d["tree"], dict, "tree")["nodes"], list, "nodes"))
+        out.update(n=base["n"], ell=base["ell"], k=k,
+                   n_hat=base["n"] + base["ell"] * k)
     elif schema == fileio.SOLUTION_SCHEMA:
-        out["blocks"] = len(d["blocks"])
+        out["blocks"] = len(typed(d["blocks"], dict, "blocks"))
         if "stats" in d:
-            out.update(d["stats"])
+            out.update(typed(d["stats"], dict, "stats"))
     elif schema == fileio.RECOVERED_SCHEMA:
         out.update(rank=d["rank"], certified_bound=d["certified_bound"],
                    mode=d["mode"], residuals=d["residuals"])
     elif schema == fileio.SLICE_SCHEMA:
-        out.update(dim=d["dim"], rows=len(d["mats"]))
+        out.update(dim=d["dim"], rows=len(typed(d["mats"], list, "mats")))
     elif schema == fileio.REPORT_SCHEMA:
         out.update({k: v for k, v in d.items() if k != "schema"})
     else:
@@ -262,7 +270,7 @@ def _build_parser():
 
     def gcommon(sp, seeded=False):
         if seeded:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=int, default=None)  # unset: seed 0
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=_cmd_gen)
 

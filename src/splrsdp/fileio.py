@@ -51,6 +51,15 @@ SLICE_SCHEMA = "splr-slice/1"
 REPORT_SCHEMA = "splr-report/1"
 
 
+def _typed(v, kind, name):
+    """v if it is a JSON object (kind dict) or array (kind list), which the
+    readers index; anything else raises ValueError naming it."""
+    if not isinstance(v, kind):
+        raise ValueError("%s must be a JSON %s, not %s" % (
+            name, "object" if kind is dict else "array", type(v).__name__))
+    return v
+
+
 def _bound_out(v):
     return None if not math.isfinite(v) else float(v)
 
@@ -140,18 +149,23 @@ def problem_from_dict(d):
     n = int(d["n"])
     ell = int(d["ell"])
     factor = np.asarray(d["factor"], dtype=float).reshape(n, ell)
-    _, i, j = _index_rows(n, d["pattern_edges"], 2, "pattern edges must be"
-                          " [i, j] pairs", "pattern edge [%r, %r]")
+    _, i, j = _index_rows(n, _typed(d["pattern_edges"], list,
+                                    "pattern_edges"), 2,
+                          "pattern edges must be [i, j] pairs",
+                          "pattern edge [%r, %r]")
     loop = i[i == j]
     if loop.size:
         raise ValueError("pattern edge [%d, %d] is a self-loop"
                          % (loop[0], loop[0]))
     edges = frozenset(zip(i.tolist(), j.tolist()))
-    rows = [d["objective"]] + list(d["constraints"])
+    rows = [_typed(d["objective"], dict, "objective")] + [
+        _typed(c, dict, "constraint %d" % r) for r, c in
+        enumerate(_typed(d["constraints"], list, "constraints"), start=1)]
     if "m" in d and int(d["m"]) != len(rows) - 1:
         raise ValueError("m = %s does not match %d constraints"
                          % (d["m"], len(rows) - 1))
-    sparse = _sparse_rows(n, [r["sparse_entries"] for r in rows])
+    sparse = _sparse_rows(n, [_typed(r["sparse_entries"], list,
+                                     "sparse_entries") for r in rows])
     cores = np.asarray([r["core"] for r in rows],
                        dtype=float).reshape(len(rows), ell, ell)
     cons = [Constraint(a, core, _bound_in(c["lower"], -1.0),
@@ -173,11 +187,13 @@ def td_to_dict(td):
 
 
 def td_from_dict(d):
-    nodes = tuple(int(t) for t in d["nodes"])
+    edges = [_typed(e, list, "tree edge")
+             for e in _typed(d["edges"], list, "edges")]
     return TreeDecomposition(
-        nodes=nodes,
-        edges=frozenset((int(a), int(b)) for a, b in d["edges"]),
-        bags={int(t): frozenset(map(int, vs)) for t, vs in d["bags"].items()},
+        nodes=tuple(int(t) for t in _typed(d["nodes"], list, "nodes")),
+        edges=frozenset((int(a), int(b)) for a, b in edges),
+        bags={int(t): frozenset(map(int, _typed(vs, list, "bag %s" % t)))
+              for t, vs in _typed(d["bags"], dict, "bags").items()},
         root=None if d.get("root") is None else int(d["root"]))
 
 
@@ -194,8 +210,8 @@ def extended_from_dict(d):
     if d.get("schema") != EXTENDED_SCHEMA:
         raise ValueError("not an extended-problem file (schema %r)"
                          % d.get("schema"))
-    base = problem_from_dict(d["base"])
-    return build_extension(base, td_from_dict(d["tree"]))
+    base = problem_from_dict(_typed(d["base"], dict, "base"))
+    return build_extension(base, td_from_dict(_typed(d["tree"], dict, "tree")))
 
 
 def slice_to_dict(sl):
@@ -213,8 +229,9 @@ def slice_from_dict(d):
     if d.get("schema") != SLICE_SCHEMA:
         raise ValueError("not a slice file (schema %r)" % d.get("schema"))
     dim = int(d["dim"])
-    mats = [np.asarray(M, dtype=float).reshape(dim, dim) for M in d["mats"]]
-    return AffineSlice(mats, [float(r) for r in d["rhs"]],
+    mats = [np.asarray(M, dtype=float).reshape(dim, dim)
+            for M in _typed(d["mats"], list, "mats")]
+    return AffineSlice(mats, [float(r) for r in _typed(d["rhs"], list, "rhs")],
                        np.asarray(d["point"], dtype=float).reshape(dim, dim))
 
 
@@ -250,14 +267,15 @@ def solution_from_dict(d):
     if d.get("schema") != SOLUTION_SCHEMA:
         raise ValueError("not a solution file (schema %r)" % d.get("schema"))
     blocks = {}
-    for t, Y in d["blocks"].items():
+    for t, Y in _typed(d["blocks"], dict, "blocks").items():
         try:
             node = int(t)
         except ValueError:
             raise ValueError("solution blocks key %r is not an integer node id"
                              % t) from None
         blocks[node] = np.asarray(Y, dtype=float)
-    ext = extended_from_dict(d["extended"]) if "extended" in d else None
+    ext = extended_from_dict(_typed(d["extended"], dict, "extended")) \
+        if "extended" in d else None
     return blocks, d.get("stats"), ext
 
 
@@ -296,7 +314,4 @@ def load(path_or_file):
     else:
         with open(path_or_file) as fh:
             d = json.load(fh)
-    if not isinstance(d, dict):
-        raise ValueError("top level must be a JSON object, not %s"
-                         % type(d).__name__)
-    return d
+    return _typed(d, dict, "top level")

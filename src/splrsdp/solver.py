@@ -1,21 +1,20 @@
 """ADMM solvers for the block problem and a dense reference oracle.
 
-The block solver first merges each tree node with its parent while the
-parent's group holds fewer than GROUP_SIZE nodes, solves on the merged
+The block solver first merges each tree node into its parent's group
+while that group holds fewer than GROUP_SIZE nodes, solves on the merged
 blocks, and slices every fine block back out of its group's block.  It
 works on a consensus vector x over the union of block entry positions
 (off-diagonal entries scaled by sqrt(2) so inner products are dot
 products).  Block iterates are full d x d matrices stored in slabs, one slab
 per (block size, face dimension) group, and with the data row values they
-form one vector v = K x at consensus, K = [G; W A] stacking the gather
-matrix G and the data rows A weighted by W = DATA_WEIGHT.  Each evaluation
-of the ADMM map projects each slab onto its null-constrained PSD faces with
-one batched eigh, clips row values into their interval bounds, and solves a
-prefactored least-squares system for the consensus; safeguarded Anderson
-acceleration of that map picks the steps.  The dense reference solver
-runs plain ADMM on the full matrix of the original problem and shares no
-conversion or projection code, which makes it usable as an independent
-cross-check.
+form one vector v = K x at consensus, K = [G; A] stacking the gather
+matrix G and the data rows A.  Each evaluation of the ADMM map projects
+each slab onto its null-constrained PSD faces with one batched eigh, clips
+row values into their interval bounds, and solves a prefactored
+least-squares system for the consensus; safeguarded Anderson acceleration
+of that map picks the steps.  The dense reference solver runs plain ADMM on
+the full matrix of the original problem and shares no conversion or
+projection code, which makes it usable as an independent cross-check.
 """
 
 import logging
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 AA_MEMORY = 25  # Anderson acceleration memory of admm_solve
-GROUP_SIZE = 2  # fine tree nodes per merged block of admm_solve
-DATA_WEIGHT = 2.0  # scale of admm_solve's data rows and bounds in K
+GROUP_SIZE = 4  # fine tree nodes per merged block of admm_solve
 
 log = logging.getLogger("splrsdp")
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -154,8 +152,8 @@ def _anderson_weights(gram, rhs):
     return np.linalg.solve(shifted, rhs)
 
 
-def _merge_pairs(bs):
-    """The solver's layout of bs on parent-child groups of its tree.
+def _merge_groups(bs):
+    """The solver's layout of bs on connected groups of its tree.
 
     Parents first along bs.overlaps, a node joins its parent's group while
     that group has fewer than GROUP_SIZE nodes and otherwise starts its
@@ -169,24 +167,21 @@ def _merge_pairs(bs):
     place), the first two keyed by group and place[t] = (group, rows of
     bs.blocks[t] in the group block).
     """
-    ids = sorted(bs.blocks)
-    top = dict(zip(ids, ids))
-    size = dict.fromkeys(ids, 1)
+    top = {t: t for t in bs.blocks}
+    members = {t: [t] for t in bs.blocks}
     for t, par, _ in bs.overlaps:  # parents first
         g = top[par]
-        if size[g] < GROUP_SIZE:
+        if len(members[g]) < GROUP_SIZE:
             top[t] = g
-            size[g] += 1
-    members = {}
-    for t in ids:
-        members.setdefault(top[t], []).append(t)
+            members[g] += members.pop(t)
     blocks, null_mats, place = {}, {}, {}
-    for g in sorted(members):
-        block = np.unique(np.concatenate([bs.blocks[t] for t in members[g]]))
-        mats = [np.asarray(bs.null_mats[t], dtype=float) for t in members[g]]
+    for g, group in sorted(members.items()):
+        group.sort()
+        block = np.unique(np.concatenate([bs.blocks[t] for t in group]))
+        mats = [np.asarray(bs.null_mats[t], dtype=float) for t in group]
         null = np.zeros((block.size, sum(a.shape[1] for a in mats)))
         h = 0
-        for t, a in zip(members[g], mats):
+        for t, a in zip(group, mats):
             rows = np.searchsorted(block, bs.blocks[t])
             null[rows, h:h + a.shape[1]] = a
             h += a.shape[1]
@@ -198,7 +193,7 @@ def _merge_pairs(bs):
 def admm_solve(bs, params=None):
     """Solve the coupled block problem; returns ({t: Y_t}, SolveStats).
 
-    The ADMM runs on the merged blocks of _merge_pairs, and every fine
+    The ADMM runs on the merged blocks of _merge_groups, and every fine
     block Y_t, t in bs.blocks, is sliced out of its group's block, so fine
     blocks of one group agree bitwise on their shared pairs; block_ranks
     count the fine blocks.  Below, "blocks" are the merged ones.  The
@@ -210,46 +205,45 @@ def admm_solve(bs, params=None):
     distance, G^T y is the svec sum and G^T G the diagonal of pair
     multiplicities.  The data rows A are bs.rows with each fine column
     moved to the consensus coordinate of its index pair, which makes one
-    splitting K x = v, K = [G; W A], v = [y; z] and scaled dual u = [lam; w].
-    The data rows and their bounds are scaled by W = DATA_WEIGHT, which
-    penalises them W^2 times as hard as the block copies (the per-row
-    penalty of OSQP and COSMO) and changes neither the feasible set nor
-    the objective c, the objective row.
+    splitting K x = v, K = [G; A], v = [y; z] and scaled dual u = [lam; w];
+    c is the objective row.  Of group sizes 2-6 and 8, GROUP_SIZE = 4 takes
+    the fewest iterations on the benchmark's `chain`, and only 6 and 8 take
+    fewer on `wide` (README).  An extra weight on the data rows, which paid
+    at pairs, costs iterations at groups of 4, so the rows enter K as they
+    are.
 
     The ADMM runs as Douglas-Rachford on zeta = K x + u: with P the
     projection of every slab onto its PSD face and of z into its interval
     bounds, and X(w) the x minimising c.x + rho/2 ||K x - w||^2, one step
     is T(zeta) = zeta - P(zeta) + K X(2 P(zeta) - zeta).  Each evaluation
     of T yields v = P(zeta), u = zeta - v (exactly complementary to v) and
-    x; the primal residual is ||K x - v|| over max(1, ||K x||, ||v||), each
-    vector's data part divided by W first, so it is that of the unweighted
-    rows and tol_primal, history and stats keep their meaning.  The dual
-    residual is ||c + rho K^T u|| over max(1, ||rho K^T u||); K^T u = G^T
-    lam + A^T (W w) is already the unweighted problem's, with dual W w on
-    the data rows.  Type-II Anderson acceleration with memory AA_MEMORY
-    proposes a candidate from the last steps, its weights from the
-    regularised normal equations of _anderson_weights (one LU solve, where
-    an SVD least squares at memory 25 would cost most of what the longer
-    memory saves); the safeguard takes it only if its fixed-point residual
-    ||T(c) - c|| is no larger than the plain step's ||T(zeta) - zeta||,
-    and otherwise takes the plain step T(zeta).  Memory 25 is the best of
-    a sweep over 10-40 (README): against 10 it takes the benchmark's
-    `chain` from 1089 to about 720 iterations and minbisect C64 at tol
-    1e-8 from 13432 to 2341, while at 30 and 40 C64 and `wide` lose again
-    and refusals climb.  One iteration is one step taken, so it costs one
-    evaluation of T, or two when the candidate is rejected; max_iter caps
-    these steps and per-iteration timings divide by them.  Every 25 iterations rho is
+    x; the primal residual is ||K x - v|| over max(1, ||K x||, ||v||) and
+    the dual residual ||c + rho K^T u|| over max(1, ||rho K^T u||).  Type-II
+    Anderson acceleration with memory AA_MEMORY proposes a candidate from
+    the last steps, its weights from the regularised normal equations of
+    _anderson_weights (one LU solve, where an SVD least squares at memory 25
+    would cost most of what the longer memory saves); the safeguard takes it
+    only if its fixed-point residual ||T(c) - c|| is no larger than the
+    plain step's ||T(zeta) - zeta||, and otherwise takes the plain step
+    T(zeta).  Memory 25 is the best of a sweep over 10-40 on pairs
+    (README), and stays the best at groups of 4, where 15 and 20 lose on
+    both workloads and 30 loses on `chain` and minbisect C64.  One
+    iteration is one step taken, so it costs one evaluation of T, or two
+    when the candidate is rejected; max_iter caps these steps and
+    per-iteration timings divide by them.  Every 25 iterations rho is
     doubled or halved when one residual exceeds the other tenfold, which
-    clears the memory; each of these checks logs one debug line on the
-    "splrsdp" logger (iteration, residuals, rho, candidates taken/refused,
-    memory filled).  The loop ends at the tolerances or at max_iter and
-    has no divergence exit: the primal residual is at most 2 (triangle
-    inequality) and the dual residual at most ||c|| + 1, so neither can
-    grow without bound.  stats.objective is the objective row on the
-    returned fine blocks, which lie off consensus by the primal residual.
+    clears the memory.  On the "splrsdp" logger at debug level, one line
+    before the loop gives the layout (fine nodes, groups, range of block
+    sizes, slabs) and each rho check logs one line (iteration, residuals,
+    rho, candidates taken/refused, memory filled).  The loop ends at the
+    tolerances or at max_iter and has no divergence exit: the primal
+    residual is at most 2 (triangle inequality) and the dual residual at
+    most ||c|| + 1, so neither can grow without bound.  stats.objective is
+    the objective row on the returned fine blocks, which lie off consensus
+    by the primal residual.
     """
     params = params or AdmmParams()
-    blocks, null_mats, place = _merge_pairs(bs)
+    blocks, null_mats, place = _merge_groups(bs)
     ids = sorted(blocks)
     basis = dict(zip(ids, _face_bases([null_mats[t] for t in ids],
                                       [len(blocks[t]) for t in ids])))
@@ -289,20 +283,13 @@ def admm_solve(bs, params=None):
                           fcol[bs.rows.indices], bs.rows.indptr),
                          shape=(bs.rows.shape[0], N))
     c = rows[0].toarray().ravel()
-    K = sp.vstack([G, DATA_WEIGHT * rows[1:]]).tocsr()
+    K = sp.vstack([G, rows[1:]]).tocsr()
     # stored transpose: building a .T view costs more than the product
     KT = K.T.tocsr()
     solve = spla.factorized((KT @ K).tocsc())
-    lo = np.concatenate([np.full(ny, -np.inf),
-                         [DATA_WEIGHT * b[0] for b in bs.bounds]])
-    hi = np.concatenate([np.full(ny, np.inf),
-                         [DATA_WEIGHT * b[1] for b in bs.bounds]])
-    shrink = 1.0 - DATA_WEIGHT ** -2
-
-    def norm(y):
-        """||y|| with the data part divided by DATA_WEIGHT: the norm of the
-        unweighted rows, from two dot products and no copy."""
-        return np.sqrt(y @ y - shrink * (y[ny:] @ y[ny:]))
+    free = np.full(ny, np.inf)  # block copies have no bounds
+    lo = np.concatenate([-free, bs.bounds[:, 0]])
+    hi = np.concatenate([free, bs.bounds[:, 1]])
 
     def project(zeta):
         v = np.clip(zeta, lo, hi)
@@ -336,9 +323,14 @@ def admm_solve(bs, params=None):
     history = []
     converged = False
     debug = log.isEnabledFor(logging.DEBUG)
+    if debug:
+        sizes = [len(blocks[t]) for t in ids]
+        log.debug("admm layout: %d nodes in %d groups, blocks %d-%d, %d slabs",
+                  len(place), len(ids), min(sizes), max(sizes), len(slabs))
     for it in range(1, params.max_iter + 1):
         v, u, KTu, x, Kx, f = ev
-        pri = norm(f) / max(1.0, norm(Kx), norm(v))
+        pri = np.linalg.norm(f) / max(1.0, np.linalg.norm(Kx),
+                                      np.linalg.norm(v))
         dua = np.linalg.norm(c + rho * KTu) / max(
             1.0, rho * np.linalg.norm(KTu))
         history.append((pri, dua))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from splrsdp.graph_core import Graph, TreeDecomposition, _is_peo, _mcs_order
+from splrsdp.instances import gen_min_bisection
 from splrsdp.sdp_model import _values
 from splrsdp.sparse_extension import _root_gram
 
@@ -81,6 +82,12 @@ def block_row_values(bs, blocks):
     node, i, j, _, _ = bs.columns
     y = np.array([blocks[t][a, b] for t, a, b in zip(node, i, j)])
     return bs.rows @ (y * np.where(i == j, 1.0, 2.0))
+
+
+def cycle_bisection(n):
+    """gen_min_bisection on the cycle C_n."""
+    return gen_min_bisection(
+        Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)]))
 
 
 def random_graph(rng, n, p_edge):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from splrsdp.chordal_conversion import assemble, convert_problem, export_sdpa
 from splrsdp.completion_rank import RecoveryError
 from splrsdp.graph_core import Graph
-from splrsdp.instances import gen_lb_tree, gen_min_bisection
+from splrsdp.instances import gen_lb_tree
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, eval_constraint, eval_objective)
 from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import (block_row_values, parse_sdpa, random_splr_problem,
-                      random_valid_td)
+from conftest import (block_row_values, cycle_bisection, parse_sdpa,
+                      random_splr_problem, random_valid_td)
 
 
 def _lift_blocks(ext, bs, F):
@@ -45,7 +45,8 @@ def test_block_values_match_original_values():
             v = vals[i]
             want = eval_constraint(p, i, ref)
             assert abs(v - want) < 1e-8 * max(1.0, abs(want))
-        assert bs.bounds == [(c.lower, c.upper) for c in p.constraints]
+        assert bs.bounds.tolist() == [[c.lower, c.upper]
+                                      for c in p.constraints]
 
 
 def test_block_data_reconstructs_extended_matrices():
@@ -216,11 +217,6 @@ def test_export_sdpa_interval_rows_use_lp_block():
     assert n_slack == expect
 
 
-def _cycle_bisection(n):
-    return gen_min_bisection(Graph.from_edges(
-        n, [(i, i + 1) for i in range(1, n)] + [(1, n)]))
-
-
 def _face_columns(ext, bs):
     """The columns null_mats[root] carries beyond the accumulator matrix."""
     root = ext.pattern.td.root
@@ -238,12 +234,12 @@ def _rows_are(p, ext, bs, kept):
     got = block_row_values(bs, blocks)
     assert got.shape == (len(want),)
     assert np.abs(got - want).max() < 1e-9 * max(1.0, np.abs(want).max())
-    assert bs.bounds == [(p.constraints[r].lower, p.constraints[r].upper)
-                         for r in kept]
+    assert bs.bounds.tolist() == [
+        [p.constraints[r].lower, p.constraints[r].upper] for r in kept]
 
 
 def test_minbisect_sum_row_moves_into_the_root_face():
-    p = _cycle_bisection(8)
+    p = cycle_bisection(8)
     ext, bs, _ = convert_problem(p)
     # <ee^T, X> = 0 is the last row: dropped, the diagonal rows stay
     _rows_are(p, ext, bs, range(p.m - 1))
@@ -280,7 +276,7 @@ def test_lb_tree_moves_the_diagonal_core_rows_only():
 
 
 def test_repeated_face_rows_add_one_face_vector():
-    p = _cycle_bisection(6)
+    p = cycle_bisection(6)
     twice = replace(p, constraints=p.constraints + [p.constraints[-1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -292,7 +288,7 @@ def test_repeated_face_rows_add_one_face_vector():
 
 
 def test_zero_row_with_a_sparse_part_stays_a_data_row():
-    p = _cycle_bisection(6)
+    p = cycle_bisection(6)
     last = p.constraints[-1]
     mixed = Constraint(SparseSymMatrix.from_entries(p.n, [(1, 2, 0.5)]),
                        last.core, 0.0, 0.0)
@@ -303,7 +299,7 @@ def test_zero_row_with_a_sparse_part_stays_a_data_row():
 
 
 def test_export_sdpa_of_a_reduced_minbisect_keeps_the_row_count():
-    p = _cycle_bisection(8)
+    p = cycle_bisection(8)
     ext, bs, _ = convert_problem(p)
     buf = io.StringIO()
     export_sdpa(bs, buf)

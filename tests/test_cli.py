@@ -32,8 +32,7 @@ def test_gen_convert_solve_recover_files(tmp_path):
     s = tmp_path / "s.json"
     st = tmp_path / "stats.json"
     r = tmp_path / "r.json"
-    assert run(["gen", "simex", "-n", "10", "--seed", "7",
-                "--out", str(p)]) == 0
+    assert run(["gen", "simex", "-n", "10", "--out", str(p)]) == 0
     assert run(["convert", "--in", str(p), "--out", str(e),
                 "--report", str(tmp_path / "rep.json")]) == 0
     assert run(["solve", "--in", str(e), "--tol", "1e-9",
@@ -85,7 +84,7 @@ def test_shell_pipeline_matches_the_documented_flow(tmp_path):
     exe = shutil.which("splrsdp")
     if exe is None:
         pytest.skip("entry point not installed")
-    cmd = ("splrsdp gen simex -n 8 --seed 7 | splrsdp convert "
+    cmd = ("splrsdp gen simex -n 8 | splrsdp convert "
            "| splrsdp solve --tol 1e-8 --max-iter 10000 | splrsdp recover "
            "| splrsdp report")
     out = subprocess.run(cmd, shell=True, capture_output=True, text=True,
@@ -467,6 +466,36 @@ def test_gen_takes_seed_only_for_families_that_draw_random_numbers(
         "f2f13c062cbf044d5b12b5be34c5e3befee49aa4e6d2e46b30f698f557d844a6"
 
 
+def test_gen_refuses_a_seed_it_would_ignore(tmp_path, capsys):
+    # simex draws only with --random-a, minbisect only without --graph
+    graph = tmp_path / "g.txt"
+    with open(graph, "w") as fh:
+        write_graph(Graph.from_edges(3, [(1, 2), (2, 3)]), fh)
+    out = tmp_path / "p.json"
+    for argv, why in ((["simex", "-n", "3"], "without --random-a"),
+                      (["minbisect", "--graph", str(graph)], "with --graph")):
+        capsys.readouterr()
+        assert run(["gen"] + argv + ["--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "splrsdp: error: --seed has no effect on gen %s %s\n"
+            % (argv[0], why))
+        assert not out.exists()
+    # without --seed the files are those the default seed 0 gave before
+    for argv, digest in (
+            (["simex", "-n", "5"], "83e59d76a81b1d1bade9d6b687381cea"
+                                   "e6e9a4da89c220503764f9a8ace84be4"),
+            (["minbisect", "-n", "8"], "5612fff4fb55794d32088507a520e221"
+                                       "08e629b5790301d9c3ac47f81b4942fa")):
+        assert run(["gen"] + argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # where it draws, an explicit --seed 0 is the default
+    assert run(["gen", "minbisect", "-n", "8", "--seed", "0",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert run(["gen", "simex", "-n", "5", "--random-a", "--seed", "1",
+                "--out", str(out)]) == 0
+
+
 def test_gen_seed_changes_random_instances(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -531,6 +560,35 @@ def test_json_input_that_is_not_an_object_exits_1(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("splrsdp: invalid input: top level must be a JSON"
                           " object, not list")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kind, key, value, command", [
+    ("p", "objective", [1, 2], "convert"),
+    ("e", "base", [1, 2], "report"),
+    ("s", "blocks", [1, 2], "recover"),
+    ("sl", "mats", 7, "report"),
+    ("sl", "mats", 7, "reduce"),
+], ids=lambda v: str(v))
+def test_nested_json_value_of_the_wrong_type_exits_1(tmp_path, capsys, kind,
+                                                     key, value, command):
+    # each of these indexed a list or an int and died with a traceback
+    files = {name: str(tmp_path / ("%s.json" % name))
+             for name in ("p", "e", "s", "sl")}
+    assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
+    assert run(["convert", "--in", files["p"], "--out", files["e"]]) == 0
+    assert run(["solve", "--in", files["e"], "--out", files["s"]]) == 0
+    assert run(["gen", "phi", "--ell", "1", "--out", files["sl"]]) == 0
+    d = _load(files[kind])
+    d[key] = value
+    fileio.save(d, files[kind])
+    flag = "--extended-solution" if command == "recover" else "--in"
+    capsys.readouterr()
+    assert run([command, flag, files[kind],
+                "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: %s must be a JSON" % key)
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
 

@@ -214,7 +214,8 @@ def _bag_layout(td, root=1):
                 for t in reversed(td.postorder()) if td.parent(t) is not None]
     blocks = {t: tuple(sorted(td.bags[t])) for t in td.nodes}
     bs = BlockSdp(n_ext=max(max(b) for b in td.bags.values()), blocks=blocks,
-                  rows=None, bounds=[], null_mats={}, overlaps=overlaps)
+                  rows=None, bounds=np.zeros((0, 2)), null_mats={},
+                  overlaps=overlaps)
     return td, bs
 
 

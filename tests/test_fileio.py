@@ -178,7 +178,7 @@ def test_extended_roundtrip_rebuilds_identical_data():
         # the rebuilt extension drives the same block problem
         bs2 = convert(back)
         assert bs2.blocks == bs.blocks
-        assert bs2.bounds == bs.bounds
+        assert np.array_equal(bs2.bounds, bs.bounds)
 
 
 def test_slice_roundtrip():

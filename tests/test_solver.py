@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 from splrsdp import fileio, solver
 from splrsdp.chordal_conversion import BlockSdp, convert_problem
 from splrsdp.cli import run
-from splrsdp.completion_rank import (_two_child_nodes, bp_bound,
-                                     recover_low_rank)
+from splrsdp.completion_rank import (_face_bases, _two_child_nodes,
+                                     bp_bound, recover_low_rank)
 from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_lb_tree, gen_min_bisection, gen_simex
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, Term, eval_constraint, is_feasible)
 from splrsdp.solver import (AdmmDivergence, AdmmParams, _anderson_weights,
-                            _face_basis, _face_project, _merge_pairs,
+                            _face_basis, _face_project, _merge_groups,
                             admm_solve, dense_reference_solve,
                             project_null_psd)
 
-from conftest import block_row_values, random_splr_problem, random_valid_td
+from conftest import (block_row_values, cycle_bisection, random_splr_problem,
+                      random_valid_td)
 
 
 def test_admm_params_validation():
@@ -127,7 +128,8 @@ def _single_block_problem(C, lower, upper):
     i, j = np.triu_indices(d)
     rows = sp.csr_matrix(np.vstack([C[i, j], (i == j).astype(float)]))
     return BlockSdp(n_ext=d, blocks={1: tuple(range(1, d + 1))}, rows=rows,
-                    bounds=[(lower, upper)], null_mats={1: np.zeros((d, 0))},
+                    bounds=np.array([[lower, upper]]),
+                    null_mats={1: np.zeros((d, 0))},
                     overlaps=[])
 
 
@@ -162,7 +164,7 @@ def test_admm_slabs_return_blocks_in_node_order():
     trace = sp.block_diag([(i == j).astype(float)[None, :] for i, j in tri])
     rows = sp.vstack([obj[None, :], trace]).tocsr()
     bs = BlockSdp(n_ext=start - 1, blocks=blocks, rows=rows,
-                  bounds=[(1.0, 1.0)] * 3,
+                  bounds=np.ones((3, 2)),
                   null_mats={t: np.zeros((d, 0)) for t, d in sizes.items()},
                   overlaps=[])
     Y, stats = admm_solve(bs, AdmmParams(max_iter=5000, tol_primal=1e-9,
@@ -188,7 +190,7 @@ def test_admm_without_constraint_rows():
                     n, [(i, i, 1.0) for i in range(1, n + 1)]), np.zeros((0, 0))),
                 constraints=[])
     _, bs, _ = convert_problem(p)
-    assert bs.bounds == [] and bs.rows.shape[0] == 1 and bs.k > 1
+    assert bs.bounds.shape == (0, 2) and bs.rows.shape[0] == 1 and bs.k > 1
     blocks, stats = admm_solve(bs)
     assert stats.converged
     assert abs(stats.objective) < 1e-8
@@ -277,30 +279,47 @@ def test_objective_is_that_of_the_returned_blocks():
     # the blocks lie off the consensus x by the primal residual, so the
     # objective is the objective row on them, not c.x (1.9e-6 apart on this
     # instance at Anderson memory 10)
-    cycle = Graph.from_edges(8, [(i, i % 8 + 1) for i in range(1, 9)])
-    ext, bs, _ = convert_problem(gen_min_bisection(cycle))
+    ext, bs, _ = convert_problem(cycle_bisection(8))
     td = ext.pattern.td
     assert all(len(td.children(t)) <= 1 for t in td.nodes)
-    assert len(_merge_pairs(bs)[0]) < bs.k
+    assert len(_merge_groups(bs)[0]) < bs.k
     blocks, stats = admm_solve(bs)
     ref = block_row_values(bs, blocks)[0]
     assert abs(stats.objective - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_admm_logs_progress_at_the_rho_checks(caplog):
-    _, bs, _ = convert_problem(gen_lb_tree(1))
+    # C16 at tol 1e-8 runs past several rho checks
+    _, bs, _ = convert_problem(cycle_bisection(16))
+    tight = AdmmParams(tol_primal=1e-8, tol_dual=1e-8)
     with caplog.at_level(logging.DEBUG, logger="splrsdp"):
-        _, stats = admm_solve(bs)
+        _, stats = admm_solve(bs, tight)
     lines = [m for m in (r.getMessage() for r in caplog.records)
-             if m.startswith("admm")]
+             if m.startswith("admm it ")]
     assert len(lines) == (stats.iterations - 1) // 25 > 0
     assert lines[0].startswith("admm it 25 pri ")
     assert all(" rho " in m and " aa " in m and " memory " in m
                for m in lines)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="splrsdp"):
-        admm_solve(bs)
+        admm_solve(bs, tight)
     assert not caplog.records
+
+
+def test_admm_logs_its_layout_once_before_the_loop(caplog):
+    _, bs, _ = convert_problem(cycle_bisection(16))
+    blocks, null_mats, place = _merge_groups(bs)
+    sizes = [len(b) for b in blocks.values()]
+    bases = _face_bases(list(null_mats.values()), sizes)
+    slabs = {Q.shape for Q in bases}
+    with caplog.at_level(logging.DEBUG, logger="splrsdp"):
+        admm_solve(bs, AdmmParams(max_iter=60))
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines[0] == ("admm layout: %d nodes in %d groups, blocks %d-%d, "
+                        "%d slabs" % (bs.k, len(blocks), min(sizes),
+                                      max(sizes), len(slabs)))
+    assert len(place) == bs.k > len(blocks) > 1 and len(slabs) > 1
+    assert sum(m.startswith("admm layout") for m in lines) == 1
 
 
 def test_block_residuals_are_bounded_so_no_divergence_exit_is_needed():
@@ -341,33 +360,9 @@ def bqp8(tmp_path_factory):
     return fileio.problem_from_dict(fileio.load(path))
 
 
-def test_data_weight_one_is_the_unweighted_solver(monkeypatch):
-    # the solve before the data rows were weighted took 307 iterations, at
-    # Anderson memory 10
-    _, bs, _ = convert_problem(gen_lb_tree(1))
-    monkeypatch.setattr(solver, "DATA_WEIGHT", 1.0)
-    monkeypatch.setattr(solver, "AA_MEMORY", 10)
-    _, stats = admm_solve(bs)
-    assert stats.converged and stats.iterations == 307
-
-
-def test_data_weight_cuts_iterations_at_the_same_objective(monkeypatch, bqp8):
-    for p in (gen_lb_tree(1), bqp8):
-        _, bs, _ = convert_problem(p)
-        _, weighted = admm_solve(bs)
-        monkeypatch.setattr(solver, "DATA_WEIGHT", 1.0)
-        _, plain = admm_solve(bs)
-        monkeypatch.undo()
-        assert weighted.converged and plain.converged
-        assert weighted.iterations < plain.iterations
-        assert abs(weighted.objective - plain.objective) <= 1e-4 * (
-            1.0 + abs(plain.objective))
-
-
 def test_anderson_memory_cuts_iterations_at_the_same_objective(monkeypatch):
-    cycle = Graph.from_edges(16, [(i, i % 16 + 1) for i in range(1, 17)])
     tight = AdmmParams(tol_primal=1e-8, tol_dual=1e-8)
-    for p, par in ((gen_min_bisection(cycle), tight),
+    for p, par in ((cycle_bisection(16), tight),
                    (gen_lb_tree(1), AdmmParams())):
         _, bs, _ = convert_problem(p)
         _, long = admm_solve(bs, par)
@@ -379,35 +374,34 @@ def test_anderson_memory_cuts_iterations_at_the_same_objective(monkeypatch):
         assert abs(long.objective - short.objective) <= 1e-6
 
 
-@pytest.mark.parametrize("weight", [0.1, 10.0])
-def test_data_weight_is_undone_in_the_primal_residual(monkeypatch, bqp8,
-                                                      weight):
-    # the tolerance is that of the unweighted rows: on the returned blocks
-    # each row lies within 10 tol_primal (on this problem's unit row scale)
-    # of its bounds.  Counting the data part of the residual weighted, or
-    # weighted twice, leaves a row 24 to 170 tol_primal outside at one of
-    # the two weights
-    monkeypatch.setattr(solver, "DATA_WEIGHT", weight)
+def test_groups_of_four_take_fewer_iterations_than_pairs(monkeypatch):
+    # lb-tree-l2 took 143 iterations as pairs against 22, C16 at tol 1e-8
+    # 155 against 143
+    tight = AdmmParams(tol_primal=1e-8, tol_dual=1e-8)
+    for p, par in ((gen_lb_tree(2), AdmmParams()),
+                   (cycle_bisection(16), tight)):
+        _, bs, _ = convert_problem(p)
+        _, groups = admm_solve(bs, par)
+        monkeypatch.setattr(solver, "GROUP_SIZE", 2)
+        _, pairs = admm_solve(bs, par)
+        monkeypatch.undo()
+        assert groups.converged and pairs.converged
+        assert groups.iterations < pairs.iterations
+        assert abs(groups.objective - pairs.objective) <= 1e-6
+
+
+def test_returned_blocks_meet_every_row_within_ten_tol_primal(bqp8):
+    # the primal residual is one 2-norm over every block copy and data row;
+    # on the returned blocks each row still lies within 10 tol_primal (on
+    # this problem's unit row scale) of its bounds
     _, bs, _ = convert_problem(bqp8)
     par = AdmmParams()
     blocks, stats = admm_solve(bs, par)
     assert stats.converged and stats.primal_residual <= par.tol_primal
     vals = block_row_values(bs, blocks)[1:]
-    lo, hi = np.array(bs.bounds).T
+    lo, hi = bs.bounds.T
     viol = np.maximum(np.maximum(lo - vals, vals - hi), 0.0)
     assert viol.max() <= 10 * par.tol_primal * max(1.0, np.abs(vals).max())
-
-
-def test_dense_reference_ignores_the_data_weight(monkeypatch):
-    p = gen_simex(6)
-    par = AdmmParams(max_iter=300)
-    sol, stats = dense_reference_solve(p, par)
-    for weight in (0.1, 10.0):
-        monkeypatch.setattr(solver, "DATA_WEIGHT", weight)
-        sol_w, stats_w = dense_reference_solve(p, par)
-        assert np.array_equal(sol_w.factor, sol.factor)
-        assert np.array_equal(stats_w.history, stats.history)
-        assert stats_w.objective == stats.objective
 
 
 def test_divergence_exception_carries_stats():
@@ -569,7 +563,7 @@ def test_merged_solve_returns_agreeing_fine_blocks(seed, nodes, ell):
         A = ext.a_mats[t]
         assert np.abs(A.T @ Y[t] @ A).max() <= 1e-6 * max(1.0, np.abs(Y[t]).max())
     # fine blocks of one group are slices of one matrix
-    _, _, place = _merge_pairs(bs)
+    _, _, place = _merge_groups(bs)
     for s, (gs, _) in place.items():
         for t, (gt, _) in place.items():
             if s < t and gs == gt:
@@ -607,11 +601,11 @@ def test_merge_pairs_matches_a_loop_reference(seed, nodes, ell):
         depth[t] = depth.get(par, 0) + 1
     bs = replace(bs, overlaps=sorted(
         bs.overlaps, key=lambda o: (depth[o[0]], rng.random())))
-    blocks, null_mats, place = _merge_pairs(bs)
-    # groups parents first: join the parent's group while it has one node
+    blocks, null_mats, place = _merge_groups(bs)
+    # groups parents first: join the parent's group while it is not full
     top = {t: t for t in bs.blocks}
     for t, par, _ in bs.overlaps:
-        if sum(top[s] == top[par] for s in bs.blocks) < 2:
+        if sum(top[s] == top[par] for s in bs.blocks) < solver.GROUP_SIZE:
             top[t] = top[par]
     groups = {}
     for t in sorted(bs.blocks):
