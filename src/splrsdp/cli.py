@@ -230,8 +230,8 @@ def _cmd_report(args):
     elif schema == fileio.EXTENDED_SCHEMA:
         base = typed(d["base"], dict, "base")
         k = len(typed(typed(d["tree"], dict, "tree")["nodes"], list, "nodes"))
-        out.update(n=base["n"], ell=base["ell"], k=k,
-                   n_hat=base["n"] + base["ell"] * k)
+        n, ell = (fileio._cast(base[key], int, key) for key in ("n", "ell"))
+        out.update(n=n, ell=ell, k=k, n_hat=n + ell * k)
     elif schema == fileio.SOLUTION_SCHEMA:
         out["blocks"] = len(typed(d["blocks"], dict, "blocks"))
         if "stats" in d:
@@ -284,7 +284,8 @@ def _build_parser():
     sp.add_argument("--p-edge", type=float, default=0.3)
     sp.add_argument("--graph", default=None, help="text graph file instead of random")
     gcommon(sp, seeded=True)
-    sp = gsub.add_parser("bqp", help="boxed quadratic program relaxation")
+    sp = gsub.add_parser("bqp", help="quadratic program relaxation over x >= 0;"
+                         " bounded with --binary or a positive definite Q")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--eq", type=int, default=0, help="number of equality rows")

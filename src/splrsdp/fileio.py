@@ -8,6 +8,7 @@ path.
 import json
 import math
 from dataclasses import fields
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -60,12 +61,27 @@ def _typed(v, kind, name):
     return v
 
 
+_floats = partial(np.asarray, dtype=float)
+
+
+def _cast(v, kind, name):
+    """kind(v) for kind int, float or _floats (an array of floats); a value
+    it refuses, such as a list for a number or an object in an array,
+    raises ValueError naming it."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("%s must be %s, got %.40r" % (
+            name, "an array of numbers" if kind is _floats else "a number",
+            v)) from None
+
+
 def _bound_out(v):
     return None if not math.isfinite(v) else float(v)
 
 
-def _bound_in(v, sign):
-    return sign * float("inf") if v is None else float(v)
+def _bound_in(v, sign, name):
+    return sign * float("inf") if v is None else _cast(v, float, name)
 
 
 def _sparse_out(sp):
@@ -146,9 +162,9 @@ def problem_to_dict(p):
 def problem_from_dict(d):
     if d.get("schema") != PROBLEM_SCHEMA:
         raise ValueError("not a problem file (schema %r)" % d.get("schema"))
-    n = int(d["n"])
-    ell = int(d["ell"])
-    factor = np.asarray(d["factor"], dtype=float).reshape(n, ell)
+    n = _cast(d["n"], int, "n")
+    ell = _cast(d["ell"], int, "ell")
+    factor = _cast(d["factor"], _floats, "factor").reshape(n, ell)
     _, i, j = _index_rows(n, _typed(d["pattern_edges"], list,
                                     "pattern_edges"), 2,
                           "pattern edges must be [i, j] pairs",
@@ -161,16 +177,18 @@ def problem_from_dict(d):
     rows = [_typed(d["objective"], dict, "objective")] + [
         _typed(c, dict, "constraint %d" % r) for r, c in
         enumerate(_typed(d["constraints"], list, "constraints"), start=1)]
-    if "m" in d and int(d["m"]) != len(rows) - 1:
+    if "m" in d and _cast(d["m"], int, "m") != len(rows) - 1:
         raise ValueError("m = %s does not match %d constraints"
                          % (d["m"], len(rows) - 1))
     sparse = _sparse_rows(n, [_typed(r["sparse_entries"], list,
                                      "sparse_entries") for r in rows])
-    cores = np.asarray([r["core"] for r in rows],
-                       dtype=float).reshape(len(rows), ell, ell)
-    cons = [Constraint(a, core, _bound_in(c["lower"], -1.0),
-                       _bound_in(c["upper"], 1.0))
-            for a, core, c in zip(sparse[1:], cores[1:], rows[1:])]
+    cores = _cast([r["core"] for r in rows], _floats,
+                  "core").reshape(len(rows), ell, ell)
+    cons = [Constraint(a, core,
+                       _bound_in(c["lower"], -1.0, "constraint %d lower" % r),
+                       _bound_in(c["upper"], 1.0, "constraint %d upper" % r))
+            for r, (a, core, c) in enumerate(zip(sparse[1:], cores[1:],
+                                                 rows[1:]), start=1)]
     p = SplrSdp(n=n, ell=ell, pattern=Graph(n, edges), factor=factor,
                 objective=Term(sparse[0], cores[0]), constraints=cons)
     validate_problem(p)
@@ -187,14 +205,16 @@ def td_to_dict(td):
 
 
 def td_from_dict(d):
-    edges = [_typed(e, list, "tree edge")
-             for e in _typed(d["edges"], list, "edges")]
+    def ints(vs, name):
+        return [_cast(v, int, name) for v in _typed(vs, list, name)]
+
+    edges = [ints(e, "tree edge") for e in _typed(d["edges"], list, "edges")]
     return TreeDecomposition(
-        nodes=tuple(int(t) for t in _typed(d["nodes"], list, "nodes")),
-        edges=frozenset((int(a), int(b)) for a, b in edges),
-        bags={int(t): frozenset(map(int, _typed(vs, list, "bag %s" % t)))
+        nodes=tuple(ints(d["nodes"], "nodes")),
+        edges=frozenset((a, b) for a, b in edges),
+        bags={_cast(t, int, "bag key"): frozenset(ints(vs, "bag %s" % t))
               for t, vs in _typed(d["bags"], dict, "bags").items()},
-        root=None if d.get("root") is None else int(d["root"]))
+        root=None if d.get("root") is None else _cast(d["root"], int, "root"))
 
 
 def extended_to_dict(ext):
@@ -228,11 +248,12 @@ def slice_to_dict(sl):
 def slice_from_dict(d):
     if d.get("schema") != SLICE_SCHEMA:
         raise ValueError("not a slice file (schema %r)" % d.get("schema"))
-    dim = int(d["dim"])
-    mats = [np.asarray(M, dtype=float).reshape(dim, dim)
+    dim = _cast(d["dim"], int, "dim")
+    mats = [_cast(M, _floats, "mats").reshape(dim, dim)
             for M in _typed(d["mats"], list, "mats")]
-    return AffineSlice(mats, [float(r) for r in _typed(d["rhs"], list, "rhs")],
-                       np.asarray(d["point"], dtype=float).reshape(dim, dim))
+    return AffineSlice(mats, [_cast(r, float, "rhs")
+                              for r in _typed(d["rhs"], list, "rhs")],
+                       _cast(d["point"], _floats, "point").reshape(dim, dim))
 
 
 def stats_to_dict(st):
@@ -273,7 +294,7 @@ def solution_from_dict(d):
         except ValueError:
             raise ValueError("solution blocks key %r is not an integer node id"
                              % t) from None
-        blocks[node] = np.asarray(Y, dtype=float)
+        blocks[node] = _cast(Y, _floats, "solution block %s" % t)
     ext = extended_from_dict(_typed(d["extended"], dict, "extended")) \
         if "extended" in d else None
     return blocks, d.get("stats"), ext

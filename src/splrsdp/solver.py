@@ -5,16 +5,19 @@ while that group holds fewer than GROUP_SIZE nodes, solves on the merged
 blocks, and slices every fine block back out of its group's block.  It
 works on a consensus vector x over the union of block entry positions
 (off-diagonal entries scaled by sqrt(2) so inner products are dot
-products).  Block iterates are full d x d matrices stored in slabs, one slab
-per (block size, face dimension) group, and with the data row values they
-form one vector v = K x at consensus, K = [G; A] stacking the gather
-matrix G and the data rows A.  Each evaluation of the ADMM map projects
-each slab onto its null-constrained PSD faces with one batched eigh, clips
-row values into their interval bounds, and solves a prefactored
-least-squares system for the consensus; safeguarded Anderson acceleration
-of that map picks the steps.  The dense reference solver runs plain ADMM on
-the full matrix of the original problem and shares no conversion or
-projection code, which makes it usable as an independent cross-check.
+products).  Block iterates are full matrices stored in slabs: taken in order
+of face dimension, a block joins a slab while padding the slab's blocks to
+its largest shape adds at most SLAB_PAD^3 to their eigh work, and every
+block of a slab is stored D x D, D the slab's largest size.  With the data
+row values they form one vector v = K x at consensus, K = [G; A] stacking
+the gather matrix G and the data rows A.  Each evaluation of the ADMM map
+projects each slab onto its null-constrained PSD faces with one batched
+eigh, clips row values into their interval bounds, and solves a
+prefactored least-squares system for the consensus; safeguarded Anderson
+acceleration of that map picks the steps.  The dense reference solver
+runs plain ADMM on the full matrix of the original problem and shares no
+conversion or projection code, which makes it usable as an independent
+cross-check.
 """
 
 import logging
@@ -41,6 +44,7 @@ __all__ = [
 
 AA_MEMORY = 25  # Anderson acceleration memory of admm_solve
 GROUP_SIZE = 4  # fine tree nodes per merged block of admm_solve
+SLAB_PAD = 12  # cube root of the eigh work padding may add to one slab
 
 log = logging.getLogger("splrsdp")
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -114,11 +118,13 @@ class AdmmDivergence(RuntimeError):
         self.stats = stats
 
 
-def _face_project(M, Q):
+def _face_project(M, Q, QT=None):
     """Q clip(Q^T M Q) Q^T for stacks of symmetric M (..., d, d) and face
-    bases Q (..., d, f): one batched eigh.  The result is symmetrised, as
-    (W w) W^T is not bitwise symmetric."""
-    QT = np.swapaxes(Q, -1, -2)
+    bases Q (..., d, f): one batched eigh.  QT, if given, is Q^T (the block
+    solver passes a contiguous copy it keeps).  The result is symmetrised,
+    as (W w) W^T is not bitwise symmetric."""
+    if QT is None:
+        QT = np.swapaxes(Q, -1, -2)
     w, V = np.linalg.eigh(QT @ M @ Q)
     W = Q @ V
     P = (W * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(W, -1, -2)
@@ -190,6 +196,38 @@ def _merge_groups(bs):
     return blocks, null_mats, place
 
 
+def _pack_slabs(bases):
+    """The slabs of face bases (d x f each) that admm_solve projects with
+    one batched eigh each: a list of (members, Q, QT), members indexing
+    bases, Q the members' bases padded to the slab's largest (d, f) with
+    zero rows and columns, and QT its contiguous transpose.
+
+    In the order (f, d, index), a basis joins the last slab while padding
+    all its members to the slab's largest f adds at most SLAB_PAD^3 to
+    their sum of f^3, the eigh work, and otherwise starts a slab (sorted
+    by f, the one joining has the largest f).
+    """
+    groups, work = [], 0
+    for k in sorted(range(len(bases)),
+                    key=lambda k: bases[k].shape[::-1] + (k,)):
+        f3 = bases[k].shape[1] ** 3
+        if groups and (len(groups[-1]) + 1) * f3 - work - f3 <= SLAB_PAD ** 3:
+            groups[-1].append(k)
+            work += f3
+        else:
+            groups.append([k])
+            work = f3
+    slabs = []
+    for members in groups:
+        Q = np.zeros((len(members),)
+                     + tuple(np.max([bases[k].shape for k in members], 0)))
+        for Qk, k in zip(Q, members):
+            d, f = bases[k].shape
+            Qk[:d, :f] = bases[k]
+        slabs.append((members, Q, np.ascontiguousarray(np.swapaxes(Q, 1, 2))))
+    return slabs
+
+
 def admm_solve(bs, params=None):
     """Solve the coupled block problem; returns ({t: Y_t}, SolveStats).
 
@@ -197,20 +235,31 @@ def admm_solve(bs, params=None):
     block Y_t, t in bs.blocks, is sliced out of its group's block, so fine
     blocks of one group agree bitwise on their shared pairs; block_ranks
     count the fine blocks.  Below, "blocks" are the merged ones.  The
-    blocks are grouped by (size d, face dimension), groups and members
-    in node order, and each group is one contiguous slab of full d x d
-    matrices in the stacked block vector y.  The sparse gather matrix G
-    copies the consensus x into both triangles of every block holding a
-    pair (weight 1/sqrt(2) off the diagonal), so ||G x - y|| is the svec
-    distance, G^T y is the svec sum and G^T G the diagonal of pair
-    multiplicities.  The data rows A are bs.rows with each fine column
-    moved to the consensus coordinate of its index pair, which makes one
-    splitting K x = v, K = [G; A], v = [y; z] and scaled dual u = [lam; w];
-    c is the objective row.  Of group sizes 2-6 and 8, GROUP_SIZE = 4 takes
-    the fewest iterations on the benchmark's `chain`, and only 6 and 8 take
-    fewer on `wide` (README).  An extra weight on the data rows, which paid
-    at pairs, costs iterations at groups of 4, so the rows enter K as they
-    are.
+    blocks are packed into slabs by _pack_slabs, and each slab is one
+    contiguous run of full D x D matrices in the stacked block vector y,
+    D the slab's largest block size: a block of size d sits in the top
+    left d x d corner, and its face basis gets zero rows for the padded
+    indices and zero columns for the padded face dimensions.  G has no
+    entries at padded positions, so v, zeta and u stay exactly 0 there,
+    and K, K^T K and every residual are those of the unpadded layout.  One
+    batched eigh per slab replaces one per (size, face dimension) pair,
+    and each call has a fixed cost (one BLAS thread: 21 us for one 7 x 7
+    matrix, 69 us for eight) besides the ~10 numpy calls around it in
+    _face_project.  SLAB_PAD = 12
+    puts every `chain` and `wide` solve in one slab, and bounds what
+    padding adds on trees of mixed block sizes, where padding every block
+    to the largest shape cost up to 1.4x per iteration (README sweep).
+    The sparse gather matrix G copies the consensus x into both triangles
+    of every block holding a pair (weight 1/sqrt(2) off the diagonal), so
+    ||G x - y|| is the svec distance, G^T y is the svec sum and G^T G the
+    diagonal of pair multiplicities.  The data rows A are bs.rows with each
+    fine column moved to the consensus coordinate of its index pair, which
+    makes one splitting K x = v, K = [G; A], v = [y; z] and scaled dual
+    u = [lam; w]; c is the objective row.  Of group sizes 2-6 and 8,
+    GROUP_SIZE = 4 takes the fewest iterations on the benchmark's `chain`,
+    and only 6 and 8 take fewer on `wide` (README).  An extra weight on the
+    data rows, which paid at pairs, costs iterations at groups of 4, so the
+    rows enter K as they are.
 
     The ADMM runs as Douglas-Rachford on zeta = K x + u: with P the
     projection of every slab onto its PSD face and of z into its interval
@@ -234,8 +283,9 @@ def admm_solve(bs, params=None):
     doubled or halved when one residual exceeds the other tenfold, which
     clears the memory.  On the "splrsdp" logger at debug level, one line
     before the loop gives the layout (fine nodes, groups, range of block
-    sizes, slabs) and each rho check logs one line (iteration, residuals,
-    rho, candidates taken/refused, memory filled).  The loop ends at the
+    sizes, slabs, and the share of eigh work the padding adds) and each
+    rho check logs one line (iteration, residuals, rho, candidates
+    taken/refused, memory filled).  The loop ends at the
     tolerances or at max_iter and has no divergence exit: the primal
     residual is at most 2 (triangle inequality) and the dual residual at
     most ||c|| + 1, so neither can grow without bound.  stats.objective is
@@ -247,15 +297,13 @@ def admm_solve(bs, params=None):
     ids = sorted(blocks)
     basis = dict(zip(ids, _face_bases([null_mats[t] for t in ids],
                                       [len(blocks[t]) for t in ids])))
-    groups = {}
-    for t in ids:
-        groups.setdefault(basis[t].shape, []).append(t)
-    offset, slabs, ny = {}, [], 0
-    for (d, _), members in groups.items():
-        for t in members:
-            offset[t], ny = ny, ny + d * d
-        slabs.append((slice(offset[members[0]], ny), d,
-                      np.stack([basis[t] for t in members])))
+    # each slab is a run of full D x D matrices, D its largest block size
+    offset, dmax, slabs, ny = {}, {}, [], 0
+    for members, Q, QT in _pack_slabs([basis[t] for t in ids]):
+        start, D = ny, Q.shape[1]
+        for k in members:
+            offset[ids[k]], dmax[ids[k]], ny = ny, D, ny + D * D
+        slabs.append((slice(start, ny), D, Q, QT))
 
     node, i, j, pu, pv = _columns(blocks)
     stride = bs.n_ext + 1
@@ -267,7 +315,7 @@ def admm_solve(bs, params=None):
     N = first.size
     # each column's place in its block's slab, and that of its mirror entry
     k = np.searchsorted(ids, node)
-    d, base = np.array([(len(basis[t]), offset[t]) for t in ids])[k].T
+    d, base = np.array([(dmax[t], offset[t]) for t in ids])[k].T
     diag = i == j
     at = base + i * d + j
     weight = np.where(diag, 1.0, np.sqrt(0.5))
@@ -287,29 +335,32 @@ def admm_solve(bs, params=None):
     # stored transpose: building a .T view costs more than the product
     KT = K.T.tocsr()
     solve = spla.factorized((KT @ K).tocsc())
-    free = np.full(ny, np.inf)  # block copies have no bounds
-    lo = np.concatenate([-free, bs.bounds[:, 0]])
-    hi = np.concatenate([free, bs.bounds[:, 1]])
+    # bounds of the data rows; block copies have none
+    lo, hi = np.ascontiguousarray(bs.bounds.T)
 
     def project(zeta):
-        v = np.clip(zeta, lo, hi)
-        for s, d, Q in slabs:
-            v[s] = _face_project(v[s].reshape(-1, d, d), Q).ravel()
+        v = np.empty_like(zeta)
+        np.clip(zeta[ny:], lo, hi, out=v[ny:])
+        for s, D, Q, QT in slabs:
+            v[s] = _face_project(zeta[s].reshape(-1, D, D), Q, QT).ravel()
         return v
 
     def evaluate(zeta, v):
-        """T at zeta given v = P(zeta): v, u, K^T u, x, K x, T(zeta) - zeta."""
+        """T at zeta given v = P(zeta): v, u, K^T u, x, K x, f = T(zeta) -
+        zeta and ||f||."""
         u = zeta - v
         KTu = KT @ u
         x = solve(KT @ v - KTu - c / rho)
         Kx = K @ x
-        return v, u, KTu, x, Kx, Kx - v
+        f = Kx - v
+        return v, u, KTu, x, Kx, f, math.sqrt(f @ f)
 
     rho = params.rho
     # identity times a seed-dependent scale, so reruns with other seeds probe
     # different basins while staying reproducible
     scale0 = float(2.0 ** np.random.default_rng(params.seed).uniform(-1.0, 1.0))
-    zeta = np.clip(np.zeros(K.shape[0]), lo, hi)
+    zeta = np.zeros(K.shape[0])
+    zeta[ny:] = np.clip(0.0, lo, hi)
     zeta[at[diag]] = scale0
     ev = evaluate(zeta, project(zeta))
 
@@ -325,14 +376,18 @@ def admm_solve(bs, params=None):
     debug = log.isEnabledFor(logging.DEBUG)
     if debug:
         sizes = [len(blocks[t]) for t in ids]
-        log.debug("admm layout: %d nodes in %d groups, blocks %d-%d, %d slabs",
-                  len(place), len(ids), min(sizes), max(sizes), len(slabs))
+        work = sum(basis[t].shape[1] ** 3 for t in ids)
+        padded = sum(len(Q) * Q.shape[2] ** 3 for _, _, Q, _ in slabs)
+        log.debug("admm layout: %d nodes in %d groups, blocks %d-%d, %d slab%s,"
+                  " padding %.0f%%", len(place), len(ids), min(sizes),
+                  max(sizes), len(slabs), "s" if len(slabs) > 1 else "",
+                  100.0 * (padded - work) / max(work, 1))
     for it in range(1, params.max_iter + 1):
-        v, u, KTu, x, Kx, f = ev
-        pri = np.linalg.norm(f) / max(1.0, np.linalg.norm(Kx),
-                                      np.linalg.norm(v))
-        dua = np.linalg.norm(c + rho * KTu) / max(
-            1.0, rho * np.linalg.norm(KTu))
+        v, u, KTu, x, Kx, f, fn = ev
+        # each norm as np.linalg.norm takes it for a vector
+        pri = fn / max(1.0, math.sqrt(Kx @ Kx), math.sqrt(v @ v))
+        cu = c + rho * KTu
+        dua = math.sqrt(cu @ cu) / max(1.0, rho * math.sqrt(KTu @ KTu))
         history.append((pri, dua))
         if pri <= params.tol_primal and dua <= params.tol_dual:
             converged = True
@@ -351,7 +406,7 @@ def admm_solve(bs, params=None):
                 rho *= step
                 zeta = v + u / step
                 ev = evaluate(zeta, v)
-                f = ev[-1]
+                f, fn = ev[-2:]
                 filled = slot = 0
 
         new = None
@@ -360,7 +415,7 @@ def admm_solve(bs, params=None):
                                       dF[:filled] @ f)
             cand = zeta + f - gamma @ dG[:filled]
             ev_c = evaluate(cand, project(cand))
-            if np.linalg.norm(ev_c[-1]) <= np.linalg.norm(f):
+            if ev_c[-1] <= fn:
                 new, ev_new = cand, ev_c
                 accepted += 1
             else:
@@ -368,7 +423,7 @@ def admm_solve(bs, params=None):
         if new is None:
             new = zeta + f
             ev_new = evaluate(new, project(new))
-        df = ev_new[-1] - f
+        df = ev_new[-2] - f
         dF[slot] = df
         dG[slot] = new - zeta + df
         filled = min(filled + 1, AA_MEMORY)
@@ -376,7 +431,7 @@ def admm_solve(bs, params=None):
         slot = (slot + 1) % AA_MEMORY
         zeta, ev = new, ev_new
 
-    blocks = {t: v[offset[g] + len(basis[g]) * r[:, None] + r]
+    blocks = {t: v[offset[g] + dmax[g] * r[:, None] + r]
               for t, (g, r) in place.items()}
     ranks = _block_ranks(blocks)
     # bs.columns run over the fine nodes in order, each upper triangle row

@@ -593,6 +593,48 @@ def test_nested_json_value_of_the_wrong_type_exits_1(tmp_path, capsys, kind,
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("kind, path, value, command, named", [
+    ("p", ["n"], [1, 2], "convert", "n must be a number, got [1, 2]"),
+    ("p", ["ell"], [1], "convert", "ell must be a number"),
+    ("p", ["m"], {"a": 1}, "convert", "m must be a number"),
+    ("p", ["constraints", 0, "lower"], [1, 2], "convert",
+     "constraint 1 lower must be a number"),
+    ("p", ["constraints", 0, "upper"], "x", "convert",
+     "constraint 1 upper must be a number"),
+    ("p", ["factor"], {"a": 1}, "convert", "factor must be an array of"),
+    ("p", ["objective", "core"], [[{"a": 1}]], "convert",
+     "core must be an array of"),
+    ("s", ["blocks", "1"], [[1, {"a": 1}]], "recover",
+     "solution block 1 must be an array of"),
+    ("e", ["tree", "root"], [1], "export", "root must be a number"),
+    ("e", ["base", "ell"], [1], "report", "ell must be a number"),
+    ("sl", ["dim"], [1, 2], "reduce", "dim must be a number"),
+], ids=lambda v: str(v))
+def test_wrong_typed_json_number_exits_1(tmp_path, capsys, kind, path, value,
+                                        command, named):
+    # int(), float() and np.asarray raised TypeError on each of these
+    files = {name: str(tmp_path / ("%s.json" % name))
+             for name in ("p", "e", "s", "sl")}
+    assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
+    assert run(["convert", "--in", files["p"], "--out", files["e"]]) == 0
+    assert run(["solve", "--in", files["e"], "--out", files["s"]]) == 0
+    assert run(["gen", "phi", "--ell", "1", "--out", files["sl"]]) == 0
+    d = _load(files[kind])
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    fileio.save(d, files[kind])
+    flag = "--extended-solution" if command == "recover" else "--in"
+    capsys.readouterr()
+    assert run([command, flag, files[kind],
+                "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: %s" % named)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_report_of_solution_carries_stats(tmp_path):
     p = tmp_path / "p.json"
     s = tmp_path / "s.json"

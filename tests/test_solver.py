@@ -18,7 +18,7 @@ from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, Term, eval_constraint, is_feasible)
 from splrsdp.solver import (AdmmDivergence, AdmmParams, _anderson_weights,
                             _face_basis, _face_project, _merge_groups,
-                            admm_solve, dense_reference_solve,
+                            _pack_slabs, admm_solve, dense_reference_solve,
                             project_null_psd)
 
 from conftest import (block_row_values, cycle_bisection, random_splr_problem,
@@ -306,20 +306,80 @@ def test_admm_logs_progress_at_the_rho_checks(caplog):
     assert not caplog.records
 
 
-def test_admm_logs_its_layout_once_before_the_loop(caplog):
-    _, bs, _ = convert_problem(cycle_bisection(16))
+def test_admm_logs_its_layout_once_before_the_loop(tmp_path, caplog):
+    # gen minbisect -n 12 --seed 0 keeps two slabs: its face dimensions 3-4
+    # and 8-10 are too far apart to pad into one
+    path = str(tmp_path / "p.json")
+    assert run(["gen", "minbisect", "-n", "12", "--seed", "0",
+                "--out", path]) == 0
+    _, bs, _ = convert_problem(fileio.problem_from_dict(fileio.load(path)))
     blocks, null_mats, place = _merge_groups(bs)
     sizes = [len(b) for b in blocks.values()]
     bases = _face_bases(list(null_mats.values()), sizes)
-    slabs = {Q.shape for Q in bases}
+    slabs = _pack_slabs(bases)
+    work = sum(Q.shape[1] ** 3 for Q in bases)
+    padded = sum(len(Q) * Q.shape[2] ** 3 for _, Q, _ in slabs)
     with caplog.at_level(logging.DEBUG, logger="splrsdp"):
         admm_solve(bs, AdmmParams(max_iter=60))
     lines = [r.getMessage() for r in caplog.records]
     assert lines[0] == ("admm layout: %d nodes in %d groups, blocks %d-%d, "
-                        "%d slabs" % (bs.k, len(blocks), min(sizes),
-                                      max(sizes), len(slabs)))
+                        "%d slabs, padding %.0f%%"
+                        % (bs.k, len(blocks), min(sizes), max(sizes),
+                           len(slabs), 100.0 * (padded - work) / work))
     assert len(place) == bs.k > len(blocks) > 1 and len(slabs) > 1
+    assert padded > work
     assert sum(m.startswith("admm layout") for m in lines) == 1
+    # C16 packs into one slab
+    caplog.clear()
+    _, bs, _ = convert_problem(cycle_bisection(16))
+    with caplog.at_level(logging.DEBUG, logger="splrsdp"):
+        admm_solve(bs, AdmmParams(max_iter=1))
+    assert caplog.records[0].getMessage() == (
+        "admm layout: 14 nodes in 4 groups, blocks 6-11, 1 slab, padding 42%")
+
+
+def test_padded_slab_projects_each_block_as_project_null_psd():
+    # mixed shapes in one slab; the padded rows and columns of M hold
+    # noise, which the zero rows of the padded bases must ignore
+    rng = np.random.default_rng(7)
+    # (block size, null vector count): face dimensions 1-6
+    sizes = [(6, 0), (4, 1), (6, 2), (5, 3), (3, 0), (6, 1), (2, 1)]
+    nulls = [rng.standard_normal((d, q)) for d, q in sizes]
+    bases = [_face_basis(a, d) for a, (d, _) in zip(nulls, sizes)]
+    slabs = _pack_slabs(bases)
+    assert len(slabs) == 1
+    members, Q, QT = slabs[0]
+    assert sorted(members) == list(range(len(sizes)))
+    assert Q.shape == (len(sizes), 6, 6) and QT.flags.c_contiguous
+    M = rng.standard_normal(Q.shape[:1] + (6, 6))
+    M = M + np.swapaxes(M, 1, 2)
+    P = _face_project(M, Q, QT)
+    for q, k in enumerate(members):
+        d = sizes[k][0]
+        expect = project_null_psd(M[q, :d, :d], nulls[k])
+        assert np.abs(P[q, :d, :d] - expect).max() < 1e-12
+        assert (P[q, d:] == 0.0).all() and (P[q, :, d:] == 0.0).all()
+
+
+def test_slab_rule_bounds_the_eigh_work_that_padding_adds():
+    def slabs(shapes):
+        return [m for m, _, _ in
+                _pack_slabs([np.zeros(shape) for shape in shapes])]
+
+    # C16's merged blocks: one slab
+    _, bs, _ = convert_problem(cycle_bisection(16))
+    blocks, null_mats, _ = _merge_groups(bs)
+    bases = _face_bases(list(null_mats.values()),
+                        [len(b) for b in blocks.values()])
+    assert len({Q.shape for Q in bases}) == 3 and len(_pack_slabs(bases)) == 1
+    # padding 18 to 30 would add 30^3 - 18^3 > 12^3
+    assert solver.SLAB_PAD == 12
+    assert slabs([(35, 30), (20, 18)]) == [[1], [0]]
+    # padding f 0 to 12 adds exactly 12^3, and to 13 more than that
+    assert slabs([(12, 12), (12, 0)]) == [[1, 0]]
+    assert slabs([(13, 13), (12, 0)]) == [[1], [0]]
+    # a slab grows in (f, d, index) order
+    assert slabs([(3, 2), (2, 2), (3, 2), (30, 30)]) == [[1, 0, 2], [3]]
 
 
 def test_block_residuals_are_bounded_so_no_divergence_exit_is_needed():
