@@ -31,9 +31,11 @@ __all__ = [
 class BlockSdp:
     """Block form of the extended problem.
 
-    blocks[t] is the sorted tuple of extended indices of bag t.  As
-    children carry smaller labels than their parent and auxiliary indices
-    exceed n, a two-child block reads [sorted bag | child-1 aux | child-2 aux
+    Blocks carry the canonical labels 1..k of the extended pattern: a
+    child's label is below its parent's, the root is k, and parent maps
+    every other label to its parent's.  blocks[t] is the sorted tuple of
+    extended indices of bag t.  As auxiliary indices exceed n, a two-child
+    block reads [sorted bag | child-1 aux | child-2 aux
     | own aux], the order reduce_block takes, and null_mats[t] ends in
     [I; I; -I] below the bag rows.  Stacking
     the blocks' upper triangles gives the columns described by `columns`.
@@ -46,8 +48,6 @@ class BlockSdp:
     null_mats[t] carries the accumulator constraint matrix of the block
     (null_mats[t].T @ Y_t @ null_mats[t] = 0), and null_mats[root] may carry
     further face vectors [0; V] on the root's auxiliary rows J after it.
-    Overlaps list (t, parent, shared_indices) for every tree edge, parents
-    before children.
     """
 
     n_ext: int
@@ -55,7 +55,7 @@ class BlockSdp:
     rows: object  # scipy.sparse CSR, (1 + m) x stacked columns
     bounds: np.ndarray  # (m, 2) floats, per constraint: lower, upper
     null_mats: dict
-    overlaps: list
+    parent: dict
 
     @property
     def k(self):
@@ -126,7 +126,9 @@ def convert(ext):
     problem.
     """
     pat = ext.pattern
-    blocks = {t: tuple(sorted(pat.ext_bags[t])) for t in pat.td.nodes}
+    verts, ends = pat.bag_verts.tolist(), np.cumsum(pat.bag_sizes).tolist()
+    blocks = {t: tuple(verts[e - d:e])
+              for t, e, d in zip(pat.td.nodes, ends, pat.bag_sizes.tolist())}
     _, _, _, u, v = _columns(blocks)
     stride = pat.n_ext + 1
     keys, home = np.unique(u * stride + v, return_index=True)
@@ -157,12 +159,6 @@ def convert(ext):
     keep = vals != 0.0
     rows = sp.csr_matrix((vals[keep], (ri[keep], home[pos[keep]])),
                          shape=(m, u.size))
-    overlaps = []
-    for t in reversed(pat.td.postorder()):
-        par = pat.td.parent(t)
-        if par is not None:
-            shared = tuple(sorted(pat.ext_bags[t] & pat.ext_bags[par]))
-            overlaps.append((t, par, shared))
     null_mats = dict(ext.a_mats)
     if V.shape[1]:
         root = pat.td.root
@@ -176,7 +172,7 @@ def convert(ext):
         bounds=np.array([(c.lower, c.upper) for c in cons],
                         dtype=float).reshape(-1, 2),
         null_mats=null_mats,
-        overlaps=overlaps,
+        parent={t: pat.td.parent(t) for t in pat.td.nodes[:-1]},
     )
 
 
@@ -204,7 +200,7 @@ def convert_problem(p, td=None):
     wid = width(base)
     ext = build_extension(p, root_binary(to_binary(base)))
     bs = convert(ext)
-    ext_wid = max(len(b) for b in ext.pattern.ext_bags.values()) - 1
+    ext_wid = int(ext.pattern.bag_sizes.max()) - 1
     report = {
         "n": p.n,
         "n_hat": ext.pattern.n_ext,
@@ -223,9 +219,10 @@ def assemble(block_solution, bs, tol=1e-6):
     """Agreed bag matrices of a block solution.
 
     Symmetrizes every block, then gives each entry the value of the
-    topmost block (fewest bs.overlaps steps from the root) holding its
-    index pair, in one gather over the stacked columns.  This is what
-    copying shared entries down the tree parents first yields.  The worst
+    topmost block holding its index pair, in one gather over the stacked
+    columns.  This is what copying shared entries down the tree parents
+    first yields.  The blocks holding a pair form a subtree, and its top
+    node has the subtree's largest label.  The worst
     difference between an entry and that value is the disagreement; beyond
     `tol` it raises completion_rank.RecoveryError.  Returns {t: matrix},
     rows in bs.blocks[t] order, as psd_complete_min_rank takes them.
@@ -241,18 +238,15 @@ def assemble(block_solution, bs, tol=1e-6):
     base = np.cumsum(sizes * sizes) - sizes * sizes
     flat = np.concatenate([np.asarray(block_solution[t], dtype=float).ravel()
                            for t in ids])
-    depth = dict.fromkeys(ids, 0)
-    for t, par, _ in bs.overlaps:  # parents first
-        depth[t] = depth[par] + 1
     node, i, j, u, v = _columns(bs.blocks)
     k = np.searchsorted(ids, node)
     d = sizes[k]
     upper, lower = base[k] + i * d + j, base[k] + j * d + i
     sym = 0.5 * (flat[upper] + flat[lower])
     # each column takes the value of the column of the topmost block
-    # holding its pair: the first of its pair when sorted by depth
+    # holding its pair: the first of its pair by descending label
     key = u * (bs.n_ext + 1) + v
-    order = np.lexsort((np.array([depth[t] for t in ids])[k], key))
+    order = np.lexsort((-node, key))
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[order[1:]] != key[order[:-1]]
     agreed = np.empty_like(sym)

@@ -22,7 +22,7 @@ from .graph_core import Graph, read_graph
 from .instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
                         gen_lb_tree, gen_min_bisection, gen_phi_witness,
                         gen_simex)
-from .sdp_model import eval_objective, is_feasible
+from .sdp_model import _number, eval_objective, is_feasible
 from .solver import AdmmParams, admm_solve
 from .sparse_extension import verify_extension
 
@@ -225,12 +225,16 @@ def _cmd_report(args):
     out = {"schema": fileio.REPORT_SCHEMA, "kind": schema}
     typed = fileio._typed  # the containers a count indexes
     if schema == fileio.PROBLEM_SCHEMA:
-        out.update(n=d["n"], ell=d["ell"], m=d["m"], pattern_edges=len(
-            typed(d["pattern_edges"], list, "pattern_edges")))
+        n, ell = (_number(d[key], int, key) for key in ("n", "ell"))
+        # m is optional in a problem file; the constraints are not
+        out.update(n=n, ell=ell,
+                   m=len(typed(d["constraints"], list, "constraints")),
+                   pattern_edges=len(typed(d["pattern_edges"], list,
+                                           "pattern_edges")))
     elif schema == fileio.EXTENDED_SCHEMA:
         base = typed(d["base"], dict, "base")
+        n, ell = (_number(base[key], int, key) for key in ("n", "ell"))
         k = len(typed(typed(d["tree"], dict, "tree")["nodes"], list, "nodes"))
-        n, ell = (fileio._cast(base[key], int, key) for key in ("n", "ell"))
         out.update(n=n, ell=ell, k=k, n_hat=n + ell * k)
     elif schema == fileio.SOLUTION_SCHEMA:
         out["blocks"] = len(typed(d["blocks"], dict, "blocks"))

@@ -8,14 +8,13 @@ path.
 import json
 import math
 from dataclasses import fields
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
 
 from .completion_rank import AffineSlice
 from .graph_core import Graph, TreeDecomposition
-from .sdp_model import (Constraint, SparseSymMatrix, SplrSdp, Term,
+from .sdp_model import (Constraint, SparseSymMatrix, SplrSdp, Term, _number,
                         validate_problem)
 from .solver import AdmmParams
 from .sparse_extension import build_extension
@@ -61,19 +60,13 @@ def _typed(v, kind, name):
     return v
 
 
-_floats = partial(np.asarray, dtype=float)
-
-
-def _cast(v, kind, name):
-    """kind(v) for kind int, float or _floats (an array of floats); a value
-    it refuses, such as a list for a number or an object in an array,
-    raises ValueError naming it."""
+def _node_key(key, what):
+    """The node id a JSON object key, always a string, spells."""
     try:
-        return kind(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("%s must be %s, got %.40r" % (
-            name, "an array of numbers" if kind is _floats else "a number",
-            v)) from None
+        return int(key)
+    except ValueError:
+        raise ValueError("%s key %r is not an integer node id"
+                         % (what, key)) from None
 
 
 def _bound_out(v):
@@ -81,7 +74,7 @@ def _bound_out(v):
 
 
 def _bound_in(v, sign, name):
-    return sign * float("inf") if v is None else _cast(v, float, name)
+    return sign * float("inf") if v is None else _number(v, float, name)
 
 
 def _sparse_out(sp):
@@ -90,12 +83,13 @@ def _sparse_out(sp):
 
 def _index_rows(n, items, cols, shape_msg, label):
     """items as a float array of `cols` columns, and the (min, max) int
-    columns of its leading index pairs, all checked at once: integers in
-    1..n.  Errors use shape_msg, or name pair k as label % items[k][:2].
+    columns of its leading index pairs, all checked at once: numbers by
+    sdp_model._number, indices integers in 1..n.  Errors use shape_msg, or
+    name pair k as label % items[k][:2].
     """
     try:
-        E = np.array(items, dtype=float).reshape(len(items), cols)
-    except (TypeError, ValueError):
+        E = _number(items, np.ndarray, "items").reshape(len(items), cols)
+    except ValueError:
         raise ValueError(shape_msg) from None
     ij = E[:, :2]
     whole = np.isfinite(ij) & (ij == np.floor(ij))
@@ -162,9 +156,9 @@ def problem_to_dict(p):
 def problem_from_dict(d):
     if d.get("schema") != PROBLEM_SCHEMA:
         raise ValueError("not a problem file (schema %r)" % d.get("schema"))
-    n = _cast(d["n"], int, "n")
-    ell = _cast(d["ell"], int, "ell")
-    factor = _cast(d["factor"], _floats, "factor").reshape(n, ell)
+    n = _number(d["n"], int, "n")
+    ell = _number(d["ell"], int, "ell")
+    factor = _number(d["factor"], np.ndarray, "factor").reshape(n, ell)
     _, i, j = _index_rows(n, _typed(d["pattern_edges"], list,
                                     "pattern_edges"), 2,
                           "pattern edges must be [i, j] pairs",
@@ -177,12 +171,12 @@ def problem_from_dict(d):
     rows = [_typed(d["objective"], dict, "objective")] + [
         _typed(c, dict, "constraint %d" % r) for r, c in
         enumerate(_typed(d["constraints"], list, "constraints"), start=1)]
-    if "m" in d and _cast(d["m"], int, "m") != len(rows) - 1:
+    if "m" in d and _number(d["m"], int, "m") != len(rows) - 1:
         raise ValueError("m = %s does not match %d constraints"
                          % (d["m"], len(rows) - 1))
     sparse = _sparse_rows(n, [_typed(r["sparse_entries"], list,
                                      "sparse_entries") for r in rows])
-    cores = _cast([r["core"] for r in rows], _floats,
+    cores = _number([r["core"] for r in rows], np.ndarray,
                   "core").reshape(len(rows), ell, ell)
     cons = [Constraint(a, core,
                        _bound_in(c["lower"], -1.0, "constraint %d lower" % r),
@@ -206,15 +200,15 @@ def td_to_dict(td):
 
 def td_from_dict(d):
     def ints(vs, name):
-        return [_cast(v, int, name) for v in _typed(vs, list, name)]
+        return [_number(v, int, name) for v in _typed(vs, list, name)]
 
     edges = [ints(e, "tree edge") for e in _typed(d["edges"], list, "edges")]
     return TreeDecomposition(
         nodes=tuple(ints(d["nodes"], "nodes")),
         edges=frozenset((a, b) for a, b in edges),
-        bags={_cast(t, int, "bag key"): frozenset(ints(vs, "bag %s" % t))
+        bags={_node_key(t, "bags"): frozenset(ints(vs, "bag %s" % t))
               for t, vs in _typed(d["bags"], dict, "bags").items()},
-        root=None if d.get("root") is None else _cast(d["root"], int, "root"))
+        root=None if d.get("root") is None else _number(d["root"], int, "root"))
 
 
 def extended_to_dict(ext):
@@ -248,12 +242,12 @@ def slice_to_dict(sl):
 def slice_from_dict(d):
     if d.get("schema") != SLICE_SCHEMA:
         raise ValueError("not a slice file (schema %r)" % d.get("schema"))
-    dim = _cast(d["dim"], int, "dim")
-    mats = [_cast(M, _floats, "mats").reshape(dim, dim)
+    dim = _number(d["dim"], int, "dim")
+    mats = [_number(M, np.ndarray, "mats").reshape(dim, dim)
             for M in _typed(d["mats"], list, "mats")]
-    return AffineSlice(mats, [_cast(r, float, "rhs")
+    return AffineSlice(mats, [_number(r, float, "rhs")
                               for r in _typed(d["rhs"], list, "rhs")],
-                       _cast(d["point"], _floats, "point").reshape(dim, dim))
+                       _number(d["point"], np.ndarray, "point").reshape(dim, dim))
 
 
 def stats_to_dict(st):
@@ -289,12 +283,8 @@ def solution_from_dict(d):
         raise ValueError("not a solution file (schema %r)" % d.get("schema"))
     blocks = {}
     for t, Y in _typed(d["blocks"], dict, "blocks").items():
-        try:
-            node = int(t)
-        except ValueError:
-            raise ValueError("solution blocks key %r is not an integer node id"
-                             % t) from None
-        blocks[node] = _cast(Y, _floats, "solution block %s" % t)
+        blocks[_node_key(t, "solution blocks")] = _number(
+            Y, np.ndarray, "solution block %s" % t)
     ext = extended_from_dict(_typed(d["extended"], dict, "extended")) \
         if "extended" in d else None
     return blocks, d.get("stats"), ext

@@ -158,39 +158,51 @@ def validate_decomposition(td, g):
     satisfy the running intersection property.
 
     Uses td's own orientation (an unrooted td is rooted at its first node)
-    and checks both properties through top nodes: the nodes whose bag
-    holds v form a subtree exactly when one of them, v's top node, is the
-    root or has a parent whose bag lacks v; two such subtrees meet exactly
-    when the top node of one vertex holds the other.
+    and checks both properties by _top_nodes.
     """
-    nodes = set(td.nodes)
-    if not nodes or set(td.bags) != nodes:
-        return False
-    for a, b in td.edges:
-        if a not in nodes or b not in nodes:
-            return False
-    # tree: connected with |V|-1 edges
-    if len(td.edges) != len(nodes) - 1:
-        return False
-    if td.root not in nodes:
+    if td.nodes and td.root not in set(td.nodes):
         td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
                                root=td.nodes[0])
+    return _tree_order(td) is not None and _top_nodes(td, g) is not None
+
+
+def _tree_order(td):
+    """td.postorder() if td, rooted at one of its nodes, is a tree on the
+    keys of its bags; None otherwise."""
+    nodes = set(td.nodes)
+    if not nodes or set(td.bags) != nodes \
+            or len(td.edges) != len(nodes) - 1 \
+            or any(a not in nodes or b not in nodes for a, b in td.edges):
+        return None
     order = td.postorder()
-    if len(order) != len(nodes):
-        return False
-    top = {}  # vertex -> its top node
-    for t in order:
-        bag = frozenset(td.bags[t])
+    return order if len(order) == len(nodes) else None
+
+
+def _top_nodes(td, g):
+    """Vertex -> its top node if the bags of the rooted tree td form a
+    decomposition of g; None otherwise.  Keys run W_t by W_t in the order
+    of td.bags, each W_t = bag(t) \\ bag(parent(t)) in its own order.
+
+    One pass over the W_t (Blair & Peyton 1993): the nodes whose bag holds
+    v form a subtree exactly when one of them, v's top node, is the root
+    or has a parent whose bag lacks v, so the W_t partition 1..n exactly
+    when the bags cover every vertex with running intersection.  Two such
+    subtrees meet exactly when the top node of one vertex holds the other,
+    which checks the edges.
+    """
+    top = {}
+    for t, bag in td.bags.items():
+        bag = frozenset(bag)
         par = td.parent(t)
         for v in (bag if par is None else bag.difference(td.bags[par])):
-            if v in top:
-                return False
-            top[v] = t
+            if top.setdefault(v, t) != t:
+                return None
     # bags live inside 1..n and cover every vertex
     if top.keys() != set(range(1, g.n + 1)):
-        return False
-    return all(j in td.bags[top[i]] or i in td.bags[top[j]]
-               for i, j in g.edges)
+        return None
+    covered = all(j in td.bags[top[i]] or i in td.bags[top[j]]
+                  for i, j in g.edges)
+    return top if covered else None
 
 
 def chordal_complete(g):
@@ -341,18 +353,24 @@ def to_binary(td):
     return out
 
 
+def _binary_degrees(td):
+    """Node id -> degree; ValueError if a node has degree > 3."""
+    deg = td.degrees()
+    if max(deg.values(), default=0) > 3:
+        raise ValueError("decomposition is not binary (degree > 3)")
+    return deg
+
+
 def root_binary(td):
     """Pick a root of degree < 3 and orient the tree.
 
     For a path, the smallest-id endpoint; otherwise the smallest id among
     nodes of degree < 3.
     """
-    deg = td.degrees()
-    top = max(deg.values(), default=0)
-    if top > 3:
-        raise ValueError("decomposition is not binary (degree > 3)")
-    # a path (top <= 2) has its ends below degree 2
-    root = min(t for t in td.nodes if deg[t] < max(top, 2))
+    deg = _binary_degrees(td)
+    # a path (top degree <= 2) has its ends below degree 2
+    low = max(max(deg.values(), default=0), 2)
+    root = min(t for t in td.nodes if deg[t] < low)
     return TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=dict(td.bags), root=root)
 
 

@@ -10,6 +10,7 @@ constraints lower_i <= <A_i, X> <= upper_i on a PSD variable X; equalities
 use lower == upper, and infinite bounds mark one-sided rows.
 """
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -193,6 +194,39 @@ def validate_problem(p):
             (hi == -np.inf, "has upper = -inf")):
         if bad.any():
             raise ValueError("%s %s" % (name(np.argmax(bad)), why))
+
+
+def _number(value, kind, name):
+    """value as kind, under the one rule for numbers read from input.
+
+    For kind int or float, value must be a real number (numpy scalars
+    too) that is no bool, and integral for int, where an integral float is
+    taken; for kind np.ndarray, nested lists of such numbers, returned as
+    a float array.  Anything else, strings included, raises ValueError
+    "<name> must be ..., got <value>".
+    """
+    if kind is np.ndarray:
+        why = "must be an array of numbers"
+        try:
+            arr = np.array(value, dtype=object)
+            if all(issubclass(t, numbers.Real) and t is not bool
+                   for t in set(map(type, arr.ravel().tolist()))):
+                return arr.astype(float)
+        except (ValueError, OverflowError):
+            pass
+    elif type(value) is kind:  # most JSON numbers, taken without the checks
+        return value
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        why = "must be a number"
+    elif kind is int and not (isinstance(value, numbers.Integral)
+                              or float(value).is_integer()):
+        why = "must be an integer"
+    else:
+        try:
+            return kind(value)
+        except OverflowError:
+            why = "is out of range"
+    raise ValueError("%s %s, got %.40r" % (name, why, value))
 
 
 def _entries(terms):

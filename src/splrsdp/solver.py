@@ -22,7 +22,6 @@ cross-check.
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,6 +31,7 @@ import scipy.sparse.linalg as spla
 from .chordal_conversion import _columns
 from .completion_rank import (_block_ranks, _face_basis, _face_bases,
                               _psd_factor, _svec, _sym, _unsvec)
+from .sdp_model import _number
 
 __all__ = [
     "AdmmParams",
@@ -53,10 +53,10 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 @dataclass
 class AdmmParams:
     """Knobs for both ADMM loops, and the one check of them for library
-    calls, params files and CLI flags: each must be a real number (numpy
-    scalars too, bools not), max_iter >= 1 and seed >= 0 integral, rho and
-    the tolerances positive and finite.  Each is cast to its field's type;
-    a refused value raises ValueError naming the field."""
+    calls, params files and CLI flags: each must be a number by
+    sdp_model._number, max_iter >= 1 and seed >= 0 integral, rho and the
+    tolerances positive and finite.  Each is cast to its field's type; a
+    refused value raises ValueError naming the field."""
 
     rho: float = 1.0
     max_iter: int = 5000
@@ -67,29 +67,18 @@ class AdmmParams:
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                why = "must be a number"
-            elif kind is int and not (isinstance(value, numbers.Integral)
-                                      or float(value).is_integer()):
-                why = "must be an integer"
+            name = "solver parameter " + f.name
+            cast = _number(value, kind, name)
+            if kind is float and not (math.isfinite(cast) and cast > 0):
+                why = "must be positive and finite"
+            elif f.name == "max_iter" and cast < 1:
+                why = "must be at least 1"
+            elif f.name == "seed" and cast < 0:
+                why = "must be non-negative"
             else:
-                try:
-                    cast = kind(value)
-                except OverflowError:
-                    why = "is out of range"
-                else:
-                    if kind is float and not (math.isfinite(cast)
-                                              and cast > 0):
-                        why = "must be positive and finite"
-                    elif f.name == "max_iter" and cast < 1:
-                        why = "must be at least 1"
-                    elif f.name == "seed" and cast < 0:
-                        why = "must be non-negative"
-                    else:
-                        setattr(self, f.name, cast)
-                        continue
-            raise ValueError("solver parameter %s %s, got %r"
-                             % (f.name, why, value))
+                setattr(self, f.name, cast)
+                continue
+            raise ValueError("%s %s, got %r" % (name, why, value))
 
 
 @dataclass
@@ -161,9 +150,9 @@ def _anderson_weights(gram, rhs):
 def _merge_groups(bs):
     """The solver's layout of bs on connected groups of its tree.
 
-    Parents first along bs.overlaps, a node joins its parent's group while
-    that group has fewer than GROUP_SIZE nodes and otherwise starts its
-    own; a group is labelled by its top node.  Its block is the sorted
+    Parents first (in descending label), a node joins its parent's group
+    while that group has fewer than GROUP_SIZE nodes and otherwise starts
+    its own; a group is labelled by its top node.  Its block is the sorted
     union of its members' index sets, and its null vectors are the
     members' null_mats embedded in its rows and stacked side by side (for
     PSD Y, a^T Y a = 0 on the group block is a_t^T Y_t a_t = 0 on the
@@ -175,8 +164,8 @@ def _merge_groups(bs):
     """
     top = {t: t for t in bs.blocks}
     members = {t: [t] for t in bs.blocks}
-    for t, par, _ in bs.overlaps:  # parents first
-        g = top[par]
+    for t in sorted(bs.parent, reverse=True):
+        g = top[bs.parent[t]]
         if len(members[g]) < GROUP_SIZE:
             top[t] = g
             members[g] += members.pop(t)
@@ -243,23 +232,17 @@ def admm_solve(bs, params=None):
     entries at padded positions, so v, zeta and u stay exactly 0 there,
     and K, K^T K and every residual are those of the unpadded layout.  One
     batched eigh per slab replaces one per (size, face dimension) pair,
-    and each call has a fixed cost (one BLAS thread: 21 us for one 7 x 7
-    matrix, 69 us for eight) besides the ~10 numpy calls around it in
-    _face_project.  SLAB_PAD = 12
-    puts every `chain` and `wide` solve in one slab, and bounds what
-    padding adds on trees of mixed block sizes, where padding every block
-    to the largest shape cost up to 1.4x per iteration (README sweep).
-    The sparse gather matrix G copies the consensus x into both triangles
-    of every block holding a pair (weight 1/sqrt(2) off the diagonal), so
-    ||G x - y|| is the svec distance, G^T y is the svec sum and G^T G the
-    diagonal of pair multiplicities.  The data rows A are bs.rows with each
-    fine column moved to the consensus coordinate of its index pair, which
-    makes one splitting K x = v, K = [G; A], v = [y; z] and scaled dual
-    u = [lam; w]; c is the objective row.  Of group sizes 2-6 and 8,
-    GROUP_SIZE = 4 takes the fewest iterations on the benchmark's `chain`,
-    and only 6 and 8 take fewer on `wide` (README).  An extra weight on the
-    data rows, which paid at pairs, costs iterations at groups of 4, so the
-    rows enter K as they are.
+    as each eigh call has a fixed cost besides the ~10 numpy calls around
+    it in _face_project; SLAB_PAD bounds what padding adds on trees of
+    mixed block sizes.  The sparse gather matrix G copies the consensus x
+    into both triangles of every block holding a pair (weight 1/sqrt(2)
+    off the diagonal), so ||G x - y|| is the svec distance, G^T y is the
+    svec sum and G^T G the diagonal of pair multiplicities.  The data rows
+    A are bs.rows with each fine column moved to the consensus coordinate
+    of its index pair, which makes one splitting K x = v, K = [G; A],
+    v = [y; z] and scaled dual u = [lam; w]; c is the objective row.  The
+    rows enter K unweighted.  GROUP_SIZE, AA_MEMORY and SLAB_PAD are the
+    settings the README's sweeps chose.
 
     The ADMM runs as Douglas-Rachford on zeta = K x + u: with P the
     projection of every slab onto its PSD face and of z into its interval
@@ -270,27 +253,24 @@ def admm_solve(bs, params=None):
     the dual residual ||c + rho K^T u|| over max(1, ||rho K^T u||).  Type-II
     Anderson acceleration with memory AA_MEMORY proposes a candidate from
     the last steps, its weights from the regularised normal equations of
-    _anderson_weights (one LU solve, where an SVD least squares at memory 25
-    would cost most of what the longer memory saves); the safeguard takes it
-    only if its fixed-point residual ||T(c) - c|| is no larger than the
-    plain step's ||T(zeta) - zeta||, and otherwise takes the plain step
-    T(zeta).  Memory 25 is the best of a sweep over 10-40 on pairs
-    (README), and stays the best at groups of 4, where 15 and 20 lose on
-    both workloads and 30 loses on `chain` and minbisect C64.  One
-    iteration is one step taken, so it costs one evaluation of T, or two
-    when the candidate is rejected; max_iter caps these steps and
+    _anderson_weights (one LU solve, where an SVD least squares would cost
+    most of what the longer memory saves); the safeguard takes it only if
+    its fixed-point residual ||T(c) - c|| is no larger than the plain
+    step's ||T(zeta) - zeta||, and otherwise takes the plain step T(zeta).
+    One iteration is one step taken, so it costs one evaluation of T, or
+    two when the candidate is rejected; max_iter caps these steps and
     per-iteration timings divide by them.  Every 25 iterations rho is
     doubled or halved when one residual exceeds the other tenfold, which
     clears the memory.  On the "splrsdp" logger at debug level, one line
     before the loop gives the layout (fine nodes, groups, range of block
     sizes, slabs, and the share of eigh work the padding adds) and each
     rho check logs one line (iteration, residuals, rho, candidates
-    taken/refused, memory filled).  The loop ends at the
-    tolerances or at max_iter and has no divergence exit: the primal
-    residual is at most 2 (triangle inequality) and the dual residual at
-    most ||c|| + 1, so neither can grow without bound.  stats.objective is
-    the objective row on the returned fine blocks, which lie off consensus
-    by the primal residual.
+    taken/refused, memory filled).  The loop ends at the tolerances or at
+    max_iter and has no divergence exit: the primal residual is at most 2
+    (triangle inequality) and the dual residual at most ||c|| + 1, so
+    neither can grow without bound.  stats.objective is the objective row
+    on the returned fine blocks, which lie off consensus by the primal
+    residual.
     """
     params = params or AdmmParams()
     blocks, null_mats, place = _merge_groups(bs)

@@ -11,18 +11,17 @@ block on the root's auxiliary indices.
 
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .graph_core import TreeDecomposition, validate_decomposition
+from .graph_core import (TreeDecomposition, _binary_degrees, _top_nodes,
+                         _tree_order)
 from .sdp_model import FactoredSolution, _core_gram, _entries, _values
 
 __all__ = [
     "ExtendedPattern",
     "ExtendedSdp",
     "canonical_relabel",
-    "partition_bags",
     "build_extended_pattern",
     "build_extension",
     "extend_solution",
@@ -37,24 +36,23 @@ SAMPLE_RANK_EXTRA = 2
 
 @dataclass
 class ExtendedPattern:
-    """Index bookkeeping for the extended problem.
+    """Index bookkeeping for the extended problem, as arrays in label order.
 
-    Nodes are relabeled 1..k so that children precede parents and the root is
-    k.  Auxiliary indices for node t are u[t] = (n+(t-1)ell+1, ..., n+t*ell);
-    ext_bags[t] = bag(t) + u[t] + children's u blocks; the solver side works
-    with the chordal cover in which every extended bag is a clique.  The
-    same sets as flat arrays in label order: bag_verts holds every extended
-    bag sorted, bag_sizes their sizes, held every W_t's vertices and owner
-    the label holding each.
+    Nodes are relabeled 1..k so that children precede parents and the root
+    is k.  Node t owns the ell auxiliary indices n+(t-1)ell+1..n+t*ell, and
+    its extended bag is bag(t) with its own and its children's auxiliary
+    indices; the solver side works with the chordal cover in which every
+    extended bag is a clique.  bag_verts holds every extended bag sorted,
+    bag after bag, and bag_sizes their sizes.  held holds every W_t =
+    bag(t) \\ bag(parent(t)), W_t after W_t, and owner the label t of each
+    of its vertices; the W_t partition 1..n, as a vertex's bags form a
+    subtree and W_t keeps it at the subtree's top node.
     """
 
     n: int
     ell: int
     k: int
     td: TreeDecomposition  # relabeled, rooted at k
-    w: dict  # node -> frozenset, bag partition
-    u: dict  # node -> tuple of auxiliary indices
-    ext_bags: dict  # node -> frozenset
     bag_verts: np.ndarray = field(repr=False, compare=False)
     bag_sizes: np.ndarray = field(repr=False, compare=False)
     held: np.ndarray = field(repr=False, compare=False)
@@ -67,7 +65,7 @@ class ExtendedPattern:
     @property
     def index_j(self):
         """Root auxiliary indices carrying factor.T @ X @ factor."""
-        return self.u[self.k]
+        return tuple(range(self.n_ext - self.ell + 1, self.n_ext + 1))
 
 
 @dataclass
@@ -85,42 +83,23 @@ class ExtendedSdp:
         return self.pattern.n_ext
 
 
-def partition_bags(td):
-    """Difference sets W_t = bag(t) \\ bag(parent(t)) of a rooted decomposition.
-
-    For a valid decomposition these partition the union of all bags: the
-    occurrences of a vertex form a subtree, and W_t keeps the vertex only at
-    that subtree's highest node.  Every vertex of a bag is in some W_t:
-    walking up from its bag while the parent's bag still holds it ends at
-    a node whose W holds it.  Returns {node: W_t}.
-    """
-    if td.root is None:
-        raise ValueError("decomposition is not rooted")
-    w = {}
-    seen = {}
-    for t in td.nodes:
-        p = td.parent(t)
-        wt = td.bags[t] if p is None else td.bags[t] - td.bags[p]
-        w[t] = frozenset(wt)
-        for v in wt:
-            if v in seen:
-                raise ValueError("vertex %d appears in W_%d and W_%d; "
-                                 "running intersection violated" % (v, seen[v], t))
-            seen[v] = t
-    return w
-
-
 def canonical_relabel(td):
     """Relabel a rooted decomposition to 1..k in post-order.
 
     Children then carry smaller labels than parents and the root becomes k.
-    Returns (new_td, node_order) with node_order[t-1] = old id of label t.
+    Returns (new_td, node_order) with node_order[t-1] = old id of label t;
+    the new bags run in label order.  Raises ValueError if td is not rooted
+    at one of its nodes or is no tree on the keys of its bags.
     """
-    order = td.postorder()
+    if td.root not in set(td.nodes):
+        raise ValueError("decomposition is not rooted")
+    order = _tree_order(td)
+    if order is None:
+        raise ValueError("decomposition is not a tree")
     new_of = {old: i + 1 for i, old in enumerate(order)}
     k = len(order)
     nodes = tuple(range(1, k + 1))
-    bags = {new_of[t]: td.bags[t] for t in td.nodes}
+    bags = {new_of[t]: td.bags[t] for t in order}
     # the orientation carries over, children in ascending label as
     # TreeDecomposition orients them; a child's label is below its parent's
     parent = {new_of[t]: new_of.get(td.parent(t)) for t in order}
@@ -132,46 +111,43 @@ def canonical_relabel(td):
     return out, tuple(order)
 
 
-def _check_rooted_binary(td):
-    if td.root is None:
-        raise ValueError("decomposition is not rooted")
-    if max(td.degrees().values(), default=0) > 3:
-        raise ValueError("decomposition is not binary")
-    if len(td.children(td.root)) > 2:
-        raise ValueError("root has more than two children")
-
-
 def build_extended_pattern(pattern, td, ell):
-    """Extended bags for `ell` auxiliary indices per node."""
-    _check_rooted_binary(td)
+    """Extended bags for `ell` auxiliary indices per node of the rooted
+    binary `td`, which must be a valid decomposition of `pattern`.
+
+    The checks and W_t come from one top-node pass over the canonical tree;
+    a refused tree raises ValueError.
+    """
     ctd, _ = canonical_relabel(td)
-    n = pattern.n
-    k = len(ctd.nodes)
-    u = {t: tuple(range(n + (t - 1) * ell + 1, n + t * ell + 1)) for t in ctd.nodes}
-    ext_bags = {t: frozenset(chain(ctd.bags[t], u[t],
-                                   *(u[j] for j in ctd.children(t))))
-                for t in ctd.nodes}
-    w = partition_bags(ctd)
-    sizes = np.array([len(ext_bags[t]) for t in ctd.nodes])
-    verts = chain.from_iterable(sorted(ext_bags[t]) for t in ctd.nodes)
-    counts = [len(w[t]) for t in ctd.nodes]
-    held = chain.from_iterable(map(w.get, ctd.nodes))
+    n, k = pattern.n, len(ctd.nodes)
+    if _binary_degrees(ctd)[k] > 2:
+        raise ValueError("root has more than two children")
+    top = _top_nodes(ctd, pattern)
+    if top is None:
+        raise ValueError("decomposition is not valid for the problem pattern")
+    # a child's auxiliary indices sort below its parent's, and all of them
+    # above the bag's
+    verts, sizes = [], []
+    for t in ctd.nodes:
+        bag = sorted(ctd.bags[t])
+        for c in ctd.children(t) + [t]:
+            bag.extend(range(n + (c - 1) * ell + 1, n + c * ell + 1))
+        verts += bag
+        sizes.append(len(bag))
     return ExtendedPattern(
-        n=n, ell=ell, k=k, td=ctd, w=w, u=u, ext_bags=ext_bags,
-        bag_verts=np.fromiter(verts, np.int64, sizes.sum()), bag_sizes=sizes,
-        held=np.fromiter(held, np.int64, sum(counts)),
-        owner=np.repeat(ctd.nodes, counts))
+        n=n, ell=ell, k=k, td=ctd, bag_verts=np.array(verts, dtype=np.int64),
+        bag_sizes=np.array(sizes), held=np.fromiter(top, np.int64, len(top)),
+        owner=np.fromiter(top.values(), np.int64, len(top)))
 
 
 def build_extension(p, td):
     """Build the extended problem for `p` over the rooted binary `td`.
 
-    The decomposition must be valid for p.pattern.  Auxiliary constraint
-    matrices a_mats[t] hold the factor rows on W_t, zeros on the rest of the
-    bag, +I on child accumulator blocks, and -I on the node's own block.
+    The decomposition must be valid for p.pattern, which
+    build_extended_pattern checks.  Auxiliary constraint matrices a_mats[t]
+    hold the factor rows on W_t, zeros on the rest of the bag, +I on child
+    accumulator blocks, and -I on the node's own block.
     """
-    if not validate_decomposition(td, p.pattern):
-        raise ValueError("decomposition is not valid for the problem pattern")
     ext = build_extended_pattern(p.pattern, td, p.ell)
     n, ell, labels = ext.n, ext.ell, ext.td.nodes
     verts, sizes = ext.bag_verts, ext.bag_sizes

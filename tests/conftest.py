@@ -76,6 +76,49 @@ def random_valid_td(rng, p, max_new=3, max_keep=4):
     return Graph.from_edges(n, gedges), td
 
 
+def aux(pat, t):
+    """Auxiliary indices of node t by their definition: n+(t-1)ell+1 ..
+    n+t*ell."""
+    return tuple(range(pat.n + (t - 1) * pat.ell + 1, pat.n + t * pat.ell + 1))
+
+
+def ext_bags(pat):
+    """Label -> extended bag, sliced out of the pattern's bag arrays."""
+    ends = np.cumsum(pat.bag_sizes).tolist()
+    return {t: tuple(pat.bag_verts[e - d:e].tolist())
+            for t, e, d in zip(pat.td.nodes, ends, pat.bag_sizes.tolist())}
+
+
+def w_sets(pat):
+    """Label -> W_t, read from the pattern's held/owner arrays."""
+    return {t: set(pat.held[pat.owner == t].tolist()) for t in pat.td.nodes}
+
+
+def copy_down(blocks, bs):
+    """Reference agreement by the depth rule: symmetrize, then overwrite
+    each child's shared entries by its parent's, in order of depth from
+    the root; returns (bags, worst gap)."""
+    depth = {}
+
+    def level(t):
+        if t not in depth:
+            depth[t] = 0 if t not in bs.parent else level(bs.parent[t]) + 1
+        return depth[t]
+
+    bags = {t: 0.5 * (B + B.T) for t, B in blocks.items()}
+    worst = 0.0
+    for t in sorted(bs.parent, key=level):
+        par = bs.parent[t]
+        shared = sorted(set(bs.blocks[t]) & set(bs.blocks[par]))
+        if not shared:
+            continue
+        a = np.ix_(*[np.searchsorted(bs.blocks[t], shared)] * 2)
+        b = np.ix_(*[np.searchsorted(bs.blocks[par], shared)] * 2)
+        worst = max(worst, float(np.abs(bags[t][a] - bags[par][b]).max()))
+        bags[t][a] = bags[par][b]
+    return bags, worst
+
+
 def block_row_values(bs, blocks):
     """Value of every data row of a block problem on per-block matrices,
     objective first."""

@@ -16,7 +16,7 @@ from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
 from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import (block_row_values, cycle_bisection, parse_sdpa,
+from conftest import (aux, block_row_values, cycle_bisection, parse_sdpa,
                       random_splr_problem, random_valid_td)
 
 
@@ -79,12 +79,17 @@ def test_blocks_and_overlap_identity():
     p = random_splr_problem(rng, 14, 2)
     ext, bs, _ = convert_problem(p)
     pat = ext.pattern
+    td = pat.td
+    assert sorted(bs.blocks) == list(range(1, pat.k + 1)) and td.root == pat.k
     for t in bs.blocks:
-        assert bs.blocks[t] == tuple(sorted(pat.ext_bags[t]))
-    for t, par, shared in bs.overlaps:
-        assert pat.td.parent(t) == par
-        want = set(pat.u[t]) | (pat.td.bags[t] & pat.td.bags[par])
-        assert set(shared) == want
+        want = set(td.bags[t]).union(aux(pat, t), *(
+            aux(pat, c) for c in td.children(t)))
+        assert bs.blocks[t] == tuple(sorted(want))
+    assert bs.parent == {t: td.parent(t) for t in td.nodes if t != td.root}
+    for t, par in bs.parent.items():
+        assert t < par
+        shared = set(bs.blocks[t]) & set(bs.blocks[par])
+        assert shared == set(aux(pat, t)) | (td.bags[t] & td.bags[par])
 
 
 def test_convert_problem_path_mode():
@@ -121,7 +126,7 @@ def test_two_child_blocks_are_stored_in_reduction_order(seed, p, ell,
     for t in two_child:
         c1, c2 = sorted(pat.td.children(t))
         bag = tuple(sorted(pat.td.bags[t]))
-        assert bs.blocks[t] == bag + pat.u[c1] + pat.u[c2] + pat.u[t]
+        assert bs.blocks[t] == bag + aux(pat, c1) + aux(pat, c2) + aux(pat, t)
         assert np.array_equal(ext.a_mats[t][len(bag):], E)
 
 
@@ -136,8 +141,8 @@ def test_assemble_matches_lift_and_flags_conflicts():
         idx = [v - 1 for v in bs.blocks[t]]
         assert np.abs(B - XL[np.ix_(idx, idx)]).max() < 1e-10
     # children disagreeing with parents on a shared entry is an error
-    t, par, shared = min(bs.overlaps)
-    u = shared[0]
+    u = min(set(bs.blocks[1]) & set(bs.blocks[bs.parent[1]]))
+    t = 1
     pos = bs.blocks[t].index(u)
     bad = {s: B.copy() for s, B in blocks.items()}
     bad[t][pos, pos] += 1.0

@@ -69,9 +69,9 @@ def test_solve_writes_one_block_per_fine_node(tmp_path):
                 "--max-iter", "20000", "--out", str(f["s.json"])]) == 0
     ext = fileio.extended_from_dict(_load(f["e.json"]))
     blocks = _load(f["s.json"])["blocks"]
-    assert sorted(map(int, blocks)) == sorted(ext.pattern.ext_bags)
+    assert sorted(map(int, blocks)) == list(range(1, ext.pattern.k + 1))
     for t, Y in blocks.items():
-        d = len(ext.pattern.ext_bags[int(t)])
+        d = ext.pattern.bag_sizes[int(t) - 1]
         assert np.shape(Y) == (d, d)
     assert run(["recover", "--extended-solution", str(f["s.json"]),
                 "--out", str(f["r.json"])]) == 0
@@ -613,6 +613,12 @@ def test_nested_json_value_of_the_wrong_type_exits_1(tmp_path, capsys, kind,
 def test_wrong_typed_json_number_exits_1(tmp_path, capsys, kind, path, value,
                                         command, named):
     # int(), float() and np.asarray raised TypeError on each of these
+    _edited_file_exits_1(tmp_path, capsys, kind, path, value, command, named)
+
+
+def _edited_file_exits_1(tmp_path, capsys, kind, path, value, command, named):
+    """Set one value of a generated file; `command` on it exits 1 with an
+    input error that starts with `named`."""
     files = {name: str(tmp_path / ("%s.json" % name))
              for name in ("p", "e", "s", "sl")}
     assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
@@ -633,6 +639,54 @@ def test_wrong_typed_json_number_exits_1(tmp_path, capsys, kind, path, value,
     assert err.startswith("splrsdp: invalid input: %s" % named)
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kind, path, value, command, named", [
+    ("p", ["ell"], 2.9, "convert", "ell must be an integer, got 2.9"),
+    ("p", ["n"], "4", "convert", "n must be a number, got '4'"),
+    ("p", ["m"], 3.5, "convert", "m must be an integer, got 3.5"),
+    ("p", ["constraints", 0, "upper"], "1.0", "convert",
+     "constraint 1 upper must be a number, got '1.0'"),
+    ("p", ["constraints", 0, "lower"], True, "convert",
+     "constraint 1 lower must be a number, got True"),
+    ("p", ["factor", 0, 0], "1.0", "convert", "factor must be an array of"),
+    ("p", ["factor", 1, 0], False, "convert", "factor must be an array of"),
+    ("p", ["objective", "core", 0, 0], True, "convert",
+     "core must be an array of"),
+    ("p", ["constraints", 0, "sparse_entries", 0, 2], "1.0", "convert",
+     "sparse entries must be [i, j, value] triples"),
+    ("p", ["ell"], 1.5, "report", "ell must be an integer, got 1.5"),
+    ("e", ["tree", "root"], 2.5, "export", "root must be an integer"),
+    ("e", ["tree", "nodes", 0], True, "export", "nodes must be a number"),
+    ("e", ["base", "n"], "4", "report", "n must be a number, got '4'"),
+    ("s", ["blocks", "1", 0, 0], "1", "recover",
+     "solution block 1 must be an array of"),
+    ("sl", ["dim"], 2.5, "reduce", "dim must be an integer, got 2.5"),
+    ("sl", ["rhs", 0], "0", "reduce", "rhs must be a number, got '0'"),
+], ids=lambda v: str(v))
+def test_json_number_that_the_cast_would_change_exits_1(
+        tmp_path, capsys, kind, path, value, command, named):
+    # bools, strings and non-integral integers follow the rule AdmmParams
+    # applies to a params file; int() and float() took "ell": 2.9 as 2 and
+    # the string "1.0" as a bound
+    _edited_file_exits_1(tmp_path, capsys, kind, path, value, command, named)
+
+
+def test_report_counts_m_and_casts_sizes(tmp_path):
+    # m is optional in a problem file, which convert takes without it; n
+    # and ell are integers however the file writes them
+    p, rep = tmp_path / "p.json", tmp_path / "rep.json"
+    assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
+    d = _load(p)
+    m = len(d["constraints"])
+    del d["m"]
+    d["n"] = 4.0
+    fileio.save(d, str(p))
+    assert run(["convert", "--in", str(p), "--out", str(tmp_path / "e.json")]) == 0
+    assert run(["report", "--in", str(p), "--out", str(rep)]) == 0
+    out = _load(rep)
+    assert (out["n"], out["ell"], out["m"]) == (4, 1, m)
+    assert type(out["n"]) is int
 
 
 def test_report_of_solution_carries_stats(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, given
@@ -12,9 +14,10 @@ from splrsdp.completion_rank import (PINV_RCOND, RANK_TOL, AffineSlice,
                                      recover_low_rank, reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
 from splrsdp.sdp_model import FactoredSolution, eval_constraint, eval_objective
-from splrsdp.sparse_extension import extend_solution
+from splrsdp.sparse_extension import canonical_relabel, extend_solution
 
-from conftest import random_graph, random_splr_problem, random_valid_td
+from conftest import (copy_down, random_graph, random_splr_problem,
+                      random_valid_td)
 
 
 def test_rank_bounds_table():
@@ -206,17 +209,23 @@ def test_recover_low_rank_ell0_branching_tree():
 
 def _bag_layout(td, root=1):
     """A BlockSdp holding only what assemble reads: one block per bag of the
-    decomposition rooted at `root`, overlaps parents first."""
-    td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
-                           root=root)
-    overlaps = [(t, td.parent(t),
-                 tuple(sorted(td.bags[t] & td.bags[td.parent(t)])))
-                for t in reversed(td.postorder()) if td.parent(t) is not None]
+    decomposition rooted at `root`, on canonical labels."""
+    td, _ = canonical_relabel(replace(td, root=root))
     blocks = {t: tuple(sorted(td.bags[t])) for t in td.nodes}
     bs = BlockSdp(n_ext=max(max(b) for b in td.bags.values()), blocks=blocks,
                   rows=None, bounds=np.zeros((0, 2)), null_mats={},
-                  overlaps=overlaps)
+                  parent={t: td.parent(t) for t in td.nodes[:-1]})
     return td, bs
+
+
+def _shared_pairs(bs):
+    """(t, a, b) for every index pair a <= b that block t shares with its
+    parent."""
+    out = []
+    for t, par in sorted(bs.parent.items()):
+        sh = sorted(set(bs.blocks[t]) & set(bs.blocks[par]))
+        out += [(t, a, b) for a in sh for b in sh if a <= b]
+    return out
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12),
@@ -234,8 +243,7 @@ def test_assemble_measures_a_perturbed_shared_entry(seed, p, delta, pick):
         idx = [v - 1 for v in bs.blocks[t]]
         assert np.abs(Xc[np.ix_(idx, idx)] - B).max() <= 1e-9 * max(
             1.0, np.abs(X).max())
-    shared = [(t, a, b) for t, _, sh in bs.overlaps
-              for a in sh for b in sh if a <= b]
+    shared = _shared_pairs(bs)
     assume(shared)
     t, a, b = shared[pick % len(shared)]
     # levels between the perturbed bag and the topmost bag holding (a, b)
@@ -280,21 +288,6 @@ def test_face_bases_warn_for_each_dependent_member():
     assert np.abs(dep.T @ Q[1]).max() < 1e-12
 
 
-def _copy_down(blocks, bs):
-    """Reference agreement: symmetrize, then overwrite each child's shared
-    entries by its parent's, parents first; returns (bags, worst gap)."""
-    bags = {t: 0.5 * (B + B.T) for t, B in blocks.items()}
-    worst = 0.0
-    for t, par, shared in bs.overlaps:
-        if not shared:
-            continue
-        a = np.ix_(*[np.searchsorted(bs.blocks[t], shared)] * 2)
-        b = np.ix_(*[np.searchsorted(bs.blocks[par], shared)] * 2)
-        worst = max(worst, float(np.abs(bags[t][a] - bags[par][b]).max()))
-        bags[t][a] = bags[par][b]
-    return bags, worst
-
-
 @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 12),
        independent=st.booleans())
 def test_assemble_equals_the_parents_first_copy_down(seed, p, independent):
@@ -312,13 +305,12 @@ def test_assemble_equals_the_parents_first_copy_down(seed, p, independent):
         X = F @ F.T
         blocks = {t: X[np.ix_(*[[v - 1 for v in idx]] * 2)]
                   for t, idx in bs.blocks.items()}
-        shared = [(t, a, b) for t, _, sh in bs.overlaps
-                  for a in sh for b in sh if a <= b]
+        shared = _shared_pairs(bs)
         if shared:
             t, a, b = shared[int(rng.integers(len(shared)))]
             i, j = bs.blocks[t].index(a), bs.blocks[t].index(b)
             blocks[t][i, j] += 0.1
-    want, worst = _copy_down(blocks, bs)
+    want, worst = copy_down(blocks, bs)
     got = assemble(blocks, bs, tol=np.inf)
     assert got.keys() == want.keys()
     for t in want:

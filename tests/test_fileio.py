@@ -171,7 +171,9 @@ def test_extended_roundtrip_rebuilds_identical_data():
                                                      (4, 5), (5, 6), (1, 6)]))):
         ext, bs, _ = convert_problem(p)
         back = fileio.extended_from_dict(_rt(fileio.extended_to_dict(ext)))
-        assert back.pattern.ext_bags == ext.pattern.ext_bags
+        for name in ("bag_verts", "bag_sizes", "held", "owner"):
+            assert np.array_equal(getattr(back.pattern, name),
+                                  getattr(ext.pattern, name))
         assert back.pattern.td.bags == ext.pattern.td.bags
         for t in ext.a_mats:
             assert np.array_equal(back.a_mats[t], ext.a_mats[t])
@@ -205,7 +207,9 @@ def test_solution_roundtrip_with_stats_and_problem():
         assert np.array_equal(back[t], blocks[t])
     assert stats["iterations"] == 12 and stats["converged"] is True
     assert stats["aa_accepted"] == 9 and stats["aa_rejected"] == 2
-    assert ext2 is not None and ext2.pattern.ext_bags == ext.pattern.ext_bags
+    assert ext2 is not None
+    assert np.array_equal(ext2.pattern.bag_verts, ext.pattern.bag_verts)
+    assert np.array_equal(ext2.pattern.bag_sizes, ext.pattern.bag_sizes)
 
 
 def test_params_defaults_and_unknown_keys():

@@ -130,7 +130,7 @@ def _single_block_problem(C, lower, upper):
     return BlockSdp(n_ext=d, blocks={1: tuple(range(1, d + 1))}, rows=rows,
                     bounds=np.array([[lower, upper]]),
                     null_mats={1: np.zeros((d, 0))},
-                    overlaps=[])
+                    parent={})
 
 
 def test_admm_single_block_eigenvalue():
@@ -166,7 +166,7 @@ def test_admm_slabs_return_blocks_in_node_order():
     bs = BlockSdp(n_ext=start - 1, blocks=blocks, rows=rows,
                   bounds=np.ones((3, 2)),
                   null_mats={t: np.zeros((d, 0)) for t, d in sizes.items()},
-                  overlaps=[])
+                  parent={})
     Y, stats = admm_solve(bs, AdmmParams(max_iter=5000, tol_primal=1e-9,
                                          tol_dual=1e-9))
     assert stats.converged
@@ -222,7 +222,8 @@ def test_admm_simex_chain():
         assert v > lo - 1e-5 and v < hi + 1e-5
     # overlapping blocks agree on shared entries
     pos = {t: {v: i for i, v in enumerate(bs.blocks[t])} for t in bs.blocks}
-    for t, par, shared in bs.overlaps:
+    for t, par in bs.parent.items():
+        shared = sorted(set(bs.blocks[t]) & set(bs.blocks[par]))
         it = [pos[t][v] for v in shared]
         ip = [pos[par][v] for v in shared]
         gap = np.abs(blocks[t][np.ix_(it, it)] - blocks[par][np.ix_(ip, ip)]).max()
@@ -679,16 +680,12 @@ def test_merge_pairs_matches_a_loop_reference(seed, nodes, ell):
     g, td = random_valid_td(rng, nodes)
     _, bs, _ = convert_problem(random_splr_problem(rng, g.n, ell, graph=g),
                                td=td)
-    # another parents-first order, so a group need not hold adjacent labels
-    depth = {}
-    for t, par, _ in bs.overlaps:
-        depth[t] = depth.get(par, 0) + 1
-    bs = replace(bs, overlaps=sorted(
-        bs.overlaps, key=lambda o: (depth[o[0]], rng.random())))
     blocks, null_mats, place = _merge_groups(bs)
-    # groups parents first: join the parent's group while it is not full
+    # groups parents first, labels k-1..1: join the parent's group while it
+    # is not full
     top = {t: t for t in bs.blocks}
-    for t, par, _ in bs.overlaps:
+    for t in range(bs.k - 1, 0, -1):
+        par = bs.parent[t]
         if sum(top[s] == top[par] for s in bs.blocks) < solver.GROUP_SIZE:
             top[t] = top[par]
     groups = {}

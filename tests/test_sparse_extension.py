@@ -34,12 +34,12 @@ from splrsdp.sparse_extension import (
     canonical_relabel,
     extend_solution,
     null_residuals,
-    partition_bags,
     restrict_solution,
     verify_extension,
 )
 
-from conftest import eval_extended, random_splr_problem, random_valid_td
+from conftest import (aux, eval_extended, ext_bags, random_splr_problem,
+                      random_valid_td, w_sets)
 
 
 def singleton_path_problem(n, a, b):
@@ -63,27 +63,49 @@ def singleton_path_td(n):
     )
 
 
-def test_partition_bags_path():
-    td = replace(singleton_path_td(4), root=4)
-    assert partition_bags(td) == {i: frozenset({i}) for i in range(1, 5)}
+def test_w_of_a_path_of_singleton_bags():
+    p = singleton_path_problem(4, np.ones(4), 1.0)
+    pat = build_extension(p, replace(singleton_path_td(4), root=4)).pattern
+    assert w_sets(pat) == {t: {t} for t in range(1, 5)}
 
 
-def test_partition_bags_overlapping_bags():
+def test_w_of_overlapping_bags_rooted_at_an_end():
+    g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    p = random_splr_problem(np.random.default_rng(0), 4, 1, graph=g)
     td = TreeDecomposition(
         nodes=(1, 2, 3),
         edges=frozenset({(1, 2), (2, 3)}),
         bags={1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({3, 4})},
         root=1,
     )
-    w = partition_bags(td)
-    assert w[1] == frozenset({1, 2})
-    assert w[2] == frozenset({3})
-    assert w[3] == frozenset({4})
+    pat = build_extension(p, td).pattern
+    # post-order puts the far end first: labels 1, 2, 3 are nodes 3, 2, 1
+    assert w_sets(pat) == {1: {4}, 2: {3}, 3: {1, 2}}
 
 
-def test_partition_bags_requires_root():
-    with pytest.raises(ValueError):
-        partition_bags(singleton_path_td(3))
+def test_extended_pattern_arrays_equal_their_definitions():
+    # W_t = bag(t) \ bag(parent(t)), W_t after W_t; auxiliary indices and
+    # extended bags as ExtendedPattern defines them
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        g, td = random_valid_td(rng, int(rng.integers(1, 25)))
+        ell = int(rng.integers(0, 3))
+        p = random_splr_problem(rng, g.n, ell, graph=g)
+        pat = build_extension(p, root_binary(to_binary(td))).pattern
+        ctd, w = pat.td, w_sets(pat)
+        for t in ctd.nodes:
+            par = ctd.parent(t)
+            assert w[t] == set(ctd.bags[t]) - (
+                set() if par is None else set(ctd.bags[par]))
+        assert sorted(pat.held.tolist()) == list(range(1, g.n + 1))
+        assert (np.diff(pat.owner) >= 0).all()
+        bags = ext_bags(pat)
+        for t in ctd.nodes:
+            want = set(ctd.bags[t]).union(aux(pat, t), *(
+                aux(pat, c) for c in ctd.children(t)))
+            assert bags[t] == tuple(sorted(want))
+        assert pat.index_j == aux(pat, pat.k)
+        assert pat.n_ext == g.n + pat.k * ell
 
 
 def test_canonical_relabel_children_before_parents():
@@ -114,10 +136,11 @@ def test_extension_reproduces_worked_example():
     ext = build_extension(p, td)
     pat = ext.pattern
     assert pat.k == n and pat.n_ext == 2 * n
-    assert pat.u == {t: (n + t,) for t in range(1, n + 1)}
-    assert pat.ext_bags[1] == frozenset({1, n + 1})
+    assert all(aux(pat, t) == (n + t,) for t in range(1, n + 1))
+    bags = ext_bags(pat)
+    assert bags[1] == (1, n + 1)
     for t in range(2, n + 1):
-        assert pat.ext_bags[t] == frozenset({t, n + t - 1, n + t})
+        assert bags[t] == (t, n + t - 1, n + t)
     assert pat.index_j == (2 * n,)
     ahat = p.factor[:, 0]
     A1 = ext.a_mats[1]
@@ -126,7 +149,7 @@ def test_extension_reproduces_worked_example():
         At = ext.a_mats[t]  # rows ordered (t, n+t-1, n+t)
         assert np.allclose(At[:, 0], [ahat[t - 1], 1.0, -1.0])
     # width of the extended decomposition: 0 + 2*ell
-    assert max(len(b) for b in pat.ext_bags.values()) - 1 == 2
+    assert max(pat.bag_sizes) - 1 == 2
 
 
 def test_extend_solution_accumulates_factor_products():
@@ -180,7 +203,7 @@ def test_extended_width_and_dimension_bounds():
         full = build_extension(p, td)
         ext = full.pattern
         wid = width(base)
-        ext_wid = max(len(b) for b in ext.ext_bags.values()) - 1
+        ext_wid = max(ext.bag_sizes) - 1
         assert ext_wid <= wid + 3 * ell
         assert ext.n_ext == n + ext.k * ell
         assert ext.k <= 2 * len(base.nodes)
@@ -190,13 +213,14 @@ def test_extended_width_and_dimension_bounds():
         edges = set(p.pattern.edges)
         J = ext.index_j
         edges |= {(a, b) for a in J for b in J if a < b}
+        bags = ext_bags(ext)
         for t, A in full.a_mats.items():
-            bag = sorted(ext.ext_bags[t])
+            bag = bags[t]
             for h in range(A.shape[1]):
                 supp = [bag[r] for r in np.flatnonzero(A[:, h])]
                 edges |= {(a, b) for a in supp for b in supp if a < b}
         etd = TreeDecomposition(nodes=ext.td.nodes, edges=ext.td.edges,
-                                bags=ext.ext_bags)
+                                bags={t: frozenset(b) for t, b in bags.items()})
         assert validate_decomposition(etd, Graph.from_edges(ext.n_ext, edges))
 
 
@@ -214,7 +238,7 @@ def test_path_decomposition_gets_tighter_width():
         td = root_binary(clique_tree(p.pattern))
         ext = build_extension(p, td).pattern
         wid = 1
-        ext_wid = max(len(b) for b in ext.ext_bags.values()) - 1
+        ext_wid = max(ext.bag_sizes) - 1
         assert ext_wid <= wid + 2 * ell
         assert ext.n_ext == n + ext.k * ell and ext.k == n - 1
 
@@ -251,22 +275,24 @@ def _loop_extend(ext, R):
     pat = ext.pattern
     out = np.zeros((pat.n_ext, R.shape[1]))
     out[:pat.n] = R
+    w = w_sets(pat)
     for t in range(1, pat.k + 1):
         for h in range(pat.ell):
             row = np.zeros(R.shape[1])
-            for v in pat.w[t]:
+            for v in w[t]:
                 row += ext.base.factor[v - 1, h] * R[v - 1]
             for j in pat.td.children(t):
-                row += out[pat.u[j][h] - 1]
-            out[pat.u[t][h] - 1] = row
+                row += out[aux(pat, j)[h] - 1]
+            out[aux(pat, t)[h] - 1] = row
     return out
 
 
 def _loop_null_residuals(ext, L):
     """null_residuals one node at a time."""
     out = {}
+    bags = ext_bags(ext.pattern)
     for t, A in ext.a_mats.items():
-        G = A.T @ L[[v - 1 for v in sorted(ext.pattern.ext_bags[t])]]
+        G = A.T @ L[[v - 1 for v in bags[t]]]
         out[t] = float(np.abs(G @ G.T).max())
     return out
 
@@ -300,12 +326,13 @@ def test_verify_extension_fails_on_a_broken_accumulator(monkeypatch, fault):
     h, _ = chordal_complete(p.pattern)
     ext = build_extension(p, root_binary(to_binary(clique_tree(h))))
     pat = ext.pattern
-    t = next(t for t in pat.td.nodes if pat.w[t])
-    bag = sorted(pat.ext_bags[t])
+    w = w_sets(pat)
+    t = next(t for t in pat.td.nodes if w[t])
+    bag = ext_bags(pat)[t]
     if fault == "aux sign":
-        ext.a_mats[t][bag.index(pat.u[t][1]), 1] *= -1.0
+        ext.a_mats[t][bag.index(aux(pat, t)[1]), 1] *= -1.0
     else:
-        ext.a_mats[t][bag.index(min(pat.w[t])), 0] += 0.5
+        ext.a_mats[t][bag.index(min(w[t])), 0] += 0.5
     ranks = []
 
     def recording(ext, sol):
@@ -339,10 +366,18 @@ def test_build_extension_rejects_bad_decomposition():
     p = singleton_path_problem(4, np.ones(4), 1.0)
     bad = TreeDecomposition(nodes=(1,), edges=frozenset(),
                             bags={1: frozenset({1, 2})}, root=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not valid for the problem pattern"):
         build_extension(p, bad)
+    # running intersection broken: vertex 1 in two bags apart
+    broken = TreeDecomposition(
+        nodes=(1, 2, 3), edges=frozenset({(1, 2), (2, 3)}),
+        bags={1: frozenset({1, 2}), 2: frozenset({3}), 3: frozenset({1, 4})},
+        root=1)
+    assert not validate_decomposition(broken, p.pattern)
+    with pytest.raises(ValueError, match="not valid for the problem pattern"):
+        build_extension(p, broken)
     unrooted = singleton_path_td(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="decomposition is not rooted"):
         build_extension(p, unrooted)
     # singleton bags on an edgeless pattern make every tree shape valid, so
     # only the shape check can reject the next two
@@ -352,7 +387,7 @@ def test_build_extension_rejects_bad_decomposition():
                              edges=frozenset((1, t) for t in range(2, 6)),
                              bags=bags, root=2)
     assert validate_decomposition(star, p5.pattern)
-    with pytest.raises(ValueError, match="not binary"):
+    with pytest.raises(ValueError, match="decomposition is not binary"):
         build_extension(p5, star)
     # no node above degree 3, but the root has three children
     claw = TreeDecomposition(nodes=(1, 2, 3, 4, 5),
@@ -361,3 +396,35 @@ def test_build_extension_rejects_bad_decomposition():
     assert validate_decomposition(claw, p5.pattern)
     with pytest.raises(ValueError, match="root has more than two children"):
         build_extension(p5, claw)
+    # a cycle, and a root that is no node
+    cycle = replace(claw, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5),
+                                           (1, 5)}))
+    with pytest.raises(ValueError, match="decomposition is not a tree"):
+        build_extension(p5, cycle)
+    with pytest.raises(ValueError, match="decomposition is not rooted"):
+        build_extension(p5, replace(claw, root=9))
+
+
+def test_build_extension_refuses_exactly_what_validate_decomposition_does():
+    # one vertex dropped from, or added to, a bag of a rooted binary tree
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for _ in range(150):
+        g, td = random_valid_td(rng, int(rng.integers(1, 12)))
+        td = root_binary(to_binary(td))
+        bags = dict(td.bags)
+        t = int(rng.choice(td.nodes))
+        v = int(rng.integers(1, g.n + 1))
+        bags[t] = bags[t] ^ {v} if len(bags[t]) > 1 or v not in bags[t] \
+            else bags[t]
+        mtd = replace(td, bags=bags, _parent=None, _children=None)
+        p = random_splr_problem(rng, g.n, 1, graph=g, m_extra=1)
+        valid = validate_decomposition(mtd, g)
+        verdicts.add(valid)
+        if valid:
+            build_extension(p, mtd)
+        else:
+            with pytest.raises(ValueError,
+                               match="not valid for the problem pattern"):
+                build_extension(p, mtd)
+    assert verdicts == {True, False}

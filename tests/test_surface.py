@@ -4,7 +4,9 @@ Every name a module lists in `__all__` is re-exported by the package or
 reached from `src/` or the benchmark, apart from its own definition and
 its `__all__` entry.  A use inside a definition counts only when that
 definition is itself reached, so a helper of dead code is dead too.  Test
-oracles live in `conftest.py`.
+oracles live in `conftest.py`.  Every field of a dataclass in `src/` is
+read as an attribute somewhere in `src/` or the benchmark, apart from the
+fields in UNREAD_FIELDS.
 """
 
 import ast
@@ -12,6 +14,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splrsdp"
+
+# fields kept for the library's callers, each with its reason
+UNREAD_FIELDS = {
+    # the public per-iteration residual trace of a solve
+    "solver.SolveStats.history",
+}
 
 
 def _exports(tree):
@@ -29,6 +37,24 @@ def _reads(node):
             for n in ast.walk(node)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
             or isinstance(n, ast.Attribute)}
+
+
+def _unread_fields():
+    """module.Class.field for every dataclass field in src/ that no
+    attribute read in src/ or the benchmark names."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             + sorted((ROOT / "benchmark").glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = ["%s.%s.%s" % (path.stem, cls.name, f.target.id)
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d)
+                      for d in cls.decorator_list)
+              for f in cls.body if isinstance(f, ast.AnnAssign)
+              and isinstance(f.target, ast.Name)]
+    return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
 
 
 def _unreached_exports():
@@ -63,3 +89,11 @@ def _unreached_exports():
 def test_every_export_is_reached_outside_the_tests():
     unreached = _unreached_exports()
     assert unreached == [], "exported but only tests reach: %s" % unreached
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    unread = set(_unread_fields())
+    assert unread - UNREAD_FIELDS == set(), \
+        "dataclass fields only tests read: %s" % sorted(unread - UNREAD_FIELDS)
+    assert UNREAD_FIELDS <= unread, \
+        "read now, so no longer allowed: %s" % sorted(UNREAD_FIELDS - unread)
