@@ -83,6 +83,13 @@ def test_w_of_overlapping_bags_rooted_at_an_end():
     assert w_sets(pat) == {1: {4}, 2: {3}, 3: {1, 2}}
 
 
+def test_partition_bags_requires_root():
+    # the bag partition W_t needs a root; build_extension refuses without one
+    p = singleton_path_problem(3, np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="decomposition is not rooted"):
+        build_extension(p, singleton_path_td(3))
+
+
 def test_extended_pattern_arrays_equal_their_definitions():
     # W_t = bag(t) \ bag(parent(t)), W_t after W_t; auxiliary indices and
     # extended bags as ExtendedPattern defines them
@@ -376,9 +383,6 @@ def test_build_extension_rejects_bad_decomposition():
     assert not validate_decomposition(broken, p.pattern)
     with pytest.raises(ValueError, match="not valid for the problem pattern"):
         build_extension(p, broken)
-    unrooted = singleton_path_td(4)
-    with pytest.raises(ValueError, match="decomposition is not rooted"):
-        build_extension(p, unrooted)
     # singleton bags on an edgeless pattern make every tree shape valid, so
     # only the shape check can reject the next two
     p5 = singleton_path_problem(5, np.ones(5), 1.0)
