@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _probability(text):
+    """argparse type of the probability flags: a float in [0, 1]."""
+    p = float(text)
+    if 0.0 <= p <= 1.0:
+        return p
+    raise argparse.ArgumentTypeError("%s is not in [0, 1]" % text)
+
+
 def _read_json(path):
     return fileio.load(sys.stdin if path is None or path == "-" else path)
 
@@ -285,13 +293,13 @@ def _build_parser():
     gcommon(sp, seeded=True)
     sp = gsub.add_parser("minbisect", help="graph bisection relaxation")
     sp.add_argument("-n", type=int, default=8)
-    sp.add_argument("--p-edge", type=float, default=0.3)
+    sp.add_argument("--p-edge", type=_probability, default=0.3)
     sp.add_argument("--graph", default=None, help="text graph file instead of random")
     gcommon(sp, seeded=True)
     sp = gsub.add_parser("bqp", help="quadratic program relaxation over x >= 0;"
                          " bounded with --binary or a positive definite Q")
     sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--density", type=float, default=0.5)
+    sp.add_argument("--density", type=_probability, default=0.5)
     sp.add_argument("--eq", type=int, default=0, help="number of equality rows")
     sp.add_argument("--binary", action="store_true")
     gcommon(sp, seeded=True)

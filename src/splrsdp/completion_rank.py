@@ -11,12 +11,12 @@ Contains:
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .graph_core import TreeDecomposition, width
+from .graph_core import width
 from .sdp_model import RANK_TOL, FactoredSolution, _rank_mask
 from .sparse_extension import restrict_solution
 
@@ -507,9 +507,8 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
         blocks[t] = reduce_block(blocks[t], ext.a_mats[t][:p], pat.ell)
 
     bags = assemble(blocks, bs, tol=overlap_tol)
-    ctd = TreeDecomposition(nodes=td.nodes, edges=td.edges,
-                            bags={t: frozenset(bs.blocks[t]) for t in bs.blocks},
-                            root=td.root)
+    # the extended bags on the same tree; replace keeps its orientation
+    ctd = replace(td, bags=bs.blocks)
     # completing on the accumulator faces keeps solver noise out of the
     # accumulator identities: each bag's new rows get an exact fix.  A bag
     # whose new rows miss the face's support (all its accumulator and v_part

@@ -127,12 +127,15 @@ def _sparse_rows(n, rows):
 
 
 def problem_to_dict(p):
-    """The problem file's dict; a NaN bound raises ValueError, as null
-    would read back as an infinite one."""
-    nan = [r for r, c in enumerate(p.constraints, start=1)
-           if math.isnan(c.lower) or math.isnan(c.upper)]
-    if nan:
-        raise ValueError("constraint %d has a NaN bound" % nan[0])
+    """The problem file's dict.  A bound that would not read back as
+    itself raises ValueError: null reads back as -inf for a lower bound and
+    +inf for an upper one, so NaN, a lower +inf or an upper -inf would not.
+    """
+    for r, c in enumerate(p.constraints, start=1):
+        if not (c.lower < math.inf and c.upper > -math.inf):
+            raise ValueError("constraint %d has a NaN bound or an infinite one"
+                             " on the wrong side (lower %r, upper %r), which"
+                             " would not read back" % (r, c.lower, c.upper))
     return {
         "schema": PROBLEM_SCHEMA,
         "n": p.n,

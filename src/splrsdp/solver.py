@@ -259,18 +259,17 @@ def admm_solve(bs, params=None):
     step's ||T(zeta) - zeta||, and otherwise takes the plain step T(zeta).
     One iteration is one step taken, so it costs one evaluation of T, or
     two when the candidate is rejected; max_iter caps these steps and
-    per-iteration timings divide by them.  Every 25 iterations rho is
-    doubled or halved when one residual exceeds the other tenfold, which
-    clears the memory.  On the "splrsdp" logger at debug level, one line
-    before the loop gives the layout (fine nodes, groups, range of block
-    sizes, slabs, and the share of eigh work the padding adds) and each
-    rho check logs one line (iteration, residuals, rho, candidates
-    taken/refused, memory filled).  The loop ends at the tolerances or at
-    max_iter and has no divergence exit: the primal residual is at most 2
-    (triangle inequality) and the dual residual at most ||c|| + 1, so
-    neither can grow without bound.  stats.objective is the objective row
-    on the returned fine blocks, which lie off consensus by the primal
-    residual.
+    per-iteration timings divide by them.  rho stays params.rho, so T is
+    one fixed map and the Anderson memory is never reset.  On the "splrsdp"
+    logger at debug level, one line before the loop gives the layout (fine
+    nodes, groups, range of block sizes, slabs, and the share of eigh work
+    the padding adds) and one line every 25 iterations gives the progress
+    (iteration, residuals, rho, candidates taken/refused, memory filled).
+    The loop ends at the tolerances or at max_iter and has no divergence
+    exit: the primal residual is at most 2 (triangle inequality) and the
+    dual residual at most ||c|| + 1, so neither can grow without bound.
+    stats.objective is the objective row on the returned fine blocks, which
+    lie off consensus by the primal residual.
     """
     params = params or AdmmParams()
     blocks, null_mats, place = _merge_groups(bs)
@@ -318,22 +317,17 @@ def admm_solve(bs, params=None):
     # bounds of the data rows; block copies have none
     lo, hi = np.ascontiguousarray(bs.bounds.T)
 
-    def project(zeta):
+    def evaluate(zeta):
+        """T at zeta: v = P(zeta), K^T u for u = zeta - v, K x, f = T(zeta) -
+        zeta and ||f||."""
         v = np.empty_like(zeta)
         np.clip(zeta[ny:], lo, hi, out=v[ny:])
         for s, D, Q, QT in slabs:
             v[s] = _face_project(zeta[s].reshape(-1, D, D), Q, QT).ravel()
-        return v
-
-    def evaluate(zeta, v):
-        """T at zeta given v = P(zeta): v, u, K^T u, x, K x, f = T(zeta) -
-        zeta and ||f||."""
-        u = zeta - v
-        KTu = KT @ u
-        x = solve(KT @ v - KTu - c / rho)
-        Kx = K @ x
+        KTu = KT @ (zeta - v)
+        Kx = K @ solve(KT @ v - KTu - c / rho)
         f = Kx - v
-        return v, u, KTu, x, Kx, f, math.sqrt(f @ f)
+        return v, KTu, Kx, f, math.sqrt(f @ f)
 
     rho = params.rho
     # identity times a seed-dependent scale, so reruns with other seeds probe
@@ -342,7 +336,7 @@ def admm_solve(bs, params=None):
     zeta = np.zeros(K.shape[0])
     zeta[ny:] = np.clip(0.0, lo, hi)
     zeta[at[diag]] = scale0
-    ev = evaluate(zeta, project(zeta))
+    ev = evaluate(zeta)
 
     # Anderson memory: rows of differences of T(zeta) and of T(zeta) - zeta
     # between successive iterates, filled round-robin, with the Gram matrix
@@ -363,7 +357,7 @@ def admm_solve(bs, params=None):
                   max(sizes), len(slabs), "s" if len(slabs) > 1 else "",
                   100.0 * (padded - work) / max(work, 1))
     for it in range(1, params.max_iter + 1):
-        v, u, KTu, x, Kx, f, fn = ev
+        v, KTu, Kx, f, fn = ev
         # each norm as np.linalg.norm takes it for a vector
         pri = fn / max(1.0, math.sqrt(Kx @ Kx), math.sqrt(v @ v))
         cu = c + rho * KTu
@@ -374,27 +368,17 @@ def admm_solve(bs, params=None):
             break
         if it == params.max_iter:
             break
-        if it % 25 == 0:
-            if debug:
-                log.debug("admm it %d pri %.3e dua %.3e rho %.3g aa %d/%d "
-                          "memory %d/%d", it, pri, dua, rho, accepted,
-                          rejected, filled, AA_MEMORY)
-            step = (2.0 if pri > 10.0 * dua and rho < 1e6 else
-                    0.5 if dua > 10.0 * pri and rho > 1e-6 else None)
-            if step is not None:
-                # u scales by 1/step; v stays the projection of v + u/step
-                rho *= step
-                zeta = v + u / step
-                ev = evaluate(zeta, v)
-                f, fn = ev[-2:]
-                filled = slot = 0
+        if it % 25 == 0 and debug:
+            log.debug("admm it %d pri %.3e dua %.3e rho %.3g aa %d/%d "
+                      "memory %d/%d", it, pri, dua, rho, accepted, rejected,
+                      filled, AA_MEMORY)
 
         new = None
         if filled:
             gamma = _anderson_weights(gram[:filled, :filled],
                                       dF[:filled] @ f)
             cand = zeta + f - gamma @ dG[:filled]
-            ev_c = evaluate(cand, project(cand))
+            ev_c = evaluate(cand)
             if ev_c[-1] <= fn:
                 new, ev_new = cand, ev_c
                 accepted += 1
@@ -402,7 +386,7 @@ def admm_solve(bs, params=None):
                 rejected += 1
         if new is None:
             new = zeta + f
-            ev_new = evaluate(new, project(new))
+            ev_new = evaluate(new)
         df = ev_new[-2] - f
         dF[slot] = df
         dG[slot] = new - zeta + df

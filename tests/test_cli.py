@@ -52,6 +52,19 @@ def test_gen_convert_solve_recover_files(tmp_path):
     assert rep["n_hat"] == rep["n"] + rep["k"] * rep["ell"]
 
 
+def test_simex_160_recovers_at_the_default_solver_settings(tmp_path):
+    # recover needs the blocks to agree on their overlaps within 1e-3; a
+    # solve that halved rho down to 0.0625 here left 1.8e-3 and exit 2
+    f = {name: str(tmp_path / name) for name in
+         ("p.json", "e.json", "s.json", "r.json")}
+    assert run(["gen", "simex", "-n", "160", "--out", f["p.json"]]) == 0
+    assert run(["convert", "--in", f["p.json"], "--out", f["e.json"]]) == 0
+    assert run(["solve", "--in", f["e.json"], "--out", f["s.json"]]) == 0
+    assert run(["recover", "--extended-solution", f["s.json"], "--problem",
+                f["e.json"], "--out", f["r.json"]]) == 0
+    assert _load(f["r.json"])["residuals"]["feasible_at_1e-4"] is True
+
+
 def test_solve_writes_one_block_per_fine_node(tmp_path):
     # the solver merges parent-child pairs internally; its solution file,
     # the recovered certificate and the export stay those of the fine tree
@@ -530,6 +543,24 @@ def test_bad_inputs_exit_1(tmp_path):
     assert run(["solve", "--in", str(prob), "--threads", "2", "--max-iter",
                 "1", "--out", str(tmp_path / "s.json")]) == 1
     assert run(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    # an infinite bound on the wrong side would read back as a free row
+    (["simex", "-n", "3", "--b", "inf"], "constraint 4"),
+    (["simex", "-n", "3", "--b=-inf"], "constraint 4"),
+    (["simex", "-n", "3", "--b", "nan"], "constraint 4"),
+    (["minbisect", "--p-edge", "7"], "--p-edge"),
+    (["minbisect", "--p-edge", "-0.1"], "--p-edge"),
+    (["bqp", "-n", "4", "--density", "-0.5"], "--density"),
+    (["bqp", "-n", "4", "--density", "1.5"], "--density"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_gen_refuses_values_it_cannot_write_as_given(tmp_path, capsys, argv,
+                                                     named):
+    out = tmp_path / "p.json"
+    assert run(["gen"] + argv + ["--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -289,8 +289,17 @@ def test_objective_is_that_of_the_returned_blocks():
     assert abs(stats.objective - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_rho_stays_the_parameter_for_the_whole_solve():
+    # simex-n40 at tol 1e-8 runs with its dual residual over ten times the
+    # primal at every 25-iteration mark, where a balancing rule would move rho
+    _, bs, _ = convert_problem(gen_simex(40))
+    params = AdmmParams(tol_primal=1e-8, tol_dual=1e-8)
+    _, stats = admm_solve(bs, params)
+    assert stats.converged and stats.rho == params.rho
+
+
 def test_admm_logs_progress_at_the_rho_checks(caplog):
-    # C16 at tol 1e-8 runs past several rho checks
+    # C16 at tol 1e-8 runs past several 25-iteration progress lines
     _, bs, _ = convert_problem(cycle_bisection(16))
     tight = AdmmParams(tol_primal=1e-8, tol_dual=1e-8)
     with caplog.at_level(logging.DEBUG, logger="splrsdp"):
