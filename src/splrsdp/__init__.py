@@ -9,13 +9,11 @@ original.
 from .graph_core import (
     Graph,
     TreeDecomposition,
-    brute_force_treewidth,
     chordal_complete,
     clique_tree,
     root_binary,
     split_vertex,
     to_binary,
-    validate_decomposition,
     width,
 )
 from .sdp_model import (
@@ -24,8 +22,6 @@ from .sdp_model import (
     SparseSymMatrix,
     SplrSdp,
     Term,
-    detect_splr,
-    eval_constraint,
     eval_objective,
     is_feasible,
     validate_problem,
@@ -48,15 +44,11 @@ from .completion_rank import (
     reduce_block,
 )
 from .solver import (
-    AdmmDivergence,
     AdmmParams,
     SolveStats,
     admm_solve,
-    dense_reference_solve,
-    project_null_psd,
 )
 from .instances import (
-    coupling_singular_values,
     gen_bqp_relaxation,
     gen_lb_padded,
     gen_lb_small,
@@ -64,7 +56,6 @@ from .instances import (
     gen_min_bisection,
     gen_phi_witness,
     gen_simex,
-    lb_tree_feasible_point,
     phi_witness_matrix,
 )
 

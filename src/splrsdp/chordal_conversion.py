@@ -252,7 +252,7 @@ def assemble(block_solution, bs, tol=1e-6):
     agreed = np.empty_like(sym)
     agreed[order] = sym[order[first]][np.cumsum(first) - 1]
     worst = float(np.abs(sym - agreed).max(initial=0.0))
-    if worst > tol:
+    if not worst <= tol:  # a NaN gap fails too
         raise RecoveryError("blocks disagree on shared entries by %.3e"
                             % worst, disagreement=worst)
     flat[upper] = agreed

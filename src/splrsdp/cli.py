@@ -388,14 +388,15 @@ def run(argv=None):
     except _UsageError as err:
         print("splrsdp: error: %s" % err, file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
-        log.debug("input failure", exc_info=True)
-        print("splrsdp: invalid input: %s" % err, file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so it must be caught first
     except (np.linalg.LinAlgError, RuntimeError) as err:
         log.debug("numerical failure", exc_info=True)
         print("splrsdp: numerical failure: %s" % err, file=sys.stderr)
         return 2
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+        log.debug("input failure", exc_info=True)
+        print("splrsdp: invalid input: %s" % err, file=sys.stderr)
+        return 1
 
 
 def main():

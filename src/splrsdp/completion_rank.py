@@ -122,11 +122,6 @@ def _face_bases(null_mats, sizes):
     return out
 
 
-def _face_basis(null_vectors, d):
-    """The _face_bases basis of one matrix of null vectors."""
-    return _face_bases([null_vectors], [d])[0]
-
-
 def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     """Complete a PSD matrix known on the bags of a clique tree at minimum rank.
 
@@ -304,12 +299,14 @@ def rank_reduce_affine(slc, feas_tol=1e-6):
     alpha = -1/lambda chosen so the boundary of the cone is hit.  Constraint
     values are invariant along these moves.  Stops when the tangent system
     has no null direction (singular values above PINV_RCOND times the
-    largest, or 1, span it), which forces r(r+1)/2 <= len(mats).
+    largest, or 1, span it), which forces r(r+1)/2 <= len(mats).  A point
+    off the slice by more than feas_tol, or by NaN, raises ValueError.
     """
     Y = _sym(np.asarray(slc.point, dtype=float))
-    worst = max((abs(float(np.sum(_sym(B) * Y)) - c)
-                 for B, c in zip(slc.mats, slc.rhs)), default=0.0)
-    if worst > feas_tol:
+    # np.max keeps a NaN gap, where max() may skip it
+    worst = float(np.max([abs(float(np.sum(_sym(B) * Y)) - c)
+                          for B, c in zip(slc.mats, slc.rhs)], initial=0.0))
+    if not worst <= feas_tol:
         raise ValueError("slice point infeasible by %.3e" % worst)
     R = _psd_factor(Y)
     while R.shape[1] > 0:
@@ -469,9 +466,9 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
     minimum rank along the extended clique tree on the faces of the
     accumulator constraints, and restricted to the original rows.  Solver
     output too inexact for any of these steps raises RecoveryError, and a
-    block_solution whose keys are not exactly bs's nodes ValueError.  mode
-    defaults to "path" exactly when no node of ext.pattern.td has two
-    children.
+    block_solution whose keys are not exactly bs's nodes, or whose blocks
+    hold a non-finite entry, ValueError.  mode defaults to "path" exactly
+    when no node of ext.pattern.td has two children.
 
     Returns (solution, info) where solution is a FactoredSolution on the
     original index range and info reports block ranks and the certified
@@ -491,6 +488,9 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
     td = pat.td
     # reduce_block, assemble and _block_ranks each symmetrize
     blocks = {t: np.asarray(block_solution[t], dtype=float) for t in bs.blocks}
+    bad = [t for t, B in blocks.items() if not np.isfinite(B).all()]
+    if bad:
+        raise ValueError("block %s has a non-finite entry" % min(bad))
     two_child = _two_child_nodes(td)
     if mode is None:
         mode = "tree" if two_child else "path"

@@ -13,14 +13,12 @@ __all__ = [
     "Graph",
     "TreeDecomposition",
     "read_graph",
-    "validate_decomposition",
     "width",
     "chordal_complete",
     "clique_tree",
     "split_vertex",
     "to_binary",
     "root_binary",
-    "brute_force_treewidth",
 ]
 
 
@@ -151,19 +149,6 @@ def width(td):
     if not td.bags:
         raise ValueError("decomposition has no bags")
     return max(len(b) for b in td.bags.values()) - 1
-
-
-def validate_decomposition(td, g):
-    """True iff td is a tree whose bags cover vertices and edges of g and
-    satisfy the running intersection property.
-
-    Uses td's own orientation (an unrooted td is rooted at its first node)
-    and checks both properties by _top_nodes.
-    """
-    if td.nodes and td.root not in set(td.nodes):
-        td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
-                               root=td.nodes[0])
-    return _tree_order(td) is not None and _top_nodes(td, g) is not None
 
 
 def _tree_order(td):
@@ -373,58 +358,3 @@ def root_binary(td):
     root = min(t for t in td.nodes if deg[t] < low)
     return TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=dict(td.bags), root=root)
 
-
-def brute_force_treewidth(g):
-    """Exact treewidth by dynamic programming over elimination prefixes.
-
-    Only for n <= 12.  For an eliminated set S the fill neighborhood of v is
-    order independent: u is adjacent iff reachable from v through S.  That
-    makes f(S) = best achievable max-degree well defined on subsets.
-    """
-    n = g.n
-    if n > 12:
-        raise ValueError("brute_force_treewidth limited to n <= 12")
-    if n == 0:
-        raise ValueError("empty graph")
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
-
-    def elim_degree(S, v):
-        # neighbors of v after eliminating S: reachable through S vertices
-        seen = 1 << v
-        frontier = 1 << v
-        reach = 0
-        while frontier:
-            nbrs = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nbrs |= adj[low.bit_length() - 1]
-            nbrs &= ~seen
-            reach |= nbrs & ~S
-            frontier = nbrs & S
-            seen |= nbrs
-        return bin(reach).count("1")
-
-    full = (1 << n) - 1
-    INF = n + 1
-    f = [INF] * (1 << n)
-    f[0] = 0
-    by_count = sorted(range(1 << n), key=lambda s: bin(s).count("1"))
-    for S in by_count:
-        if f[S] == INF:
-            continue
-        rest = full & ~S
-        r = rest
-        while r:
-            low = r & -r
-            r ^= low
-            v = low.bit_length() - 1
-            cost = max(f[S], elim_degree(S, v))
-            T = S | low
-            if cost < f[T]:
-                f[T] = cost
-    return f[full]

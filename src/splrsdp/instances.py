@@ -19,11 +19,9 @@ __all__ = [
     "gen_bqp_relaxation",
     "gen_phi_witness",
     "phi_witness_matrix",
-    "coupling_singular_values",
     "gen_lb_small",
     "gen_lb_padded",
     "gen_lb_tree",
-    "lb_tree_feasible_point",
 ]
 
 _INF = float("inf")
@@ -205,22 +203,6 @@ def phi_witness_matrix(ell):
     return np.block([[np.eye(ell), D], [D, np.eye(ell)]])
 
 
-def coupling_singular_values(alpha, beta):
-    """Closed-form singular values of [[1, beta], [-beta, alpha]].
-
-    These 2x2 blocks show up when comparing a candidate factor against the
-    witness frame; alpha is the retained diagonal weight and beta the
-    rotation amount.  Returns (larger, smaller).
-    """
-    a2 = alpha * alpha
-    b2 = beta * beta
-    mid = 2.0 * b2 + a2 + 1.0
-    disc = np.sqrt((1.0 - a2) ** 2 + 4.0 * b2 * (alpha - 1.0) ** 2)
-    hi = np.sqrt((mid + disc) / 2.0)
-    lo = np.sqrt(max((mid - disc) / 2.0, 0.0))
-    return hi, lo
-
-
 def gen_phi_witness(ell):
     """Affine slice over 2l x 2l PSD matrices whose every element has rank
     exactly l+1: both diagonal blocks pinned to I, and the sum-coupling
@@ -351,18 +333,3 @@ def gen_lb_tree(ell):
                    objective=Term(_zero_sparse(n), np.zeros((ell, ell))),
                    constraints=cons)
 
-
-def lb_tree_feasible_point(ell):
-    """Feasible (and optimal) solution of gen_lb_tree."""
-    D = _witness_d(ell)
-    I = np.eye(ell)
-    Z = np.zeros((ell, ell))
-    Y3 = -I
-    return np.block([
-        [I, Z, Z, I, Z, Z],
-        [Z, I, Z, Z, I, Z],
-        [Z, Z, I, Z, Z, Y3],
-        [I, Z, Z, 2.0 * I, D.T, (I + D).T],
-        [Z, I, Z, D, 2.0 * I, (I + D).T],
-        [Z, Z, Y3, I + D, I + D, I + 2.0 * (I + D)],
-    ])

@@ -23,10 +23,8 @@ __all__ = [
     "SplrSdp",
     "FactoredSolution",
     "validate_problem",
-    "eval_constraint",
     "eval_objective",
     "is_feasible",
-    "detect_splr",
 ]
 
 RANK_TOL = 1e-8  # relative eigenvalue cut of every reported rank
@@ -61,15 +59,6 @@ class SparseSymMatrix:
             key = (min(i, j), max(i, j))
             ent[key] = ent.get(key, 0.0) + float(v)
         return SparseSymMatrix(n, ent)
-
-    @staticmethod
-    def from_dense(M, tol=0.0):
-        M = np.asarray(M, dtype=float)
-        i, j = np.triu_indices(M.shape[0])
-        v = 0.5 * (M[i, j] + M[j, i])
-        keep = np.abs(v) > tol
-        keys = zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())
-        return SparseSymMatrix(M.shape[0], dict(zip(keys, v[keep].tolist())))
 
     def to_dense(self):
         M = np.zeros((self.n, self.n))
@@ -272,11 +261,6 @@ def _values(terms, sol, core_gram, entries=None):
     return out
 
 
-def eval_constraint(p, i, sol):
-    """Value of constraint row i (1-based); `sol` as in _values."""
-    return float(_values([p.constraints[i - 1]], sol, _core_gram(p, sol))[0])
-
-
 def eval_objective(p, sol):
     return float(_values([p.objective], sol, _core_gram(p, sol))[0])
 
@@ -293,80 +277,3 @@ def is_feasible(p, sol, tol=1e-8):
     worst = float(viol.max(initial=0.0))
     return worst <= tol, {"max_violation": worst, "violations": viol.tolist()}
 
-
-def _off_pattern_part(M, pattern):
-    """Entries outside pattern edges and the diagonal."""
-    n = M.shape[0]
-    keep = np.zeros((n, n), dtype=bool)
-    for i, j in pattern.edges:
-        keep[i - 1, j - 1] = True
-        keep[j - 1, i - 1] = True
-    np.fill_diagonal(keep, True)
-    out = M.copy()
-    out[keep] = 0.0
-    return out
-
-
-def detect_splr(mats, bounds, pattern, rank_tol=1e-9):
-    """Recover a declared sparse-plus-low-rank split from dense matrices.
-
-    mats[0] is the objective, mats[1:] the constraint matrices; `bounds` is a
-    list of (lower, upper) for the constraints.  A matrix supported inside
-    pattern + diagonal is classified sparse.  The remaining matrices feed a
-    shared column-space basis W (SVD at relative threshold rank_tol); each
-    gets core W^T A W, and whatever W cannot explain must fit the pattern or
-    a ValueError is raised.
-    """
-    mats = [np.asarray(M, dtype=float) for M in mats]
-    n = mats[0].shape[0]
-    if len(bounds) != len(mats) - 1:
-        raise ValueError("expected %d bound pairs, got %d" % (len(mats) - 1, len(bounds)))
-    scales = []
-    for k, M in enumerate(mats):
-        if M.shape != (n, n):
-            raise ValueError("matrix %d has shape %s" % (k, M.shape))
-        scale = max(1.0, np.abs(M).max())
-        if np.abs(M - M.T).max() > rank_tol * scale:
-            raise ValueError("matrix %d is not symmetric" % k)
-        scales.append(scale)
-    mats = [0.5 * (M + M.T) for M in mats]
-
-    dense_idx = []
-    for k, M in enumerate(mats):
-        off = _off_pattern_part(M, pattern)
-        if np.abs(off).max() > rank_tol * scales[k]:
-            dense_idx.append(k)
-
-    if dense_idx:
-        stack = np.hstack([mats[k] for k in dense_idx])
-        U, s, _ = np.linalg.svd(stack, full_matrices=False)
-        ell = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-        W = U[:, :ell]
-    else:
-        ell = 0
-        W = np.zeros((n, 0))
-
-    terms = []
-    for k, M in enumerate(mats):
-        if k in dense_idx:
-            core = W.T @ M @ W
-            rest = M - W @ core @ W.T
-            off = _off_pattern_part(rest, pattern)
-            if np.abs(off).max() > 10 * rank_tol * scales[k]:
-                raise ValueError("matrix %d is neither pattern-sparse nor in the "
-                                 "shared low-rank span" % k)
-            # drop numerical dust so fully-explained matrices get an empty
-            # sparse part
-            sparse = SparseSymMatrix.from_dense(rest - off, tol=rank_tol * scales[k])
-        else:
-            core = np.zeros((ell, ell))
-            sparse = SparseSymMatrix.from_dense(M, tol=0.0)
-        terms.append(Term(sparse, core))
-
-    objective = terms[0]
-    cons = [Constraint(t.sparse, t.core, float(l), float(u))
-            for t, (l, u) in zip(terms[1:], bounds)]
-    p = SplrSdp(n=n, ell=ell, pattern=pattern, factor=W,
-                objective=objective, constraints=cons)
-    validate_problem(p)
-    return p

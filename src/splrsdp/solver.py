@@ -1,4 +1,4 @@
-"""ADMM solvers for the block problem and a dense reference oracle.
+"""ADMM solver for the block problem.
 
 The block solver first merges each tree node into its parent's group
 while that group holds fewer than GROUP_SIZE nodes, solves on the merged
@@ -14,10 +14,7 @@ the gather matrix G and the data rows A.  Each evaluation of the ADMM map
 projects each slab onto its null-constrained PSD faces with one batched
 eigh, clips row values into their interval bounds, and solves a
 prefactored least-squares system for the consensus; safeguarded Anderson
-acceleration of that map picks the steps.  The dense reference solver
-runs plain ADMM on the full matrix of the original problem and shares no
-conversion or projection code, which makes it usable as an independent
-cross-check.
+acceleration of that map picks the steps.
 """
 
 import logging
@@ -29,17 +26,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chordal_conversion import _columns
-from .completion_rank import (_block_ranks, _face_basis, _face_bases,
-                              _psd_factor, _svec, _sym, _unsvec)
+from .completion_rank import _block_ranks, _face_bases
 from .sdp_model import _number
 
 __all__ = [
     "AdmmParams",
     "SolveStats",
-    "AdmmDivergence",
-    "project_null_psd",
     "admm_solve",
-    "dense_reference_solve",
 ]
 
 AA_MEMORY = 25  # Anderson acceleration memory of admm_solve
@@ -52,7 +45,7 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 @dataclass
 class AdmmParams:
-    """Knobs for both ADMM loops, and the one check of them for library
+    """Knobs of the ADMM loop, and the one check of them for library
     calls, params files and CLI flags: each must be a number by
     sdp_model._number, max_iter >= 1 and seed >= 0 integral, rho and the
     tolerances positive and finite.  Each is cast to its field's type; a
@@ -98,15 +91,6 @@ class SolveStats:
                                 repr=False)
 
 
-class AdmmDivergence(RuntimeError):
-    """Raised by dense_reference_solve when its residuals blow up; carries
-    the stats so far."""
-
-    def __init__(self, message, stats):
-        super().__init__(message)
-        self.stats = stats
-
-
 def _face_project(M, Q, QT=None):
     """Q clip(Q^T M Q) Q^T for stacks of symmetric M (..., d, d) and face
     bases Q (..., d, f): one batched eigh.  QT, if given, is Q^T (the block
@@ -118,17 +102,6 @@ def _face_project(M, Q, QT=None):
     W = Q @ V
     P = (W * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(W, -1, -2)
     return 0.5 * (P + np.swapaxes(P, -1, -2))
-
-
-def project_null_psd(M, null_vectors):
-    """Project onto {Y PSD : Y a = 0 for each null vector a}.
-
-    PSD plus a^T Y a = 0 forces Y a = 0, so the set is Q S+ Q^T for Q an
-    orthonormal basis of the vectors' orthogonal complement, and the
-    projection is Q clip(Q^T M Q) Q^T.
-    """
-    M = _sym(np.asarray(M, dtype=float))
-    return _face_project(M, _face_basis(null_vectors, M.shape[0]))
 
 
 def _anderson_weights(gram, rhs):
@@ -410,91 +383,3 @@ def admm_solve(bs, params=None):
                        history=np.array(history))
     return blocks, stats
 
-
-def dense_reference_solve(p, params=None):
-    """Plain dense ADMM on the original problem; the cross-check oracle.
-
-    Splits the variable into a data copy (interval rows) and a PSD copy.
-    Rows <F K F^T, X> = 0 with no sparse part and K semidefinite hold for
-    PSD X only on the face X F range(K) = 0, which is Q S+ Q^T for Q an
-    orthonormal basis of the complement of F range(K); the solve runs on
-    X = Q W Q^T over the data Q^T A Q, so the PSD step projects onto that
-    face.  Returns (FactoredSolution, SolveStats); check stats.converged
-    before trusting tight tolerances.  Residual blow-up raises
-    AdmmDivergence, and infeasible instances show up as a primal residual
-    that stalls high.  rho stays params.rho, so ADMM's convergence holds.
-    """
-    from .sdp_model import FactoredSolution
-
-    params = params or AdmmParams()
-    # its own face, written apart from the block path's facial reduction
-    killed = []
-    for cn in p.constraints:
-        if cn.lower == cn.upper == 0.0 and cn.core.size \
-                and not any(cn.sparse.entries.values()):
-            ev, EV = np.linalg.eigh(cn.core)
-            big = np.abs(ev) > 1e-10 * np.abs(ev).max()
-            if big.any() and abs(ev[big].sum()) == np.abs(ev[big]).sum():
-                killed.append(p.factor @ EV[:, big])
-    Q = np.eye(p.n)
-    if killed:
-        UK, sK, _ = np.linalg.svd(np.hstack(killed))
-        Q = UK[:, int(np.sum(sK > 1e-10 * sK[0])):]
-    n = Q.shape[1]
-    C = Q.T @ p.objective.dense(p.factor) @ Q
-    mats = [Q.T @ cn.term.dense(p.factor) @ Q for cn in p.constraints]
-    c = _svec(C)
-    dim = c.size
-    m = len(mats)
-    A = (np.array([_svec(M) for M in mats]) if m else np.zeros((0, dim)))
-    lo = np.array([cn.lower for cn in p.constraints], dtype=float)
-    hi = np.array([cn.upper for cn in p.constraints], dtype=float)
-
-    import scipy.linalg as sla
-    cho = sla.cho_factor(np.eye(dim) + A.T @ A)
-
-    rho = params.rho
-    scale0 = float(2.0 ** np.random.default_rng(params.seed).uniform(-1.0, 1.0))
-    x = np.zeros(dim)
-    S = scale0 * np.eye(n)
-    s_v = _svec(S)
-    lam = np.zeros(dim)
-    z = np.clip(np.zeros(m), lo, hi)
-    w = np.zeros(m)
-    history = []
-    converged = diverged = False
-    for it in range(1, params.max_iter + 1):
-        rhs = -c / rho + (s_v - lam) + A.T @ (z - w)
-        x = sla.cho_solve(cho, rhs)
-        Ax = A @ x
-
-        s_old = s_v
-        # its own clip, sharing no projection code with the block path
-        wS, VS = np.linalg.eigh(_unsvec(x + lam, n))
-        S = (VS * np.maximum(wS, 0.0)) @ VS.T
-        s_v = _svec(S)
-        z_old = z
-        z = np.clip(Ax + w, lo, hi)
-
-        lam = lam + x - s_v
-        w = w + Ax - z
-
-        pri = np.sqrt(float(np.sum((x - s_v) ** 2) + np.sum((Ax - z) ** 2)))
-        pri /= max(1.0, np.linalg.norm(x), np.linalg.norm(s_v))
-        dvec = (s_v - s_old) + A.T @ (z - z_old)
-        uvec = lam + A.T @ w
-        dua = rho * np.linalg.norm(dvec) / max(1.0, rho * np.linalg.norm(uvec))
-        history.append((pri, dua))
-        if pri <= params.tol_primal and dua <= params.tol_dual:
-            converged = True
-            break
-        if pri + dua > 1e6 * max(sum(history[0]), 1.0):
-            diverged = True
-            break
-    stats = SolveStats(iterations=it, primal_residual=pri, dual_residual=dua,
-                       objective=float(c @ x), block_ranks={}, rho=rho,
-                       converged=converged, history=np.array(history))
-    if diverged:
-        raise AdmmDivergence("dense solve diverged at iteration %d" % it,
-                             stats)
-    return FactoredSolution(Q @ _psd_factor(S)), stats

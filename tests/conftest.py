@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import settings
 
-from splrsdp.graph_core import Graph, TreeDecomposition, _is_peo, _mcs_order
-from splrsdp.instances import gen_min_bisection
-from splrsdp.sdp_model import _values
+from splrsdp.completion_rank import _face_bases
+from splrsdp.graph_core import (Graph, TreeDecomposition, _is_peo, _mcs_order,
+                                _top_nodes, _tree_order)
+from splrsdp.instances import _witness_d, gen_min_bisection
+from splrsdp.sdp_model import FactoredSolution, _core_gram, _values
+from splrsdp.solver import AdmmParams, SolveStats, _face_project
 from splrsdp.sparse_extension import _root_gram
 
 # every property test runs the same examples on every run, with no deadline
@@ -251,3 +255,245 @@ def parse_sdpa(fh):
             raise ValueError("entry (%d, %d) outside block %d" % (i, j, blkno))
         entries.append((matno, blkno, i, j, v))
     return m, block_sizes, rhs, entries
+
+
+def eval_constraint(p, i, sol):
+    """Value of constraint row i (1-based) at a FactoredSolution or a
+    dense X."""
+    return float(_values([p.constraints[i - 1]], sol, _core_gram(p, sol))[0])
+
+
+def validate_decomposition(td, g):
+    """True iff td is a tree whose bags cover vertices and edges of g and
+    satisfy the running intersection property.
+
+    Uses td's own orientation (an unrooted td is rooted at its first node)
+    and checks both properties by _top_nodes.
+    """
+    if td.nodes and td.root not in set(td.nodes):
+        td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
+                               root=td.nodes[0])
+    return _tree_order(td) is not None and _top_nodes(td, g) is not None
+
+
+def brute_force_treewidth(g):
+    """Exact treewidth by dynamic programming over elimination prefixes.
+
+    Only for n <= 12.  For an eliminated set S the fill neighborhood of v is
+    order independent: u is adjacent iff reachable from v through S.  That
+    makes f(S) = best achievable max-degree well defined on subsets.
+    """
+    n = g.n
+    if n > 12:
+        raise ValueError("brute_force_treewidth limited to n <= 12")
+    if n == 0:
+        raise ValueError("empty graph")
+    adj = [0] * n
+    for i, j in g.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+
+    def elim_degree(S, v):
+        # neighbors of v after eliminating S: reachable through S vertices
+        seen = 1 << v
+        frontier = 1 << v
+        reach = 0
+        while frontier:
+            nbrs = 0
+            f = frontier
+            while f:
+                low = f & -f
+                f ^= low
+                nbrs |= adj[low.bit_length() - 1]
+            nbrs &= ~seen
+            reach |= nbrs & ~S
+            frontier = nbrs & S
+            seen |= nbrs
+        return bin(reach).count("1")
+
+    full = (1 << n) - 1
+    INF = n + 1
+    f = [INF] * (1 << n)
+    f[0] = 0
+    by_count = sorted(range(1 << n), key=lambda s: bin(s).count("1"))
+    for S in by_count:
+        if f[S] == INF:
+            continue
+        rest = full & ~S
+        r = rest
+        while r:
+            low = r & -r
+            r ^= low
+            v = low.bit_length() - 1
+            cost = max(f[S], elim_degree(S, v))
+            T = S | low
+            if cost < f[T]:
+                f[T] = cost
+    return f[full]
+
+
+def coupling_singular_values(alpha, beta):
+    """Closed-form singular values of [[1, beta], [-beta, alpha]].
+
+    These 2x2 blocks show up when comparing a candidate factor against the
+    witness frame; alpha is the retained diagonal weight and beta the
+    rotation amount.  Returns (larger, smaller).
+    """
+    a2 = alpha * alpha
+    b2 = beta * beta
+    mid = 2.0 * b2 + a2 + 1.0
+    disc = np.sqrt((1.0 - a2) ** 2 + 4.0 * b2 * (alpha - 1.0) ** 2)
+    hi = np.sqrt((mid + disc) / 2.0)
+    lo = np.sqrt(max((mid - disc) / 2.0, 0.0))
+    return hi, lo
+
+
+def lb_tree_feasible_point(ell):
+    """Feasible (and optimal) solution of gen_lb_tree."""
+    D = _witness_d(ell)
+    I = np.eye(ell)
+    Z = np.zeros((ell, ell))
+    Y3 = -I
+    return np.block([
+        [I, Z, Z, I, Z, Z],
+        [Z, I, Z, Z, I, Z],
+        [Z, Z, I, Z, Z, Y3],
+        [I, Z, Z, 2.0 * I, D.T, (I + D).T],
+        [Z, I, Z, D, 2.0 * I, (I + D).T],
+        [Z, Z, Y3, I + D, I + D, I + 2.0 * (I + D)],
+    ])
+
+
+def face_basis(null_vectors, d):
+    """The _face_bases basis of one matrix of null vectors."""
+    return _face_bases([null_vectors], [d])[0]
+
+
+def project_null_psd(M, null_vectors):
+    """Project onto {Y PSD : Y a = 0 for each null vector a}.
+
+    PSD plus a^T Y a = 0 forces Y a = 0, so the set is Q S+ Q^T for Q an
+    orthonormal basis of the vectors' orthogonal complement, and the
+    projection is Q clip(Q^T M Q) Q^T.
+    """
+    M = np.asarray(M, dtype=float)
+    M = 0.5 * (M + M.T)
+    return _face_project(M, face_basis(null_vectors, M.shape[0]))
+
+
+class AdmmDivergence(RuntimeError):
+    """Raised by dense_reference_solve when its residuals blow up; carries
+    the stats so far."""
+
+    def __init__(self, message, stats):
+        super().__init__(message)
+        self.stats = stats
+
+
+def _dense_svec(M):
+    """Symmetric vectorization: <A, B> = svec(A) @ svec(B)."""
+    iu = np.triu_indices(M.shape[0])
+    return M[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+def _dense_unsvec(v, d):
+    iu = np.triu_indices(d)
+    M = np.zeros((d, d))
+    M[iu] = v * np.where(iu[0] == iu[1], 1.0, 1.0 / np.sqrt(2.0))
+    return M + np.triu(M, 1).T
+
+
+def _dense_psd_factor(S):
+    """Factor of a PSD matrix, eigenvalues at or below 1e-10 times the
+    largest dropped."""
+    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    top = vals[-1] if vals.size else 0.0
+    if top <= 0.0:
+        return np.zeros((S.shape[0], 0))
+    keep = vals > 1e-10 * top
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def dense_reference_solve(p, params=None):
+    """Plain dense ADMM on the original problem; the cross-check oracle.
+
+    Splits the variable into a data copy (interval rows) and a PSD copy.
+    Rows <F K F^T, X> = 0 with no sparse part and K semidefinite hold for
+    PSD X only on the face X F range(K) = 0, which is Q S+ Q^T for Q an
+    orthonormal basis of the complement of F range(K); the solve runs on
+    X = Q W Q^T over the data Q^T A Q, so the PSD step projects onto that
+    face.  Returns (FactoredSolution, SolveStats); check stats.converged
+    before trusting tight tolerances.  Residual blow-up raises
+    AdmmDivergence, and infeasible instances show up as a primal residual
+    that stalls high.  rho stays params.rho, so ADMM's convergence holds.
+    """
+    params = params or AdmmParams()
+    # its own face, written apart from the block path's facial reduction
+    killed = []
+    for cn in p.constraints:
+        if cn.lower == cn.upper == 0.0 and cn.core.size \
+                and not any(cn.sparse.entries.values()):
+            ev, EV = np.linalg.eigh(cn.core)
+            big = np.abs(ev) > 1e-10 * np.abs(ev).max()
+            if big.any() and abs(ev[big].sum()) == np.abs(ev[big]).sum():
+                killed.append(p.factor @ EV[:, big])
+    Q = np.eye(p.n)
+    if killed:
+        UK, sK, _ = np.linalg.svd(np.hstack(killed))
+        Q = UK[:, int(np.sum(sK > 1e-10 * sK[0])):]
+    n = Q.shape[1]
+    C = Q.T @ p.objective.dense(p.factor) @ Q
+    mats = [Q.T @ cn.term.dense(p.factor) @ Q for cn in p.constraints]
+    c = _dense_svec(C)
+    dim = c.size
+    m = len(mats)
+    A = (np.array([_dense_svec(M) for M in mats]) if m else np.zeros((0, dim)))
+    lo = np.array([cn.lower for cn in p.constraints], dtype=float)
+    hi = np.array([cn.upper for cn in p.constraints], dtype=float)
+    cho = sla.cho_factor(np.eye(dim) + A.T @ A)
+
+    rho = params.rho
+    scale0 = float(2.0 ** np.random.default_rng(params.seed).uniform(-1.0, 1.0))
+    x = np.zeros(dim)
+    S = scale0 * np.eye(n)
+    s_v = _dense_svec(S)
+    lam = np.zeros(dim)
+    z = np.clip(np.zeros(m), lo, hi)
+    w = np.zeros(m)
+    history = []
+    converged = diverged = False
+    for it in range(1, params.max_iter + 1):
+        rhs = -c / rho + (s_v - lam) + A.T @ (z - w)
+        x = sla.cho_solve(cho, rhs)
+        Ax = A @ x
+
+        s_old = s_v
+        # its own clip, sharing no projection code with the block path
+        wS, VS = np.linalg.eigh(_dense_unsvec(x + lam, n))
+        S = (VS * np.maximum(wS, 0.0)) @ VS.T
+        s_v = _dense_svec(S)
+        z_old = z
+        z = np.clip(Ax + w, lo, hi)
+
+        lam = lam + x - s_v
+        w = w + Ax - z
+
+        pri = np.sqrt(float(np.sum((x - s_v) ** 2) + np.sum((Ax - z) ** 2)))
+        pri /= max(1.0, np.linalg.norm(x), np.linalg.norm(s_v))
+        dvec = (s_v - s_old) + A.T @ (z - z_old)
+        uvec = lam + A.T @ w
+        dua = rho * np.linalg.norm(dvec) / max(1.0, rho * np.linalg.norm(uvec))
+        history.append((pri, dua))
+        if pri <= params.tol_primal and dua <= params.tol_dual:
+            converged = True
+            break
+        if pri + dua > 1e6 * max(sum(history[0]), 1.0):
+            diverged = True
+            break
+    stats = SolveStats(iterations=it, primal_residual=pri, dual_residual=dua,
+                       objective=float(c @ x), block_ranks={}, rho=rho,
+                       converged=converged, history=np.array(history))
+    if diverged:
+        raise AdmmDivergence("dense solve diverged at iteration %d" % it,
+                             stats)
+    return FactoredSolution(Q @ _dense_psd_factor(S)), stats

@@ -8,20 +8,20 @@ import time
 
 import numpy as np
 
-from conftest import CHORDAL12_CLIQUES, random_splr_problem, random_valid_td
+from conftest import (CHORDAL12_CLIQUES, brute_force_treewidth,
+                      coupling_singular_values, dense_reference_solve,
+                      random_splr_problem, random_valid_td)
 from splrsdp.chordal_conversion import convert_problem
 from splrsdp.completion_rank import (AffineSlice, max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank)
-from splrsdp.graph_core import (Graph, TreeDecomposition,
-                                brute_force_treewidth, clique_tree, to_binary,
-                                width)
-from splrsdp.instances import (coupling_singular_values, gen_bqp_relaxation,
-                               gen_lb_padded, gen_lb_small, gen_lb_tree,
-                               gen_min_bisection, gen_phi_witness, gen_simex,
-                               phi_witness_matrix)
+from splrsdp.graph_core import (Graph, TreeDecomposition, clique_tree,
+                                to_binary, width)
+from splrsdp.instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
+                               gen_lb_tree, gen_min_bisection, gen_phi_witness,
+                               gen_simex, phi_witness_matrix)
 from splrsdp.sdp_model import is_feasible
-from splrsdp.solver import AdmmParams, admm_solve, dense_reference_solve
+from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sparse_extension import verify_extension
 
 

@@ -12,12 +12,12 @@ from splrsdp.completion_rank import RecoveryError
 from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_lb_tree
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
-                               SplrSdp, eval_constraint, eval_objective)
+                               SplrSdp, eval_objective)
 from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sparse_extension import extend_solution
 
-from conftest import (aux, block_row_values, cycle_bisection, parse_sdpa,
-                      random_splr_problem, random_valid_td)
+from conftest import (aux, block_row_values, cycle_bisection, eval_constraint,
+                      parse_sdpa, random_splr_problem, random_valid_td)
 
 
 def _lift_blocks(ext, bs, F):
@@ -149,6 +149,19 @@ def test_assemble_matches_lift_and_flags_conflicts():
     with pytest.raises(RecoveryError) as err:
         assemble(bad, bs, tol=1e-3)
     assert abs(err.value.disagreement - 1.0) < 1e-12
+
+
+def test_assemble_refuses_a_nan_that_the_parent_would_overwrite():
+    rng = np.random.default_rng(59)
+    p = random_splr_problem(rng, 12, 2)
+    ext, bs, _ = convert_problem(p)
+    blocks, _ = _lift_blocks(ext, bs, rng.standard_normal((12, 2)))
+    u = min(set(bs.blocks[1]) & set(bs.blocks[bs.parent[1]]))
+    pos = bs.blocks[1].index(u)
+    blocks[1][pos, pos] = np.nan
+    with pytest.raises(RecoveryError) as err:
+        assemble(blocks, bs, tol=1e-3)
+    assert np.isnan(err.value.disagreement)
 
 
 def test_export_sdpa_round_trip():

@@ -775,6 +775,74 @@ def test_recover_names_a_block_key_that_is_not_an_integer(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_linalg_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not read as invalid input
+    def fail(bs, params):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    p = tmp_path / "p.json"
+    assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
+    monkeypatch.setattr("splrsdp.cli.admm_solve", fail)
+    capsys.readouterr()
+    assert run(["solve", "--in", str(p), "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: numerical failure: Eigenvalues did not")
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.fixture(scope="module")
+def simex6_solution(tmp_path_factory):
+    """gen simex -n 6 | convert | solve --tol 1e-8, as a solution object."""
+    d = tmp_path_factory.mktemp("simex6")
+    p, e, s = (str(d / name) for name in ("p.json", "e.json", "s.json"))
+    assert run(["gen", "simex", "-n", "6", "--out", p]) == 0
+    assert run(["convert", "--in", p, "--out", e]) == 0
+    assert run(["solve", "--in", e, "--tol", "1e-8", "--out", s]) == 0
+    return _load(s)
+
+
+@pytest.mark.parametrize("block, value", [
+    # recover exited 0 on each infinite entry (with max_violation 6.0 at
+    # the root), and 0 on a NaN in block 1, which assemble overwrote
+    ("1", "inf"), ("root", "inf"), ("1", "nan"),
+    # these exited 1 only as a LinAlgError taken for invalid input
+    ("3", "nan"), ("root", "nan"),
+])
+def test_recover_refuses_a_non_finite_solution_block(tmp_path, capsys,
+                                                     simex6_solution, block,
+                                                     value):
+    d = json.loads(json.dumps(simex6_solution))
+    if block == "root":
+        block = str(d["extended"]["tree"]["root"])
+    d["blocks"][block][0][0] = float(value)
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(d))  # fileio.save refuses to write NaN
+    capsys.readouterr()
+    assert run(["recover", "--extended-solution", str(s),
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: block %s has a non-finite"
+                          " entry" % block)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key", ["point", "mats"])
+def test_reduce_refuses_a_nan_in_the_slice(tmp_path, capsys, key):
+    f = tmp_path / "phi.json"
+    assert run(["gen", "phi", "--ell", "2", "--out", str(f)]) == 0
+    d = _load(f)
+    # the last row: max() over the row gaps skipped a NaN after the first
+    (d["point"] if key == "point" else d["mats"][-1])[0][0] = float("nan")
+    f.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["reduce", "--in", str(f),
+                "--out", str(tmp_path / "red.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: slice point infeasible by"
+                          " nan")
+    assert not (tmp_path / "red.json").exists()
+
+
 @pytest.mark.parametrize("params, named", [
     ('{"tol_primal": null}', "tol_primal"),
     ('{"rho": [1]}', "rho"),

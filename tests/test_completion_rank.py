@@ -13,11 +13,11 @@ from splrsdp.completion_rank import (PINV_RCOND, RANK_TOL, AffineSlice,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
-from splrsdp.sdp_model import FactoredSolution, eval_constraint, eval_objective
+from splrsdp.sdp_model import FactoredSolution, eval_objective
 from splrsdp.sparse_extension import canonical_relabel, extend_solution
 
-from conftest import (copy_down, random_graph, random_splr_problem,
-                      random_valid_td)
+from conftest import (copy_down, eval_constraint, random_graph,
+                      random_splr_problem, random_valid_td)
 
 
 def test_rank_bounds_table():

@@ -12,19 +12,18 @@ from splrsdp.graph_core import (
     Graph,
     TreeDecomposition,
     _mcs_order,
-    brute_force_treewidth,
     chordal_complete,
     clique_tree,
     read_graph,
     root_binary,
     split_vertex,
     to_binary,
-    validate_decomposition,
     width,
 )
 
-from conftest import (CHORDAL12_CLIQUES, is_chordal, random_splr_problem,
-                      random_valid_td, write_graph)
+from conftest import (CHORDAL12_CLIQUES, brute_force_treewidth, is_chordal,
+                      random_splr_problem, random_valid_td,
+                      validate_decomposition, write_graph)
 
 
 def path_graph(n):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from splrsdp.graph_core import Graph, brute_force_treewidth
-from splrsdp.instances import (coupling_singular_values, gen_bqp_relaxation,
-                               gen_lb_padded, gen_lb_small, gen_lb_tree,
-                               gen_min_bisection, gen_phi_witness, gen_simex,
-                               lb_tree_feasible_point, phi_witness_matrix)
+from splrsdp.graph_core import Graph
+from splrsdp.instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
+                               gen_lb_tree, gen_min_bisection, gen_phi_witness,
+                               gen_simex, phi_witness_matrix)
 from splrsdp.sdp_model import eval_objective, is_feasible, validate_problem
+
+from conftest import (brute_force_treewidth, coupling_singular_values,
+                      lb_tree_feasible_point)
 
 
 def _rank(X, tol=1e-8):

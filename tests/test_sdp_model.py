@@ -12,24 +12,12 @@ from splrsdp.sdp_model import (
     SparseSymMatrix,
     SplrSdp,
     Term,
-    detect_splr,
-    eval_constraint,
     eval_objective,
     is_feasible,
     validate_problem,
 )
 
-from conftest import random_graph, random_splr_problem
-
-
-def laplacian(g):
-    L = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        L[i - 1, i - 1] += 1
-        L[j - 1, j - 1] += 1
-        L[i - 1, j - 1] -= 1
-        L[j - 1, i - 1] -= 1
-    return L
+from conftest import eval_constraint, random_splr_problem
 
 
 def test_sparse_sym_matrix_roundtrip_and_inner():
@@ -49,20 +37,6 @@ def test_sparse_sym_matrix_roundtrip_and_inner():
                       np.sum(D * (R @ R.T)))
     with pytest.raises(ValueError):
         SparseSymMatrix.from_entries(2, [(1, 3, 1.0)])
-
-
-def test_from_dense_symmetrizes():
-    M = np.array([[1.0, 2.0], [0.0, 3.0]])
-    A = SparseSymMatrix.from_dense(M)
-    assert A.entries == {(1, 1): 1.0, (1, 2): 1.0, (2, 2): 3.0}
-
-
-def test_from_dense_keys_follow_the_upper_triangle_row_by_row():
-    M = np.array([[0.0, 2.0, -1.0], [0.0, 5.0, 0.5], [3.0, 0.5, 1e-3]])
-    A = SparseSymMatrix.from_dense(M, tol=1e-2)
-    assert list(A.entries.items()) == [((1, 2), 1.0), ((1, 3), 1.0),
-                                       ((2, 2), 5.0), ((2, 3), 0.5)]
-    assert all(type(v) is float for v in A.entries.values())
 
 
 def make_toy_problem():
@@ -175,58 +149,3 @@ def test_factored_solution_rank():
     assert sol.rank == 3
     assert sol.numerical_rank() == 1
 
-
-def test_detect_splr_min_bisection_shape():
-    # sparse Laplacian objective, diagonal rows, plus the dense all-ones row
-    rng = np.random.default_rng(3)
-    g = random_graph(rng, 8, 0.3)
-    n = g.n
-    L = laplacian(g)
-    mats = [L]
-    bounds = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        mats.append(E)
-        bounds.append((1.0, 1.0))
-    mats.append(np.ones((n, n)))
-    bounds.append((0.0, 0.0))
-    p = detect_splr(mats, bounds, g)
-    assert p.ell == 1
-    assert np.allclose(np.abs(p.factor[:, 0]), 1.0 / np.sqrt(n))
-    assert np.isclose(abs(p.constraints[-1].core[0, 0]), float(n))
-    # every matrix reconstructs
-    for M, t in zip(mats, [p.objective] + [c.term for c in p.constraints]):
-        assert np.abs(t.dense(p.factor) - M).max() < 1e-9
-    # all-sparse input gives ell = 0
-    q = detect_splr(mats[:-1], bounds[:-1], g)
-    assert q.ell == 0 and q.factor.shape == (n, 0)
-
-
-def test_detect_splr_is_idempotent():
-    rng = np.random.default_rng(9)
-    g = random_graph(rng, 7, 0.25)
-    n = g.n
-    F = rng.standard_normal((n, 2))
-    mats = [laplacian(g), F @ np.diag([1.0, -2.0]) @ F.T, F @ F.T]
-    bounds = [(0.0, 1.0), (2.0, 2.0)]
-    p = detect_splr(mats, bounds, g)
-    assert p.ell == 2
-    recon = [t.dense(p.factor) for t in [p.objective] + [c.term for c in p.constraints]]
-    for M, Mre in zip(mats, recon):
-        assert np.abs(M - Mre).max() < 1e-8
-    p2 = detect_splr(recon, bounds, g)
-    assert p2.ell <= p.ell
-
-
-def test_detect_splr_absorbs_off_pattern_and_rejects_asymmetry():
-    g = Graph.from_edges(4, [(1, 2)])
-    M = np.zeros((4, 4))
-    M[2, 3] = M[3, 2] = 1.0  # off pattern -> its own rank-2 span absorbs it
-    ok = detect_splr([np.eye(4), M], [(0.0, 0.0)], g)
-    assert ok.ell == 2
-    assert np.abs(ok.constraints[0].term.dense(ok.factor) - M).max() < 1e-10
-    bad = np.zeros((4, 4))
-    bad[0, 2] = 1.0
-    with pytest.raises(ValueError):
-        detect_splr([np.eye(4), bad], [(0.0, 0.0)], g)

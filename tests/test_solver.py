@@ -15,14 +15,13 @@ from splrsdp.completion_rank import (_face_bases, _two_child_nodes,
 from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_lb_tree, gen_min_bisection, gen_simex
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
-                               SplrSdp, Term, eval_constraint, is_feasible)
-from splrsdp.solver import (AdmmDivergence, AdmmParams, _anderson_weights,
-                            _face_basis, _face_project, _merge_groups,
-                            _pack_slabs, admm_solve, dense_reference_solve,
-                            project_null_psd)
+                               SplrSdp, Term, is_feasible)
+from splrsdp.solver import (AdmmParams, _anderson_weights, _face_project,
+                            _merge_groups, _pack_slabs, admm_solve)
 
-from conftest import (block_row_values, cycle_bisection, random_splr_problem,
-                      random_valid_td)
+from conftest import (AdmmDivergence, block_row_values, cycle_bisection,
+                      dense_reference_solve, eval_constraint, face_basis,
+                      project_null_psd, random_splr_problem, random_valid_td)
 
 
 def test_admm_params_validation():
@@ -68,7 +67,7 @@ def test_face_project_stack_matches_per_matrix_reference(q):
     a = rng.standard_normal((k, d, q))
     M = rng.standard_normal((k, d, d))
     M = M + np.swapaxes(M, 1, 2)
-    P = _face_project(M, np.stack([_face_basis(a[b], d) for b in range(k)]))
+    P = _face_project(M, np.stack([face_basis(a[b], d) for b in range(k)]))
     assert P.shape == (k, d, d)
     assert (P == np.swapaxes(P, 1, 2)).all()
     for b in range(k):
@@ -355,7 +354,7 @@ def test_padded_slab_projects_each_block_as_project_null_psd():
     # (block size, null vector count): face dimensions 1-6
     sizes = [(6, 0), (4, 1), (6, 2), (5, 3), (3, 0), (6, 1), (2, 1)]
     nulls = [rng.standard_normal((d, q)) for d, q in sizes]
-    bases = [_face_basis(a, d) for a, (d, _) in zip(nulls, sizes)]
+    bases = [face_basis(a, d) for a, (d, _) in zip(nulls, sizes)]
     slabs = _pack_slabs(bases)
     assert len(slabs) == 1
     members, Q, QT = slabs[0]

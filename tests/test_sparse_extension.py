@@ -15,7 +15,6 @@ from splrsdp.graph_core import (
     clique_tree,
     root_binary,
     to_binary,
-    validate_decomposition,
     width,
 )
 from splrsdp.instances import gen_simex
@@ -25,7 +24,6 @@ from splrsdp.sdp_model import (
     SparseSymMatrix,
     SplrSdp,
     Term,
-    eval_constraint,
     eval_objective,
 )
 from splrsdp.sparse_extension import (
@@ -38,8 +36,9 @@ from splrsdp.sparse_extension import (
     verify_extension,
 )
 
-from conftest import (aux, eval_extended, ext_bags, random_splr_problem,
-                      random_valid_td, w_sets)
+from conftest import (aux, eval_constraint, eval_extended, ext_bags,
+                      random_splr_problem, random_valid_td,
+                      validate_decomposition, w_sets)
 
 
 def singleton_path_problem(n, a, b):

@@ -1,12 +1,13 @@
 """The library holds no code that only tests reach.
 
-Every name a module lists in `__all__` is re-exported by the package or
-reached from `src/` or the benchmark, apart from its own definition and
-its `__all__` entry.  A use inside a definition counts only when that
-definition is itself reached, so a helper of dead code is dead too.  Test
-oracles live in `conftest.py`.  Every field of a dataclass in `src/` is
-read as an attribute somewhere in `src/` or the benchmark, apart from the
-fields in UNREAD_FIELDS.
+Every name a module lists in `__all__` is reached from `src/` or the
+benchmark, apart from its own definition and its `__all__` entry; a
+re-export by the package's `__init__.py` does not count as a use.  A use
+inside a definition counts only when that definition is itself reached,
+so a helper of dead code is dead too.  Test oracles live in
+`conftest.py`.  Every field of a dataclass in `src/` is read as an
+attribute somewhere in `src/` or the benchmark, apart from the fields in
+UNREAD_FIELDS.
 """
 
 import ast
@@ -58,14 +59,11 @@ def _unread_fields():
 
 
 def _unreached_exports():
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    package_api = {alias.name for node in init.body
-                   if isinstance(node, ast.ImportFrom) for alias in node.names}
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     candidates = {name: module for module, tree in modules.items()
-                  for name in _exports(tree) if name not in package_api}
+                  for name in _exports(tree)}
     inside = {}  # candidate -> names its definition reads
     reached = set()
     sources = list(modules.values()) + [ast.parse(path.read_text())
