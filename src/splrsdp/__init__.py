@@ -12,7 +12,6 @@ from .graph_core import (
     chordal_complete,
     clique_tree,
     root_binary,
-    split_vertex,
     to_binary,
     width,
 )
@@ -32,10 +31,10 @@ from .sparse_extension import (
     restrict_solution,
     verify_extension,
 )
-from .chordal_conversion import assemble, convert, convert_problem, export_sdpa
+from .chordal_conversion import (RecoveryError, assemble, convert,
+                                 convert_problem, export_sdpa)
 from .completion_rank import (
     AffineSlice,
-    RecoveryError,
     bp_bound,
     max_rank_for_constraints,
     psd_complete_min_rank,

@@ -3,7 +3,8 @@
 The union of extended bags defines a chordal cover in which every bag is a
 clique.  The matrix variable splits into one PSD block per decomposition
 node; data entries are charged to the smallest-id block whose bag contains
-them, and blocks agree on shared index pairs.
+them, and blocks agree on shared index pairs.  RecoveryError lives here,
+next to assemble, the first step of recovery to raise it.
 """
 
 from dataclasses import dataclass
@@ -12,19 +13,38 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .completion_rank import PINV_RCOND, RecoveryError, _sym, _two_child_nodes
-from .graph_core import (TreeDecomposition, chordal_complete, clique_tree,
-                         root_binary, to_binary, width)
-from .sdp_model import _entries
+from .graph_core import (TreeDecomposition, _two_child_nodes, chordal_complete,
+                         clique_tree, root_binary, to_binary, width)
+from .sdp_model import PINV_RCOND, _entries, _sym
 from .sparse_extension import build_extension
 
 __all__ = [
     "BlockSdp",
+    "RecoveryError",
     "convert",
     "convert_problem",
     "assemble",
     "export_sdpa",
 ]
+
+
+class RecoveryError(RuntimeError):
+    """A block solution too inexact to recover from.
+
+    Carries the measured value of the check that failed; the others are
+    None.  disagreement: worst mismatch between blocks on a shared entry
+    (assemble).  eigenvalue: most negative eigenvalue of a bag matrix.
+    reproduction_error: worst completed entry against its bag.
+    face_residual: worst violation of a block's accumulator identity.
+    """
+
+    def __init__(self, message, disagreement=None, eigenvalue=None,
+                 reproduction_error=None, face_residual=None):
+        super().__init__(message)
+        self.disagreement = disagreement
+        self.eigenvalue = eigenvalue
+        self.reproduction_error = reproduction_error
+        self.face_residual = face_residual
 
 
 @dataclass
@@ -218,13 +238,14 @@ def convert_problem(p, td=None):
 def assemble(block_solution, bs, tol=1e-6):
     """Agreed bag matrices of a block solution.
 
-    Symmetrizes every block, then gives each entry the value of the
+    Symmetrizes every block (halving before the sum, as sdp_model._sym
+    does), then gives each entry the value of the
     topmost block holding its index pair, in one gather over the stacked
     columns.  This is what copying shared entries down the tree parents
     first yields.  The blocks holding a pair form a subtree, and its top
     node has the subtree's largest label.  The worst
     difference between an entry and that value is the disagreement; beyond
-    `tol` it raises completion_rank.RecoveryError.  Returns {t: matrix},
+    `tol` it raises RecoveryError.  Returns {t: matrix},
     rows in bs.blocks[t] order, as psd_complete_min_rank takes them.
     """
     ids = sorted(bs.blocks)
@@ -236,13 +257,13 @@ def assemble(block_solution, bs, tol=1e-6):
     # every block's matrix in one flat array, blocks in node order
     sizes = np.array([len(bs.blocks[t]) for t in ids], dtype=np.int64)
     base = np.cumsum(sizes * sizes) - sizes * sizes
-    flat = np.concatenate([np.asarray(block_solution[t], dtype=float).ravel()
-                           for t in ids])
+    flat = 0.5 * np.concatenate([np.asarray(block_solution[t], dtype=float)
+                                 .ravel() for t in ids])
     node, i, j, u, v = _columns(bs.blocks)
     k = np.searchsorted(ids, node)
     d = sizes[k]
     upper, lower = base[k] + i * d + j, base[k] + j * d + i
-    sym = 0.5 * (flat[upper] + flat[lower])
+    sym = flat[upper] + flat[lower]
     # each column takes the value of the column of the topmost block
     # holding its pair: the first of its pair by descending label
     key = u * (bs.n_ext + 1) + v

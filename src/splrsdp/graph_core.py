@@ -2,7 +2,8 @@
 
 Vertices are 1-based integers throughout, matching the text file format
 ("n m" header, one "i j" line per edge).  Tree decomposition nodes carry
-integer ids; bags map node ids to vertex sets.
+integer ids; bags map node ids to vertex sets.  The tree shape checks the
+other modules share (_binary_degrees, _two_child_nodes) live here.
 """
 
 import heapq
@@ -16,7 +17,6 @@ __all__ = [
     "width",
     "chordal_complete",
     "clique_tree",
-    "split_vertex",
     "to_binary",
     "root_binary",
 ]
@@ -248,19 +248,6 @@ def _mcs_order(g):
     return visited
 
 
-def _is_peo(g, order):
-    """Check that eliminating in `order` never needs a fill edge."""
-    adj = g.adjacency()
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if later[b] not in adj[later[a]]:
-                    return False
-    return True
-
-
 def clique_tree(g):
     """Maximal cliques of a chordal graph arranged in a clique tree.
 
@@ -272,19 +259,25 @@ def clique_tree(g):
     elimination order of each clique's first vertex.  The trees of a
     disconnected graph are chained root to root in ascending id, so the
     result is one tree.
+
+    The same pass decides chordality, as the zero fill-in test of Tarjan &
+    Yannakakis (SIAM J. Comput. 1984) on the reverse visit order: the graph
+    is chordal exactly when every visited neighbour of each vertex is
+    adjacent to the last visited of them.  Raises ValueError otherwise.
     """
     order = _mcs_order(g)
-    if not _is_peo(g, order[::-1]):
-        raise ValueError("graph is not chordal")
     adj = g.adjacency()
     pos = {v: i for i, v in enumerate(order)}
     cliques, parent, home = [], [], {}
     prev = 0
     for v in order:
         seen = [u for u in adj[v] if pos[u] < pos[v]]
+        last = max(seen, key=pos.get) if seen else None
+        if any(u != last and u not in adj[last] for u in seen):
+            raise ValueError("graph is not chordal")
         if len(seen) <= prev:
             cliques.append(set(seen))
-            parent.append(home[max(seen, key=pos.get)] if seen else None)
+            parent.append(home[last] if seen else None)
         cliques[-1].add(v)
         home[v] = len(cliques) - 1
         prev = len(seen)
@@ -297,45 +290,41 @@ def clique_tree(g):
                              bags=bags)
 
 
-def split_vertex(td, x):
-    """Replace a node of degree k >= 4 by a path of k copies of its bag.
+def to_binary(td):
+    """Replace every node of degree k >= 4 by a path of k copies of its bag.
 
-    Neighbor i (ascending id) attaches to the i-th copy, so the result is
-    deterministic.  Width is unchanged and every new node has degree <= 3.
+    In one pass over one adjacency map, as a split keeps every other
+    node's degree: offenders in ascending id, each one's copies taking the
+    next k ids, neighbour i (ascending id, earlier copies included) on
+    copy i.  Untouched nodes keep their order, then come the copies.  Width
+    is unchanged and the node count at most doubles; td without an
+    offender comes back as is.
     """
     adj = td.neighbors()
-    nbrs = sorted(adj[x])
-    k = len(nbrs)
-    if k < 4:
-        raise ValueError("node %d has degree %d < 4" % (x, k))
-    base = max(td.nodes)
-    new_ids = [base + i + 1 for i in range(k)]
-    nodes = tuple(t for t in td.nodes if t != x) + tuple(new_ids)
-    bags = {t: td.bags[t] for t in td.nodes if t != x}
-    for t in new_ids:
-        bags[t] = td.bags[x]
-    edges = {e for e in td.edges if x not in e}
-    for a, b in zip(new_ids, new_ids[1:]):
-        edges.add((a, b))
-    for y, t in zip(nbrs, new_ids):
-        edges.add((min(y, t), max(y, t)))
-    return TreeDecomposition(nodes=nodes, edges=frozenset(edges), bags=bags)
-
-
-def to_binary(td):
-    """Split high-degree nodes until every node has degree <= 3.
-
-    Processes the smallest-id node of degree >= 4 first; splits only create
-    nodes of degree <= 3, so each original offender is handled exactly once.
-    Node count at most doubles and the width is preserved.
-    """
-    high = {t for t, d in td.degrees().items() if d >= 4}
-    out = td
-    while high:
-        x = min(high)
-        out = split_vertex(out, x)
-        high.discard(x)
-    return out
+    high = sorted(t for t in td.nodes if len(adj[t]) >= 4)
+    if not high:
+        return td
+    nodes = [t for t in td.nodes if len(adj[t]) < 4]
+    bags = {t: td.bags[t] for t in nodes}
+    first = nxt = max(td.nodes) + 1
+    for x in high:
+        copies = range(nxt, nxt + len(adj[x]))
+        nxt = copies.stop
+        for y, c in zip(sorted(adj.pop(x)), copies):
+            adj[y].remove(x)
+            adj[y].add(c)
+            adj[c] = {y}
+        for a, b in zip(copies, copies[1:]):
+            adj[a].add(b)
+            adj[b].add(a)
+        bags.update(dict.fromkeys(copies, td.bags[x]))
+        nodes.extend(copies)
+    # the input edges no split touched, then every edge at a copy
+    edges = {e for e in td.edges if e[0] in adj and e[1] in adj}
+    edges.update((min(c, y), max(c, y)) for c in range(first, nxt)
+                 for y in adj[c])
+    return TreeDecomposition(nodes=tuple(nodes), edges=frozenset(edges),
+                             bags=bags)
 
 
 def _binary_degrees(td):
@@ -344,6 +333,11 @@ def _binary_degrees(td):
     if max(deg.values(), default=0) > 3:
         raise ValueError("decomposition is not binary (degree > 3)")
     return deg
+
+
+def _two_child_nodes(td):
+    """Sorted two-child nodes of a rooted tree; none on a path rooted at an end."""
+    return [t for t in sorted(td.nodes) if len(td.children(t)) == 2]
 
 
 def root_binary(td):

@@ -8,6 +8,9 @@ A problem instance holds data matrices of the form
 with a shared n-by-ell factor.  Constraint rows are two-sided interval
 constraints lower_i <= <A_i, X> <= upper_i on a PSD variable X; equalities
 use lower == upper, and infinite bounds mark one-sided rows.
+
+The numerical rules the other modules share live here: the rank cut
+RANK_TOL with _rank_mask, the pseudo-inverse cut PINV_RCOND, and _sym.
 """
 
 import numbers
@@ -28,6 +31,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8  # relative eigenvalue cut of every reported rank
+# relative cut for pseudo-inverses, factor tails, face bases and the
+# tangent system of completion_rank.rank_reduce_affine
+PINV_RCOND = 1e-10
 # floats gathered per step when row values read factor rows: at n = 2000 a
 # whole-problem gather at full rank would take hundreds of MB
 _GATHER = 1 << 16
@@ -37,6 +43,13 @@ def _rank_mask(w):
     """Eigenvalues in a (..., d) stack that count toward the rank: those
     above RANK_TOL times the largest, none when that is not positive."""
     return w > RANK_TOL * w.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def _sym(M):
+    """(M + M^T) / 2 for each matrix in a (..., d, d) stack, halved before
+    the sum so that finite entries near the float range stay finite."""
+    H = 0.5 * M
+    return H + np.swapaxes(H, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -60,13 +73,6 @@ class SparseSymMatrix:
             ent[key] = ent.get(key, 0.0) + float(v)
         return SparseSymMatrix(n, ent)
 
-    def to_dense(self):
-        M = np.zeros((self.n, self.n))
-        for (i, j), v in self.entries.items():
-            M[i - 1, j - 1] = v
-            M[j - 1, i - 1] = v
-        return M
-
     def support(self):
         """Off-diagonal support as normalized (i, j) pairs."""
         return {(i, j) for (i, j) in self.entries if i != j}
@@ -78,12 +84,6 @@ class Term:
 
     sparse: SparseSymMatrix
     core: np.ndarray  # ell x ell symmetric
-
-    def dense(self, factor):
-        A = self.sparse.to_dense()
-        if self.core.size:
-            A = A + factor @ self.core @ factor.T
-        return A
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,6 @@ class FactoredSolution:
     @property
     def rank(self):
         return self.factor.shape[1]
-
-    def matrix(self):
-        return self.factor @ self.factor.T
 
     def numerical_rank(self):
         """Rank of X: its eigenvalues, the squared singular values of the

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .chordal_conversion import _columns
 from .completion_rank import _block_ranks, _face_bases
-from .sdp_model import _number
+from .sdp_model import _number, _sym
 
 __all__ = [
     "AdmmParams",
@@ -101,7 +101,7 @@ def _face_project(M, Q, QT=None):
     w, V = np.linalg.eigh(QT @ M @ Q)
     W = Q @ V
     P = (W * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(W, -1, -2)
-    return 0.5 * (P + np.swapaxes(P, -1, -2))
+    return _sym(P)
 
 
 def _anderson_weights(gram, rhs):

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import settings
 
 from splrsdp.completion_rank import _face_bases
-from splrsdp.graph_core import (Graph, TreeDecomposition, _is_peo, _mcs_order,
+from splrsdp.graph_core import (Graph, TreeDecomposition, _mcs_order,
                                 _top_nodes, _tree_order)
 from splrsdp.instances import _witness_d, gen_min_bisection
 from splrsdp.sdp_model import FactoredSolution, _core_gram, _values
@@ -199,8 +199,36 @@ def write_graph(g, fh):
 
 def is_chordal(g):
     """True iff the reverse of a maximum cardinality search order is a
-    perfect elimination order."""
-    return _is_peo(g, _mcs_order(g)[::-1])
+    perfect elimination order: eliminating in it never needs a fill edge.
+    Checked pair by pair over each vertex's later neighbours, apart from
+    the test clique_tree makes."""
+    adj = g.adjacency()
+    order = _mcs_order(g)[::-1]
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in adj[v] if pos[u] > pos[v]]
+        for a in range(len(later)):
+            for b in range(a + 1, len(later)):
+                if later[b] not in adj[later[a]]:
+                    return False
+    return True
+
+
+def sparse_dense(A):
+    """The dense symmetric matrix of a SparseSymMatrix."""
+    M = np.zeros((A.n, A.n))
+    for (i, j), v in A.entries.items():
+        M[i - 1, j - 1] = v
+        M[j - 1, i - 1] = v
+    return M
+
+
+def term_dense(term, factor):
+    """The dense data matrix of a Term: sparse part plus factor core factor^T."""
+    A = sparse_dense(term.sparse)
+    if term.core.size:
+        A = A + factor @ term.core @ factor.T
+    return A
 
 
 def eval_extended(ext, ext_sol):
@@ -442,8 +470,8 @@ def dense_reference_solve(p, params=None):
         UK, sK, _ = np.linalg.svd(np.hstack(killed))
         Q = UK[:, int(np.sum(sK > 1e-10 * sK[0])):]
     n = Q.shape[1]
-    C = Q.T @ p.objective.dense(p.factor) @ Q
-    mats = [Q.T @ cn.term.dense(p.factor) @ Q for cn in p.constraints]
+    C = Q.T @ term_dense(p.objective, p.factor) @ Q
+    mats = [Q.T @ term_dense(cn.term, p.factor) @ Q for cn in p.constraints]
     c = _dense_svec(C)
     dim = c.size
     m = len(mats)

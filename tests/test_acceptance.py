@@ -148,7 +148,7 @@ def test_min_rank_completion_bulk():
         rows = {t: [v - 1 for v in sorted(bag)] for t, bag in td.bags.items()}
         bags = {t: X[np.ix_(ix, ix)] for t, ix in rows.items()}
         sol = psd_complete_min_rank(bags, td)
-        Xc = sol.matrix()
+        Xc = sol.factor @ sol.factor.T
         assert max(np.abs(Xc[np.ix_(ix, ix)] - bags[t]).max()
                    for t, ix in rows.items()) <= 1e-9
         assert np.linalg.eigvalsh(Xc)[0] >= -1e-9
@@ -213,7 +213,7 @@ def test_forced_rank_floors():
     def solved_rank(p):
         sol, stats = dense_reference_solve(p, par)
         assert stats.converged
-        r, gap = _rank_and_gap(sol.matrix())
+        r, gap = _rank_and_gap(sol.factor @ sol.factor.T)
         assert gap >= 1e-4, "spectral gap %.2e disqualifies the measurement" % gap
         return r
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splrsdp.chordal_conversion import assemble, convert_problem, export_sdpa
-from splrsdp.completion_rank import RecoveryError
+from splrsdp.chordal_conversion import (RecoveryError, assemble, convert_problem,
+                                        export_sdpa)
 from splrsdp.graph_core import Graph
 from splrsdp.instances import gen_lb_tree
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
@@ -17,7 +17,8 @@ from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sparse_extension import extend_solution
 
 from conftest import (aux, block_row_values, cycle_bisection, eval_constraint,
-                      parse_sdpa, random_splr_problem, random_valid_td)
+                      parse_sdpa, random_splr_problem, random_valid_td,
+                      sparse_dense)
 
 
 def _lift_blocks(ext, bs, F):
@@ -63,7 +64,7 @@ def test_block_data_reconstructs_extended_matrices():
         for r, term in enumerate([p.objective]
                                  + [c.term for c in p.constraints]):
             want = np.zeros((nh, nh))
-            want[:n, :n] = term.sparse.to_dense()
+            want[:n, :n] = sparse_dense(term.sparse)
             for a in range(ell):
                 for b in range(ell):
                     want[J[a] - 1, J[b] - 1] += term.core[a, b]

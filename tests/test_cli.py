@@ -1,13 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splrsdp
 from splrsdp import fileio
 from splrsdp.chordal_conversion import convert, convert_problem
 from splrsdp.cli import run
@@ -823,6 +828,44 @@ def test_recover_refuses_a_non_finite_solution_block(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("splrsdp: invalid input: block %s has a non-finite"
                           " entry" % block)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.fixture(scope="module")
+def lb_tree2_solution(tmp_path_factory):
+    """gen lb-tree --ell 2 | convert | solve, as a solution object."""
+    d = tmp_path_factory.mktemp("lbtree2")
+    p, e, s = (str(d / name) for name in ("p.json", "e.json", "s.json"))
+    assert run(["gen", "lb-tree", "--ell", "2", "--out", p]) == 0
+    assert run(["convert", "--in", p, "--out", e]) == 0
+    assert run(["solve", "--in", e, "--out", s]) == 0
+    return _load(s)
+
+
+@pytest.mark.parametrize("block, at, value", [
+    # block 3 has two children: reduce_block's pinv did not return once
+    # the symmetrisation M + M^T overflowed to inf
+    ("3", (0, 0), 1e308),
+    # assemble's overflow read as a disagreement by nan (root) or inf
+    ("4", (0, 0), 1e308), ("1", (0, 0), 1e308),
+])
+def test_recover_of_a_finite_block_near_the_float_range_exits_2(
+        tmp_path, lb_tree2_solution, block, at, value):
+    d = json.loads(json.dumps(lb_tree2_solution))
+    d["blocks"][block][at[0]][at[1]] = value
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(d))
+    # a subprocess with a timeout, so that a hang fails instead of stalling
+    src = str(Path(splrsdp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "splrsdp.cli", "recover",
+                          "--extended-solution", str(s),
+                          "--out", str(tmp_path / "r.json")],
+                         capture_output=True, text=True, timeout=30, env=env)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("splrsdp: numerical failure: ")
+    # the measured value is finite
+    assert re.search(r"\b(nan|inf)\b", out.stderr) is None, out.stderr
     assert not (tmp_path / "r.json").exists()
 
 

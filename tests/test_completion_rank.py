@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
-from splrsdp.chordal_conversion import BlockSdp, assemble, convert_problem
-from splrsdp.completion_rank import (PINV_RCOND, RANK_TOL, AffineSlice,
-                                     RecoveryError, _block_rank, _face_bases,
-                                     bp_bound,
-                                     max_rank_for_constraints,
+from splrsdp.chordal_conversion import (BlockSdp, RecoveryError, assemble,
+                                        convert_problem)
+from splrsdp.completion_rank import (AffineSlice, _block_rank, _face_bases,
+                                     bp_bound, max_rank_for_constraints,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
-from splrsdp.sdp_model import FactoredSolution, eval_objective
+from splrsdp.sdp_model import (PINV_RCOND, RANK_TOL, FactoredSolution,
+                               eval_objective)
 from splrsdp.sparse_extension import canonical_relabel, extend_solution
 
 from conftest import (copy_down, eval_constraint, random_graph,
@@ -54,7 +54,7 @@ def test_psd_complete_erased_low_rank():
         X = F @ F.T
         bags = _erase_to_clique_tree(X, ct)
         sol = psd_complete_min_rank(bags, ct)
-        Xc = sol.matrix()
+        Xc = sol.factor @ sol.factor.T
         err = 0.0
         for t in ct.nodes:
             idx = [v - 1 for v in sorted(ct.bags[t])]
@@ -238,7 +238,8 @@ def test_assemble_measures_a_perturbed_shared_entry(seed, p, delta, pick):
     bags = {t: X[np.ix_([v - 1 for v in idx], [v - 1 for v in idx])]
             for t, idx in bs.blocks.items()}
     # unperturbed, the completion reproduces every bag
-    Xc = psd_complete_min_rank(assemble(bags, bs), td).matrix()
+    R = psd_complete_min_rank(assemble(bags, bs), td).factor
+    Xc = R @ R.T
     for t, B in bags.items():
         idx = [v - 1 for v in bs.blocks[t]]
         assert np.abs(Xc[np.ix_(idx, idx)] - B).max() <= 1e-9 * max(
@@ -335,7 +336,7 @@ def test_rank_reduce_affine_reaches_feasibility_bound():
         out = rank_reduce_affine(AffineSlice(mats, rhs, Y0))
         r = out.factor.shape[1]
         assert r <= max_rank_for_constraints(q)
-        Y = out.matrix()
+        Y = out.factor @ out.factor.T
         drift = max(abs(float(np.sum(B * Y)) - c) for B, c in zip(mats, rhs))
         assert drift < 1e-7 * max(1.0, np.abs(Y0).max())
         assert np.linalg.eigvalsh(Y)[0] > -1e-8 * max(1.0, np.abs(Y).max())
@@ -377,7 +378,7 @@ def test_unique_coupled_slice_is_fixed_point():
                 mats.append(0.5 * (np.outer(u, v) + np.outer(v, u)))
                 rhs.append(M[a, b])
         out = rank_reduce_affine(AffineSlice(mats, rhs, Y0))
-        assert np.abs(out.matrix() - Y0).max() < 1e-8
+        assert np.abs(out.factor @ out.factor.T - Y0).max() < 1e-8
         assert out.factor.shape[1] == ell + 1
 
 

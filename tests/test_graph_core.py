@@ -16,7 +16,6 @@ from splrsdp.graph_core import (
     clique_tree,
     read_graph,
     root_binary,
-    split_vertex,
     to_binary,
     width,
 )
@@ -226,6 +225,23 @@ def test_is_chordal_known_cases():
 def test_clique_tree_rejects_non_chordal():
     with pytest.raises(ValueError):
         clique_tree(cycle_graph(4))
+    # on random graphs, clique_tree refuses exactly the graphs that the
+    # pair-by-pair elimination check finds not chordal
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for _ in range(300):
+        n, q = int(rng.integers(1, 16)), rng.uniform(0.1, 0.7)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < q]
+        g = Graph.from_edges(n, edges)
+        chordal = is_chordal(g)
+        verdicts.add(chordal)
+        if chordal:
+            assert validate_decomposition(clique_tree(g), g)
+        else:
+            with pytest.raises(ValueError, match="not chordal"):
+                clique_tree(g)
+    assert verdicts == {True, False}
 
 
 def test_clique_tree_path():
@@ -409,9 +425,51 @@ def star_td(k):
     return TreeDecomposition(nodes=nodes, edges=edges, bags=bags)
 
 
+def split_vertex(td, x):
+    """Reference split: td rebuilt with node x, of degree k >= 4, replaced
+    by a path of k copies of its bag, neighbour i (ascending id) on the
+    i-th copy."""
+    adj = td.neighbors()
+    nbrs = sorted(adj[x])
+    k = len(nbrs)
+    if k < 4:
+        raise ValueError("node %d has degree %d < 4" % (x, k))
+    base = max(td.nodes)
+    new_ids = [base + i + 1 for i in range(k)]
+    nodes = tuple(t for t in td.nodes if t != x) + tuple(new_ids)
+    bags = {t: td.bags[t] for t in td.nodes if t != x}
+    for t in new_ids:
+        bags[t] = td.bags[x]
+    edges = {e for e in td.edges if x not in e}
+    for a, b in zip(new_ids, new_ids[1:]):
+        edges.add((a, b))
+    for y, t in zip(nbrs, new_ids):
+        edges.add((min(y, t), max(y, t)))
+    return TreeDecomposition(nodes=nodes, edges=frozenset(edges), bags=bags)
+
+
+def split_to_binary(td):
+    """Reference to_binary: one whole-tree split_vertex per node of td of
+    degree >= 4, smallest id first."""
+    out = td
+    for x in sorted(t for t, d in td.degrees().items() if d >= 4):
+        out = split_vertex(out, x)
+    return out
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 60),
+       leaves=st.integers(0, 39))
+def test_to_binary_matches_the_split_oracle(seed, p, leaves):
+    _, td = random_valid_td(np.random.default_rng(seed), p)
+    for tree in (td, star_td(leaves)):
+        want, got = split_to_binary(tree), to_binary(tree)
+        assert got.nodes == want.nodes and got.edges == want.edges
+        assert list(got.bags.items()) == list(want.bags.items())
+        assert got.root == want.root
+
+
 def test_split_vertex_star():
-    td = star_td(5)
-    out = split_vertex(td, 1)
+    out = to_binary(star_td(5))
     assert len(out.nodes) == 10
     deg = {t: 0 for t in out.nodes}
     for a, b in out.edges:
@@ -422,6 +480,7 @@ def test_split_vertex_star():
     assert (2, 7) in out.edges and (6, 11) in out.edges
     with pytest.raises(ValueError):
         split_vertex(out, 7)
+    assert to_binary(out) is out
 
 
 def test_to_binary_preserves_validity_width_and_bounds():

@@ -17,14 +17,15 @@ from splrsdp.sdp_model import (
     validate_problem,
 )
 
-from conftest import eval_constraint, random_splr_problem
+from conftest import (eval_constraint, random_splr_problem, sparse_dense,
+                      term_dense)
 
 
 def test_sparse_sym_matrix_roundtrip_and_inner():
     rng = np.random.default_rng(0)
     A = SparseSymMatrix.from_entries(4, [(1, 2, 0.5), (2, 1, 0.5), (3, 3, -2.0)])
     assert A.entries == {(1, 2): 1.0, (3, 3): -2.0}
-    D = A.to_dense()
+    D = sparse_dense(A)
     assert D[0, 1] == 1.0 and D[1, 0] == 1.0 and D[2, 2] == -2.0
     p = SplrSdp(n=4, ell=0, pattern=Graph.from_edges(4, [(1, 2)]),
                 factor=np.zeros((4, 0)), objective=Term(A, np.zeros((0, 0))),
@@ -76,13 +77,13 @@ def test_eval_matches_dense_reconstruction():
     p = make_toy_problem()
     R = rng.standard_normal((3, 2))
     sol = FactoredSolution(R)
-    X = sol.matrix()
+    X = sol.factor @ sol.factor.T
     for i in range(1, p.m + 1):
         c = p.constraints[i - 1]
-        A = c.term.dense(p.factor)
+        A = term_dense(c.term, p.factor)
         assert np.isclose(eval_constraint(p, i, sol), np.sum(A * X), atol=1e-12)
         assert np.isclose(eval_constraint(p, i, X), np.sum(A * X), atol=1e-12)
-    A0 = p.objective.dense(p.factor)
+    A0 = term_dense(p.objective, p.factor)
     assert np.isclose(eval_objective(p, sol), np.sum(A0 * X))
 
 
@@ -128,10 +129,10 @@ def test_row_values_match_dense_sums(seed, n, ell, case):
         # more entries than one gather step holds
         assume(sum(len(c.sparse.entries) for c in p.constraints)
                > _GATHER // r + 1)
-    want = [np.sum(c.term.dense(p.factor) * X) for c in p.constraints]
+    want = [np.sum(term_dense(c.term, p.factor) * X) for c in p.constraints]
     obj = eval_objective(p, sol)
     assert type(obj) is float
-    assert np.isclose(obj, np.sum(p.objective.dense(p.factor) * X),
+    assert np.isclose(obj, np.sum(term_dense(p.objective, p.factor) * X),
                       rtol=1e-10, atol=1e-10)
     for i, w in enumerate(want, start=1):
         assert np.isclose(eval_constraint(p, i, sol), w, rtol=1e-10, atol=1e-10)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from splrsdp import fileio, solver
 from splrsdp.chordal_conversion import BlockSdp, convert_problem
 from splrsdp.cli import run
-from splrsdp.completion_rank import (_face_bases, _two_child_nodes,
-                                     bp_bound, recover_low_rank)
-from splrsdp.graph_core import Graph
+from splrsdp.completion_rank import _face_bases, bp_bound, recover_low_rank
+from splrsdp.graph_core import Graph, _two_child_nodes
 from splrsdp.instances import gen_lb_tree, gen_min_bisection, gen_simex
 from splrsdp.sdp_model import (Constraint, FactoredSolution, SparseSymMatrix,
                                SplrSdp, Term, is_feasible)
@@ -21,7 +20,8 @@ from splrsdp.solver import (AdmmParams, _anderson_weights, _face_project,
 
 from conftest import (AdmmDivergence, block_row_values, cycle_bisection,
                       dense_reference_solve, eval_constraint, face_basis,
-                      project_null_psd, random_splr_problem, random_valid_td)
+                      project_null_psd, random_splr_problem, random_valid_td,
+                      term_dense)
 
 
 def test_admm_params_validation():
@@ -549,7 +549,7 @@ def test_dense_matches_cvxpy():
     X = cp.Variable((p.n, p.n), symmetric=True)
     cons = [X >> 0]
     for cn in p.constraints:
-        v = cp.trace(cn.term.dense(p.factor) @ X)
+        v = cp.trace(term_dense(cn.term, p.factor) @ X)
         if cn.lower == cn.upper:
             cons.append(v == cn.lower)
         else:
@@ -557,7 +557,7 @@ def test_dense_matches_cvxpy():
                 cons.append(v >= cn.lower)
             if np.isfinite(cn.upper):
                 cons.append(v <= cn.upper)
-    prob = cp.Problem(cp.Minimize(cp.trace(p.objective.dense(p.factor) @ X)), cons)
+    prob = cp.Problem(cp.Minimize(cp.trace(term_dense(p.objective, p.factor) @ X)), cons)
     prob.solve()
     sol, stats = dense_reference_solve(p, AdmmParams(max_iter=20000,
                                                      tol_primal=1e-9,

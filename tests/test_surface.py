@@ -1,13 +1,16 @@
-"""The library holds no code that only tests reach.
+"""The library holds no code that only tests reach, and imports one way.
 
-Every name a module lists in `__all__` is reached from `src/` or the
-benchmark, apart from its own definition and its `__all__` entry; a
-re-export by the package's `__init__.py` does not count as a use.  A use
-inside a definition counts only when that definition is itself reached,
-so a helper of dead code is dead too.  Test oracles live in
-`conftest.py`.  Every field of a dataclass in `src/` is read as an
-attribute somewhere in `src/` or the benchmark, apart from the fields in
-UNREAD_FIELDS.
+Every name a module lists in `__all__`, and every method or property of
+a class in `src/`, is reached from `src/` or the benchmark, apart from
+its own definition and its `__all__` entry; a re-export by the package's
+`__init__.py` does not count as a use.  A method counts as reached when
+an attribute of its name is read, whatever the object.  A use inside a
+definition counts only when that definition is itself reached, so a
+helper of dead code is dead too.  Test oracles live in `conftest.py`.
+Every field of a dataclass in `src/` is read as an attribute somewhere
+in `src/` or the benchmark, apart from the fields in UNREAD_FIELDS.
+Every import in `src/` sits at module level, and the modules' imports
+of each other form no cycle.
 """
 
 import ast
@@ -58,35 +61,112 @@ def _unread_fields():
     return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
 
 
-def _unreached_exports():
+def _methods(cls):
+    """The methods and properties of a class node, dunders aside (Python
+    calls those itself)."""
+    return [f for f in cls.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def _unreached():
+    """(exports, methods) that nothing outside the tests reaches, each as
+    sorted module.name or module.Class.name strings."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     candidates = {name: module for module, tree in modules.items()
                   for name in _exports(tree)}
-    inside = {}  # candidate -> names its definition reads
+    methods = {}  # method name -> module.Class.name of each definition
+    inside = {}  # candidate or method name -> names its definition reads
     reached = set()
     sources = list(modules.values()) + [ast.parse(path.read_text())
                                         for path in (ROOT / "benchmark").glob("*.py")]
     for tree in sources:
+        module = next((m for m, t in modules.items() if t is tree), None)
         for node in tree.body:
             name = getattr(node, "name", None)
-            if name in candidates and tree is modules[candidates[name]]:
-                inside[name] = _reads(node)
+            reads = _reads(node)
+            if module is not None and isinstance(node, ast.ClassDef):
+                own = _methods(node)
+                for f in own:
+                    methods.setdefault(f.name, []).append(
+                        "%s.%s.%s" % (module, name, f.name))
+                    inside.setdefault(f.name, set()).update(_reads(f))
+                # the class's own reads, outside its methods
+                reads = set().union(*(_reads(n) for n in node.body
+                                      if n not in own),
+                                    *(_reads(d) for d in node.bases
+                                      + node.decorator_list))
+            if name in candidates and module == candidates[name]:
+                inside.setdefault(name, set()).update(reads)
             else:
-                reached |= _reads(node)
-    todo = list(reached & set(candidates))
+                reached |= reads
+    live = set(candidates) | set(methods)
+    todo = list(reached & live)
     while todo:
-        new = inside.get(todo.pop(), set()) & set(candidates) - reached
+        new = inside.get(todo.pop(), set()) & live - reached
         reached |= new
         todo.extend(new)
-    return sorted("%s.%s" % (module, name) for name, module in candidates.items()
-                  if name not in reached)
+    return (sorted("%s.%s" % (module, name)
+                   for name, module in candidates.items() if name not in reached),
+            sorted(q for name, qs in methods.items() if name not in reached
+                   for q in qs))
 
 
 def test_every_export_is_reached_outside_the_tests():
-    unreached = _unreached_exports()
+    unreached = _unreached()[0]
     assert unreached == [], "exported but only tests reach: %s" % unreached
+
+
+def test_every_method_is_reached_outside_the_tests():
+    unreached = _unreached()[1]
+    assert unreached == [], \
+        "methods or properties only tests reach: %s" % unreached
+
+
+def _package_imports():
+    """Module stem -> the package modules its module-level imports name,
+    and the (module, line) of every import inside a function body."""
+    graph, nested = {}, set()
+    stems = {path.stem for path in PACKAGE.glob("*.py")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update((path.stem, n.lineno) for n in ast.walk(fn)
+                              if isinstance(n, (ast.Import, ast.ImportFrom)))
+        names = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names |= ({node.module.split(".")[0]} if node.module
+                          else {a.name for a in node.names})
+            elif isinstance(node, ast.Import):
+                names |= {a.name.split(".")[1] for a in node.names
+                          if a.name.startswith("splrsdp.")}
+        graph[path.stem] = sorted(names & stems - {path.stem})
+    return graph, sorted(nested)
+
+
+def test_imports_sit_at_module_level_and_form_no_cycle():
+    graph, nested = _package_imports()
+    assert nested == [], "imports inside a function body: %s" % nested
+    # depth-first search; a module met again while still on the path
+    # closes a cycle
+    state = {}
+
+    def visit(m, path):
+        state[m] = "open"
+        for dep in graph[m]:
+            assert state.get(dep) != "open", \
+                "import cycle: %s" % " -> ".join(path + [m, dep])
+            if dep not in state:
+                visit(dep, path + [m])
+        state[m] = "done"
+
+    for m in sorted(graph):
+        if m not in state:
+            visit(m, [])
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
