@@ -78,10 +78,6 @@ class BlockSdp:
     parent: dict
 
     @property
-    def k(self):
-        return len(self.blocks)
-
-    @property
     def columns(self):
         """Stacked columns as int arrays (node, i, j, u, v).
 

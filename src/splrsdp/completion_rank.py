@@ -100,6 +100,7 @@ def _face_bases(null_mats, sizes):
 def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     """Complete a PSD matrix known on the bags of a clique tree at minimum rank.
 
+    td is a rooted clique tree, whose orientation sets the placement order.
     bags[t] is the known submatrix on bag t, rows in sorted(bag) order; bags
     must agree on shared entries, as the output of
     chordal_conversion.assemble does.  The completed matrix spans indices
@@ -124,23 +125,17 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     completed rank is the largest rank of these face-projected bags at
     RANK_TOL; on noisy input it can exceed the ranks of the raw blocks.
 
-    Raises ValueError if a bag or face matrix does not fit its bag or the
-    bags miss an index, and RecoveryError if a bag matrix is clearly not
-    PSD on its face (the first such bag parents-first, carrying its most
-    negative eigenvalue) or the result fails to reproduce the bags
-    (carrying the worst error).  Returns a FactoredSolution of the full
-    matrix.
+    Raises ValueError if td is not rooted at one of its nodes or is no
+    tree, if a bag or face matrix does not fit its bag or if the bags miss
+    an index, and RecoveryError if a bag matrix is clearly not PSD on its
+    face (the first such bag parents-first, carrying its most negative
+    eigenvalue) or the result fails to reproduce the bags (carrying the
+    worst error).  Returns a FactoredSolution of the full matrix.
     """
-    if td.root is None:
-        rooted = type(td)(nodes=td.nodes, edges=td.edges, bags=dict(td.bags),
-                          root=min(td.nodes))
-    else:
-        rooted = td
-    seq = list(reversed(rooted.postorder()))  # parents before children
-    sizes = [len(rooted.bags[t]) for t in seq]
+    seq = list(reversed(td.postorder()))  # parents before children
+    sizes = [len(td.bags[t]) for t in seq]
     # every bag's sorted indices, bag after bag
-    flat = np.fromiter(chain.from_iterable(sorted(rooted.bags[t])
-                                           for t in seq),
+    flat = np.fromiter(chain.from_iterable(sorted(td.bags[t]) for t in seq),
                        dtype=np.int64, count=sum(sizes))
     ends = np.cumsum(sizes, dtype=np.int64).tolist()
     spans = [(e - d, e) for e, d in zip(ends, sizes)]
@@ -253,21 +248,6 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     return FactoredSolution(R[:, live])
 
 
-def _svec(M):
-    """Symmetric vectorization: <A, B> = svec(A) @ svec(B)."""
-    d = M.shape[0]
-    iu = np.triu_indices(d)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return M[iu] * scale
-
-
-def _unsvec(v, d):
-    iu = np.triu_indices(d)
-    M = np.zeros((d, d))
-    M[iu] = v * np.where(iu[0] == iu[1], 1.0, 1.0 / np.sqrt(2.0))
-    return M + np.triu(M, 1).T
-
-
 def rank_reduce_affine(slc, feas_tol=1e-6):
     """Walk the feasible point of an affine PSD slice down in rank.
 
@@ -281,22 +261,31 @@ def rank_reduce_affine(slc, feas_tol=1e-6):
     off the slice by more than feas_tol, or by NaN, raises ValueError.
     """
     Y = _sym(np.asarray(slc.point, dtype=float))
+    S = _sym(np.asarray(slc.mats, dtype=float)
+             .reshape(len(slc.mats), *Y.shape))
     # np.max keeps a NaN gap, where max() may skip it
-    worst = float(np.max([abs(float(np.sum(_sym(B) * Y)) - c)
-                          for B, c in zip(slc.mats, slc.rhs)], initial=0.0))
+    worst = float(np.max([abs(float(np.sum(B * Y)) - c)
+                          for B, c in zip(S, slc.rhs)], initial=0.0))
     if not worst <= feas_tol:
         raise ValueError("slice point infeasible by %.3e" % worst)
     R = _psd_factor(Y)
     while R.shape[1] > 0:
         r = R.shape[1]
         dim = r * (r + 1) // 2
-        if slc.mats:
-            K = np.array([_svec(R.T @ _sym(B) @ R) for B in slc.mats])
+        if len(S):
+            # the tangent system in symmetric vectorization, where
+            # <A, B> = svec(A) @ svec(B): off-diagonal entries carry sqrt(2)
+            iu = np.triu_indices(r)
+            off = iu[0] != iu[1]
+            K = (R.T @ S @ R)[:, iu[0], iu[1]]
+            K[:, off] *= np.sqrt(2.0)
             _, s, Vt = np.linalg.svd(K, full_matrices=True)
             tau = PINV_RCOND * max(s[0] if s.size else 0.0, 1.0)
             if int(np.sum(s > tau)) >= dim:
                 break
-            delta = _unsvec(Vt[-1], r)
+            delta = np.zeros((r, r))
+            delta[iu] = np.where(off, 1.0 / np.sqrt(2.0), 1.0) * Vt[-1]
+            delta += np.triu(delta, 1).T
         else:
             delta = np.eye(r) / np.sqrt(r)
         lam, P = np.linalg.eigh(delta)
@@ -478,7 +467,7 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
         blocks[t] = reduce_block(blocks[t], ext.a_mats[t][:p], pat.ell)
 
     bags = assemble(blocks, bs, tol=overlap_tol)
-    # the extended bags on the same tree; replace keeps its orientation
+    # the extended bags on the same rooted tree
     ctd = replace(td, bags=bs.blocks)
     # completing on the accumulator faces keeps solver noise out of the
     # accumulator identities: each bag's new rows get an exact fix.  A bag

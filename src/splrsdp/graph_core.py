@@ -7,8 +7,8 @@ other modules share (_binary_degrees, _two_child_nodes) live here.
 """
 
 import heapq
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 __all__ = [
     "Graph",
@@ -49,20 +49,19 @@ class Graph:
         return adj
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TreeDecomposition:
     """Tree of bags.  `bags` maps node id -> frozenset of graph vertices.
 
-    `root` is optional; parent/children maps are available once rooted.
-    Instances are treated as immutable: operations return new values.
+    `root` is optional; parent/children/postorder need a root and are
+    derived from (edges, root) alone, so a copy made by dataclasses.replace
+    orients itself afresh.  Operations return new values.
     """
 
     nodes: tuple
     edges: frozenset
     bags: dict
     root: int = None
-    _parent: dict = field(default=None, repr=False)
-    _children: dict = field(default=None, repr=False)
 
     def neighbors(self):
         adj = {t: set() for t in self.nodes}
@@ -71,58 +70,49 @@ class TreeDecomposition:
             adj[b].add(a)
         return adj
 
-    def degrees(self):
-        """Node id -> number of tree edges at the node."""
-        deg = {t: 0 for t in self.nodes}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+    @cached_property
+    def _oriented(self):
+        """(parent, children, postorder) from one walk down from the root.
 
-    def _orient(self):
-        if self.root is None:
-            raise ValueError("decomposition is not rooted")
-        adj = self.neighbors()
-        parent = {self.root: None}
-        children = {t: [] for t in self.nodes}
-        queue = deque([self.root])
-        while queue:
-            t = queue.popleft()
-            for u in sorted(adj[t]):
-                if u not in parent:
-                    parent[u] = t
-                    children[t].append(u)
-                    queue.append(u)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_children", children)
-
-    def parent(self, t):
-        if self._parent is None:
-            self._orient()
-        return self._parent[t]
-
-    def children(self, t):
-        if self._children is None:
-            self._orient()
-        return list(self._children[t])
-
-    def postorder(self):
-        """Node ids, children before parents (in ascending id), root last.
-
-        The reverse of the preorder that visits children in descending id
-        (children lists are kept ascending).  Iterative because large
-        decompositions would blow the recursion limit.
+        Children run in ascending id; the postorder puts children before
+        parents (in ascending id) and the root last, the reverse of the
+        preorder that visits children in descending id.  The walk is also
+        the tree check: ValueError unless the root is a node and the edges
+        form a tree on the keys of the bags.
         """
-        if self._children is None:
-            self._orient()
-        out = []
+        nodes = set(self.nodes)
+        if self.root not in nodes:
+            raise ValueError("decomposition is not rooted")
+        if set(self.bags) != nodes or len(self.edges) != len(nodes) - 1 \
+                or any(a not in nodes or b not in nodes for a, b in self.edges):
+            raise ValueError("decomposition is not a tree")
+        adj = self.neighbors()
+        parent, children, pre = {self.root: None}, {}, []
+        # iterative, as large decompositions would blow the recursion limit
         stack = [self.root]
         while stack:
             t = stack.pop()
-            out.append(t)
-            stack.extend(self._children[t])
-        out.reverse()
-        return out
+            pre.append(t)
+            children[t] = kids = []
+            for u in sorted(adj[t]):
+                if u not in parent:
+                    parent[u] = t
+                    kids.append(u)
+            stack.extend(kids)
+        if len(pre) != len(nodes):
+            raise ValueError("decomposition is not a tree")
+        pre.reverse()
+        return parent, children, pre
+
+    def parent(self, t):
+        return self._oriented[0][t]
+
+    def children(self, t):
+        return list(self._oriented[1][t])
+
+    def postorder(self):
+        """Node ids, children before parents (in ascending id), root last."""
+        return list(self._oriented[2])
 
 
 def read_graph(path_or_file):
@@ -149,18 +139,6 @@ def width(td):
     if not td.bags:
         raise ValueError("decomposition has no bags")
     return max(len(b) for b in td.bags.values()) - 1
-
-
-def _tree_order(td):
-    """td.postorder() if td, rooted at one of its nodes, is a tree on the
-    keys of its bags; None otherwise."""
-    nodes = set(td.nodes)
-    if not nodes or set(td.bags) != nodes \
-            or len(td.edges) != len(nodes) - 1 \
-            or any(a not in nodes or b not in nodes for a, b in td.edges):
-        return None
-    order = td.postorder()
-    return order if len(order) == len(nodes) else None
 
 
 def _top_nodes(td, g):
@@ -329,7 +307,7 @@ def to_binary(td):
 
 def _binary_degrees(td):
     """Node id -> degree; ValueError if a node has degree > 3."""
-    deg = td.degrees()
+    deg = {t: len(adj) for t, adj in td.neighbors().items()}
     if max(deg.values(), default=0) > 3:
         raise ValueError("decomposition is not binary (degree > 3)")
     return deg
@@ -350,5 +328,5 @@ def root_binary(td):
     # a path (top degree <= 2) has its ends below degree 2
     low = max(max(deg.values(), default=0), 2)
     root = min(t for t in td.nodes if deg[t] < low)
-    return TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=dict(td.bags), root=root)
+    return replace(td, root=root)
 

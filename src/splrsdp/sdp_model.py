@@ -121,10 +121,6 @@ class FactoredSolution:
     factor: np.ndarray  # n x r
 
     @property
-    def n(self):
-        return self.factor.shape[0]
-
-    @property
     def rank(self):
         return self.factor.shape[1]
 

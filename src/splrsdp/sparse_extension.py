@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import (TreeDecomposition, _binary_degrees, _top_nodes,
-                         _tree_order)
+from .graph_core import TreeDecomposition, _binary_degrees, _top_nodes
 from .sdp_model import FactoredSolution, _core_gram, _entries, _values
 
 __all__ = [
@@ -86,29 +85,18 @@ class ExtendedSdp:
 def canonical_relabel(td):
     """Relabel a rooted decomposition to 1..k in post-order.
 
-    Children then carry smaller labels than parents and the root becomes k.
-    Returns (new_td, node_order) with node_order[t-1] = old id of label t;
+    Children then carry smaller labels than parents and the root becomes k;
     the new bags run in label order.  Raises ValueError if td is not rooted
     at one of its nodes or is no tree on the keys of its bags.
     """
-    if td.root not in set(td.nodes):
-        raise ValueError("decomposition is not rooted")
-    order = _tree_order(td)
-    if order is None:
-        raise ValueError("decomposition is not a tree")
+    order = td.postorder()
     new_of = {old: i + 1 for i, old in enumerate(order)}
     k = len(order)
-    nodes = tuple(range(1, k + 1))
-    bags = {new_of[t]: td.bags[t] for t in order}
-    # the orientation carries over, children in ascending label as
-    # TreeDecomposition orients them; a child's label is below its parent's
-    parent = {new_of[t]: new_of.get(td.parent(t)) for t in order}
-    children = {new_of[t]: sorted(map(new_of.get, td.children(t)))
-                for t in order}
-    edges = frozenset((c, p) for c, p in parent.items() if p is not None)
-    out = TreeDecomposition(nodes=nodes, edges=edges, bags=bags, root=k,
-                            _parent=parent, _children=children)
-    return out, tuple(order)
+    # each edge runs (child, parent); a child's label is below its parent's
+    edges = frozenset((new_of[t], new_of[td.parent(t)]) for t in order[:-1])
+    return TreeDecomposition(nodes=tuple(range(1, k + 1)), edges=edges,
+                             bags={new_of[t]: td.bags[t] for t in order},
+                             root=k)
 
 
 def build_extended_pattern(pattern, td, ell):
@@ -118,7 +106,7 @@ def build_extended_pattern(pattern, td, ell):
     The checks and W_t come from one top-node pass over the canonical tree;
     a refused tree raises ValueError.
     """
-    ctd, _ = canonical_relabel(td)
+    ctd = canonical_relabel(td)
     n, k = pattern.n, len(ctd.nodes)
     if _binary_degrees(ctd)[k] > 2:
         raise ValueError("root has more than two children")

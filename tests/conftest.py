@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,7 +7,7 @@ from hypothesis import settings
 
 from splrsdp.completion_rank import _face_bases
 from splrsdp.graph_core import (Graph, TreeDecomposition, _mcs_order,
-                                _top_nodes, _tree_order)
+                                _top_nodes)
 from splrsdp.instances import _witness_d, gen_min_bisection
 from splrsdp.sdp_model import FactoredSolution, _core_gram, _values
 from splrsdp.solver import AdmmParams, SolveStats, _face_project
@@ -295,13 +297,16 @@ def validate_decomposition(td, g):
     """True iff td is a tree whose bags cover vertices and edges of g and
     satisfy the running intersection property.
 
-    Uses td's own orientation (an unrooted td is rooted at its first node)
-    and checks both properties by _top_nodes.
+    Uses td's own orientation (an unrooted td is rooted at its first node),
+    whose walk checks the tree, and checks both properties by _top_nodes.
     """
     if td.nodes and td.root not in set(td.nodes):
-        td = TreeDecomposition(nodes=td.nodes, edges=td.edges, bags=td.bags,
-                               root=td.nodes[0])
-    return _tree_order(td) is not None and _top_nodes(td, g) is not None
+        td = replace(td, root=td.nodes[0])
+    try:
+        td.postorder()
+    except ValueError:
+        return False
+    return _top_nodes(td, g) is not None
 
 
 def brute_force_treewidth(g):

@@ -5,6 +5,7 @@ captured output for failed items.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def test_min_rank_completion_bulk():
         X = F @ F.T
         rows = {t: [v - 1 for v in sorted(bag)] for t, bag in td.bags.items()}
         bags = {t: X[np.ix_(ix, ix)] for t, ix in rows.items()}
-        sol = psd_complete_min_rank(bags, td)
+        sol = psd_complete_min_rank(bags, replace(td, root=min(td.nodes)))
         Xc = sol.factor @ sol.factor.T
         assert max(np.abs(Xc[np.ix_(ix, ix)] - bags[t]).max()
                    for t, ix in rows.items()) <= 1e-9

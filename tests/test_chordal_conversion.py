@@ -178,7 +178,7 @@ def test_export_sdpa_round_trip():
     export_sdpa(bs, buf)
     buf.seek(0)
     m, sizes, rhs, entries = parse_sdpa(buf)
-    k = bs.k
+    k = len(bs.blocks)
     assert m == p.m + k * p.ell
     order = sorted(bs.blocks)
     assert sizes == [len(bs.blocks[t]) for t in order]
@@ -325,7 +325,7 @@ def test_export_sdpa_of_a_reduced_minbisect_keeps_the_row_count():
     buf.seek(0)
     m, sizes, rhs, entries = parse_sdpa(buf)
     # the moved row comes back as the root's rank-one face row
-    assert m == p.m + bs.k * p.ell
+    assert m == p.m + len(bs.blocks) * p.ell
     assert len(bs.bounds) == p.m - 1
     root_blk = sorted(bs.blocks).index(ext.pattern.td.root) + 1
     face = _face_columns(ext, bs)[:, 0]

@@ -48,7 +48,7 @@ def test_psd_complete_erased_low_rank():
         n = int(rng.integers(5, 30))
         g = random_graph(rng, n, 0.2)
         fg, _ = chordal_complete(g)
-        ct = clique_tree(fg)
+        ct = replace(clique_tree(fg), root=1)
         r = int(rng.integers(1, 5))
         F = rng.standard_normal((n, r))
         X = F @ F.T
@@ -210,7 +210,7 @@ def test_recover_low_rank_ell0_branching_tree():
 def _bag_layout(td, root=1):
     """A BlockSdp holding only what assemble reads: one block per bag of the
     decomposition rooted at `root`, on canonical labels."""
-    td, _ = canonical_relabel(replace(td, root=root))
+    td = canonical_relabel(replace(td, root=root))
     blocks = {t: tuple(sorted(td.bags[t])) for t in td.nodes}
     bs = BlockSdp(n_ext=max(max(b) for b in td.bags.values()), blocks=blocks,
                   rows=None, bounds=np.zeros((0, 2)), null_mats={},

@@ -19,6 +19,7 @@ from splrsdp.graph_core import (
     to_binary,
     width,
 )
+from splrsdp.sparse_extension import canonical_relabel
 
 from conftest import (CHORDAL12_CLIQUES, brute_force_treewidth, is_chordal,
                       random_splr_problem, random_valid_td,
@@ -384,7 +385,7 @@ def test_clique_tree_of_completed_long_cycle_is_a_fan_path():
     td = clique_tree(h)
     bags = list(td.bags.values())
     assert len(bags) == n - 2 and all(len(b) == 3 for b in bags)
-    assert max(td.degrees().values()) == 2
+    assert max(map(len, td.neighbors().values())) == 2
     assert len(frozenset.intersection(*bags)) == 1
     assert validate_decomposition(td, h)
 
@@ -452,7 +453,7 @@ def split_to_binary(td):
     """Reference to_binary: one whole-tree split_vertex per node of td of
     degree >= 4, smallest id first."""
     out = td
-    for x in sorted(t for t, d in td.degrees().items() if d >= 4):
+    for x in sorted(t for t, a in td.neighbors().items() if len(a) >= 4):
         out = split_vertex(out, x)
     return out
 
@@ -511,9 +512,13 @@ def test_root_binary_defaults_and_orientation():
     assert rooted.parent(1) is None
     assert rooted.parent(3) == 2
     assert rooted.children(1) == [2]
-    # rooted at the far end instead
-    other = replace(td, root=3)
+    # re-rooted at the far end: the copy orients afresh, it does not keep
+    # the orientation from 1
+    other = replace(rooted, root=3)
     assert other.root == 3 and other.children(3) == [2]
+    assert other.parent(3) is None and other.parent(1) == 2
+    assert other.postorder() == [1, 2, 3]
+    assert canonical_relabel(other).bags == {1: {1}, 2: {2}, 3: {3}}
     # postorder puts children before parents, root last
     order = rooted.postorder()
     assert order[-1] == 1
@@ -522,6 +527,25 @@ def test_root_binary_defaults_and_orientation():
         for c in rooted.children(t):
             assert c in seen
         seen.add(t)
+
+
+def test_replace_root_orients_like_a_fresh_tree():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        _, td = random_valid_td(rng, int(rng.integers(1, 25)))
+        td = root_binary(to_binary(td))
+        td.postorder()  # orient before every copy
+        for r in td.nodes:
+            got = replace(td, root=r)
+            want = TreeDecomposition(nodes=td.nodes, edges=td.edges,
+                                     bags=td.bags, root=r)
+            for t in td.nodes:
+                assert got.parent(t) == want.parent(t)
+                assert got.children(t) == want.children(t)
+            assert got.postorder() == want.postorder()
+            a, b = canonical_relabel(got), canonical_relabel(want)
+            assert (a.nodes, a.edges, a.root) == (b.nodes, b.edges, b.root)
+            assert list(a.bags.items()) == list(b.bags.items())
 
 
 def test_root_binary_branching_tree():

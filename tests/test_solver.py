@@ -189,7 +189,8 @@ def test_admm_without_constraint_rows():
                     n, [(i, i, 1.0) for i in range(1, n + 1)]), np.zeros((0, 0))),
                 constraints=[])
     _, bs, _ = convert_problem(p)
-    assert bs.bounds.shape == (0, 2) and bs.rows.shape[0] == 1 and bs.k > 1
+    assert bs.bounds.shape == (0, 2) and bs.rows.shape[0] == 1 \
+        and len(bs.blocks) > 1
     blocks, stats = admm_solve(bs)
     assert stats.converged
     assert abs(stats.objective) < 1e-8
@@ -282,7 +283,7 @@ def test_objective_is_that_of_the_returned_blocks():
     ext, bs, _ = convert_problem(cycle_bisection(8))
     td = ext.pattern.td
     assert all(len(td.children(t)) <= 1 for t in td.nodes)
-    assert len(_merge_groups(bs)[0]) < bs.k
+    assert len(_merge_groups(bs)[0]) < len(bs.blocks)
     blocks, stats = admm_solve(bs)
     ref = block_row_values(bs, blocks)[0]
     assert abs(stats.objective - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -333,9 +334,9 @@ def test_admm_logs_its_layout_once_before_the_loop(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records]
     assert lines[0] == ("admm layout: %d nodes in %d groups, blocks %d-%d, "
                         "%d slabs, padding %.0f%%"
-                        % (bs.k, len(blocks), min(sizes), max(sizes),
+                        % (len(bs.blocks), len(blocks), min(sizes), max(sizes),
                            len(slabs), 100.0 * (padded - work) / work))
-    assert len(place) == bs.k > len(blocks) > 1 and len(slabs) > 1
+    assert len(place) == len(bs.blocks) > len(blocks) > 1 and len(slabs) > 1
     assert padded > work
     assert sum(m.startswith("admm layout") for m in lines) == 1
     # C16 packs into one slab
@@ -692,7 +693,7 @@ def test_merge_pairs_matches_a_loop_reference(seed, nodes, ell):
     # groups parents first, labels k-1..1: join the parent's group while it
     # is not full
     top = {t: t for t in bs.blocks}
-    for t in range(bs.k - 1, 0, -1):
+    for t in range(len(bs.blocks) - 1, 0, -1):
         par = bs.parent[t]
         if sum(top[s] == top[par] for s in bs.blocks) < solver.GROUP_SIZE:
             top[t] = top[par]

@@ -119,10 +119,9 @@ def test_canonical_relabel_children_before_parents():
     for _ in range(20):
         _, td = random_valid_td(rng, int(rng.integers(1, 25)))
         rooted = root_binary(to_binary(td))
-        ctd, order = canonical_relabel(rooted)
+        ctd = canonical_relabel(rooted)
         k = len(ctd.nodes)
-        assert ctd.root == k
-        assert sorted(order) == sorted(rooted.nodes)
+        assert ctd.root == k and ctd.nodes == tuple(range(1, k + 1))
         for t in ctd.nodes:
             for c in ctd.children(t):
                 assert c < t
@@ -399,11 +398,15 @@ def test_build_extension_rejects_bad_decomposition():
     assert validate_decomposition(claw, p5.pattern)
     with pytest.raises(ValueError, match="root has more than two children"):
         build_extension(p5, claw)
-    # a cycle, and a root that is no node
+    # a cycle, a cycle beside a separate edge (as many edges as a tree),
+    # and a root that is no node
     cycle = replace(claw, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5),
                                            (1, 5)}))
-    with pytest.raises(ValueError, match="decomposition is not a tree"):
-        build_extension(p5, cycle)
+    split = replace(claw, edges=frozenset({(1, 2), (2, 3), (1, 3), (4, 5)}))
+    for bad in (cycle, split):
+        with pytest.raises(ValueError, match="decomposition is not a tree"):
+            build_extension(p5, bad)
+        assert not validate_decomposition(bad, p5.pattern)
     with pytest.raises(ValueError, match="decomposition is not rooted"):
         build_extension(p5, replace(claw, root=9))
 
@@ -420,7 +423,7 @@ def test_build_extension_refuses_exactly_what_validate_decomposition_does():
         v = int(rng.integers(1, g.n + 1))
         bags[t] = bags[t] ^ {v} if len(bags[t]) > 1 or v not in bags[t] \
             else bags[t]
-        mtd = replace(td, bags=bags, _parent=None, _children=None)
+        mtd = replace(td, bags=bags)
         p = random_splr_problem(rng, g.n, 1, graph=g, m_extra=1)
         valid = validate_decomposition(mtd, g)
         verdicts.add(valid)

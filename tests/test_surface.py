@@ -8,7 +8,9 @@ an attribute of its name is read, whatever the object.  A use inside a
 definition counts only when that definition is itself reached, so a
 helper of dead code is dead too.  Test oracles live in `conftest.py`.
 Every field of a dataclass in `src/` is read as an attribute somewhere
-in `src/` or the benchmark, apart from the fields in UNREAD_FIELDS.
+in `src/` or the benchmark, apart from the fields in UNREAD_FIELDS, and
+none is private: `dataclasses.replace` copies every field, so state
+derived from the others would go stale in the copy.
 Every import in `src/` sits at module level, and the modules' imports
 of each other form no cycle.
 """
@@ -43,22 +45,32 @@ def _reads(node):
             or isinstance(n, ast.Attribute)}
 
 
+def _trees():
+    """Path -> parsed module for every file of src/ and the benchmark."""
+    return {path: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))
+            + sorted((ROOT / "benchmark").glob("*.py"))}
+
+
+def _dataclass_fields(trees):
+    """module.Class.field for every dataclass field in src/."""
+    return ["%s.%s.%s" % (path.stem, cls.name, f.target.id)
+            for path, tree in trees.items() if path.parent == PACKAGE
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d)
+                    for d in cls.decorator_list)
+            for f in cls.body if isinstance(f, ast.AnnAssign)
+            and isinstance(f.target, ast.Name)]
+
+
 def _unread_fields():
     """module.Class.field for every dataclass field in src/ that no
     attribute read in src/ or the benchmark names."""
-    trees = {path: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))
-             + sorted((ROOT / "benchmark").glob("*.py"))}
+    trees = _trees()
     read = {n.attr for tree in trees.values() for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    fields = ["%s.%s.%s" % (path.stem, cls.name, f.target.id)
-              for path, tree in trees.items() if path.parent == PACKAGE
-              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-              and any("dataclass" in ast.unparse(d)
-                      for d in cls.decorator_list)
-              for f in cls.body if isinstance(f, ast.AnnAssign)
-              and isinstance(f.target, ast.Name)]
-    return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
+    return sorted(f for f in _dataclass_fields(trees)
+                  if f.rsplit(".", 1)[1] not in read)
 
 
 def _methods(cls):
@@ -175,3 +187,9 @@ def test_every_dataclass_field_is_read_outside_the_tests():
         "dataclass fields only tests read: %s" % sorted(unread - UNREAD_FIELDS)
     assert UNREAD_FIELDS <= unread, \
         "read now, so no longer allowed: %s" % sorted(UNREAD_FIELDS - unread)
+
+
+def test_no_dataclass_field_is_private():
+    private = [f for f in _dataclass_fields(_trees())
+               if f.rsplit(".", 1)[1].startswith("_")]
+    assert private == [], "private dataclass fields: %s" % private
