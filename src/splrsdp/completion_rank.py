@@ -34,12 +34,16 @@ __all__ = [
     "recover_low_rank",
 ]
 
+SLICE_TOL = 1e-6  # rank_reduce_affine's slack on a point's rows and cone
+
+
 @dataclass
 class AffineSlice:
-    """{Y PSD : <mats[j], Y> = rhs[j]} with a known feasible point."""
+    """{Y PSD : <mats[j], Y> = rhs[j]} with a known feasible point; mats a
+    (q, d, d) stack (or list of matrices), rhs q values."""
 
-    mats: list
-    rhs: list
+    mats: np.ndarray
+    rhs: np.ndarray
     point: np.ndarray
 
 
@@ -248,46 +252,58 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     return FactoredSolution(R[:, live])
 
 
-def rank_reduce_affine(slc, feas_tol=1e-6):
-    """Walk the feasible point of an affine PSD slice down in rank.
+def rank_reduce_affine(slc):
+    """Walk the point of an affine PSD slice down in rank (_rank_walk).
 
-    Each step finds a symmetric direction Delta with
-    <R.T @ B_j @ R, Delta> = 0 for all j (smallest singular direction of the
-    factored tangent system), then moves Y -> R (I + alpha Delta) R.T with
-    alpha = -1/lambda chosen so the boundary of the cone is hit.  Constraint
-    values are invariant along these moves.  Stops when the tangent system
-    has no null direction (singular values above PINV_RCOND times the
-    largest, or 1, span it), which forces r(r+1)/2 <= len(mats).  A point
-    off the slice by more than feas_tol, or by NaN, raises ValueError.
+    The point must be finite, meet every row within SLICE_TOL and have no
+    eigenvalue below -SLICE_TOL * max(1, largest eigenvalue); a point that
+    fails one of these (a NaN row gap counts as off the slice), or an rhs
+    whose length is not the row count, raises ValueError.
     """
     Y = _sym(np.asarray(slc.point, dtype=float))
     S = _sym(np.asarray(slc.mats, dtype=float)
              .reshape(len(slc.mats), *Y.shape))
+    rhs = np.asarray(slc.rhs, dtype=float).reshape(len(S))
     # np.max keeps a NaN gap, where max() may skip it
-    worst = float(np.max([abs(float(np.sum(B * Y)) - c)
-                          for B, c in zip(S, slc.rhs)], initial=0.0))
-    if not worst <= feas_tol:
+    worst = float(np.max(np.abs(np.sum(S * Y, axis=(1, 2)) - rhs),
+                         initial=0.0))
+    if not worst <= SLICE_TOL:
         raise ValueError("slice point infeasible by %.3e" % worst)
-    R = _psd_factor(Y)
+    if not np.isfinite(Y).all():  # without rows no gap carries it
+        raise ValueError("slice point has a non-finite entry")
+    w = np.linalg.eigvalsh(Y)
+    if w.min(initial=0.0) < -SLICE_TOL * w.max(initial=1.0):
+        raise ValueError("slice point is not PSD: eigenvalue %.3e" % w[0])
+    return FactoredSolution(_rank_walk(S, _psd_factor(Y)))
+
+
+def _rank_walk(S, R):
+    """Walk the PSD point R R^T down in rank, keeping its value on every
+    symmetric row of the (q, d, d) stack S; returns the last factor.
+
+    Each step finds a symmetric direction Delta with
+    <R.T @ S_j @ R, Delta> = 0 for all j (smallest singular direction of the
+    factored tangent system), then moves Y -> R (I + alpha Delta) R.T with
+    alpha = -1/lambda chosen so the boundary of the cone is hit.  Row
+    values are invariant along these moves.  Stops when the tangent system
+    has no null direction (singular values above PINV_RCOND times the
+    largest, or 1, span it), which forces r(r+1)/2 <= q.  Without rows the
+    SVD's right factor is the identity, so each step drops one column.
+    """
     while R.shape[1] > 0:
         r = R.shape[1]
-        dim = r * (r + 1) // 2
-        if len(S):
-            # the tangent system in symmetric vectorization, where
-            # <A, B> = svec(A) @ svec(B): off-diagonal entries carry sqrt(2)
-            iu = np.triu_indices(r)
-            off = iu[0] != iu[1]
-            K = (R.T @ S @ R)[:, iu[0], iu[1]]
-            K[:, off] *= np.sqrt(2.0)
-            _, s, Vt = np.linalg.svd(K, full_matrices=True)
-            tau = PINV_RCOND * max(s[0] if s.size else 0.0, 1.0)
-            if int(np.sum(s > tau)) >= dim:
-                break
-            delta = np.zeros((r, r))
-            delta[iu] = np.where(off, 1.0 / np.sqrt(2.0), 1.0) * Vt[-1]
-            delta += np.triu(delta, 1).T
-        else:
-            delta = np.eye(r) / np.sqrt(r)
+        # the tangent system in symmetric vectorization, where
+        # <A, B> = svec(A) @ svec(B): off-diagonal entries carry sqrt(2)
+        iu = np.triu_indices(r)
+        off = iu[0] != iu[1]
+        K = (R.T @ S @ R)[:, iu[0], iu[1]]
+        K[:, off] *= np.sqrt(2.0)
+        _, s, Vt = np.linalg.svd(K, full_matrices=True)
+        if int(np.sum(s > PINV_RCOND * s.max(initial=1.0))) >= off.size:
+            break
+        delta = np.zeros((r, r))
+        delta[iu] = np.where(off, 1.0 / np.sqrt(2.0), 1.0) * Vt[-1]
+        delta += np.triu(delta, 1).T
         lam, P = np.linalg.eigh(delta)
         istar = int(np.argmax(np.abs(lam)))
         alpha = -1.0 / lam[istar]
@@ -297,28 +313,23 @@ def rank_reduce_affine(slc, feas_tol=1e-6):
         if W.shape[1] >= r:
             break  # no progress; numerical stalemate
         R = R @ W
-    return FactoredSolution(R)
+    return R
 
 
 def _coupled_slice(G, target, point):
     """{Y PSD, 2l x 2l : both diagonal blocks I, sym(G Y G^T) = target}
-    for l x 2l G, with the feasible point given.  Each identity row off the
-    diagonal holds two unit entries and rhs 0; each coupling row (a, b),
-    a <= b, is sym(G[a] G[b]^T) with rhs target[a, b]."""
+    for l x 2l G, with the feasible point given, as one stack of rows, each
+    group in np.triu_indices(l) order of (a, b): the identity rows of the
+    first and then the second diagonal block (two unit entries and rhs 0
+    off the diagonal), then the coupling rows sym(G[a] G[b]^T) with rhs
+    target[a, b]."""
     ell = G.shape[0]
-    mats, rhs = [], []
-    for off in (0, ell):
-        for a in range(ell):
-            for b in range(a, ell):
-                M = np.zeros((2 * ell, 2 * ell))
-                M[off + a, off + b] = M[off + b, off + a] = 1.0
-                mats.append(M)
-                rhs.append(1.0 if a == b else 0.0)
-    for a in range(ell):
-        for b in range(a, ell):
-            mats.append(_sym(np.outer(G[a], G[b])))
-            rhs.append(target[a, b])
-    return AffineSlice(mats, rhs, point)
+    a, b = np.triu_indices(ell)
+    k, i, j = np.arange(2 * a.size), np.r_[a, a + ell], np.r_[b, b + ell]
+    unit = np.zeros((k.size, 2 * ell, 2 * ell))
+    unit[k, i, j] = unit[k, j, i] = 1.0
+    mats = np.concatenate([unit, _sym(G[a, :, None] * G[b, None, :])])
+    return AffineSlice(mats, np.r_[a == b, a == b, target[a, b]], point)
 
 
 def reduce_block(Z, v_part, ell):
@@ -334,64 +345,44 @@ def reduce_block(Z, v_part, ell):
 
     The construction: take the generalized Schur complement of the bag
     block, split its factor into the three aux row groups, orthogonalize
-    each, reduce the resulting 2*ell-dimensional slice (both diagonal blocks
-    = identity, coupled product fixed), and rebuild.
+    each (one batched QR), walk the resulting 2*ell-dimensional slice (both
+    diagonal blocks = identity, coupled product fixed) down in rank, and
+    rebuild.  With ell = 0 or an empty bag the same steps run on empty
+    arrays.
     """
     Z = _sym(np.asarray(Z, dtype=float))
-    d = Z.shape[0]
-    if ell == 0:
-        return Z.copy()
-    p = d - 3 * ell
+    p = Z.shape[0] - 3 * ell
     if p < 0:
-        raise ValueError("block of size %d cannot hold three aux groups of %d" % (d, ell))
+        raise ValueError("block of size %d cannot hold three aux groups of %d"
+                         % (Z.shape[0], ell))
     if v_part.shape != (p, ell):
         raise ValueError("v_part shape %s, expected (%d, %d)" % (v_part.shape, p, ell))
     E = np.vstack([np.eye(ell), np.eye(ell), -np.eye(ell)])
     U = np.vstack([v_part, E])
     scale = max(1.0, float(np.abs(Z).max()))
-    resid = float(np.abs(U.T @ Z @ U).max())
+    resid = float(np.abs(U.T @ Z @ U).max(initial=0.0))
     if resid > 1e-6 * scale:
         raise RecoveryError("block violates its accumulator identity by %.3e"
                             % resid, face_residual=resid)
 
-    B = Z[:p, :p]
     C = Z[p:, :p]
-    Mblk = Z[p:, p:]
-    if p:
-        Bp = np.linalg.pinv(B, rcond=PINV_RCOND)
-        CBp = C @ Bp
-        Mp = _sym(Mblk - CBp @ C.T)
-    else:
-        CBp = np.zeros((3 * ell, 0))
-        Mp = Mblk.copy()
-
-    R = _psd_factor(Mp)
+    CBp = C @ np.linalg.pinv(Z[:p, :p], rcond=PINV_RCOND)
+    R = _psd_factor(_sym(Z[p:, p:] - CBp @ C.T))
     if R.shape[1] <= bp_bound(ell):
         return Z.copy()
 
-    R1, R2, R3 = R[:ell], R[ell:2 * ell], R[2 * ell:]
-    q1, l1 = np.linalg.qr(R1.T)
-    q2, l2 = np.linalg.qr(R2.T)
-    q3, l3 = np.linalg.qr(R3.T)
-    Q1, R1_ = q1.T, l1.T
-    Q2, R2_ = q2.T, l2.T
-    R3_ = l3.T
-    Y0 = np.vstack([Q1, Q2]) @ np.vstack([Q1, Q2]).T
-    slc = _coupled_slice(np.hstack([R1_, R2_]), R3_ @ R3_.T, Y0)
-    init_resid = max(abs(float(np.sum(B_ * Y0)) - c)
-                     for B_, c in zip(slc.mats, slc.rhs))
-    W = rank_reduce_affine(slc, feas_tol=max(1e-8, 10.0 * init_resid)).factor
-    Q1n, Q2n = W[:ell], W[ell:]
-    P = R1_ @ Q1n + R2_ @ Q2n
-    Q3n = np.linalg.pinv(R3_, rcond=PINV_RCOND) @ P
-    F = np.vstack([R1_ @ Q1n, R2_ @ Q2n, R3_ @ Q3n])
-    Mpp = F @ F.T
+    # R_k = L_k Q_k with orthonormal rows Q_k, for the aux groups k = 1, 2, 3
+    q, l = np.linalg.qr(np.swapaxes(R.reshape(3, ell, -1), 1, 2))
+    Q, L = np.swapaxes(q, 1, 2), np.swapaxes(l, 1, 2)
+    Q12 = np.vstack([Q[0], Q[1]])
+    slc = _coupled_slice(np.hstack([L[0], L[1]]), L[2] @ L[2].T, Q12 @ Q12.T)
+    W = _rank_walk(slc.mats, _psd_factor(slc.point))
+    F1, F2 = L[0] @ W[:ell], L[1] @ W[ell:]
+    F3 = L[2] @ (np.linalg.pinv(L[2], rcond=PINV_RCOND) @ (F1 + F2))
+    F = np.vstack([F1, F2, F3])
 
-    out = np.zeros_like(Z)
-    out[:p, :p] = B
-    out[p:, :p] = C
-    out[:p, p:] = C.T
-    out[p:, p:] = (CBp @ C.T if p else 0.0) + Mpp
+    out = Z.copy()
+    out[p:, p:] = CBp @ C.T + F @ F.T
     return _sym(out)
 
 

@@ -236,7 +236,7 @@ def slice_to_dict(sl):
     return {
         "schema": SLICE_SCHEMA,
         "dim": dim,
-        "mats": [np.asarray(M, dtype=float).tolist() for M in sl.mats],
+        "mats": np.asarray(sl.mats, dtype=float).tolist(),
         "rhs": [float(r) for r in sl.rhs],
         "point": np.asarray(sl.point, dtype=float).tolist(),
     }
@@ -246,11 +246,14 @@ def slice_from_dict(d):
     if d.get("schema") != SLICE_SCHEMA:
         raise ValueError("not a slice file (schema %r)" % d.get("schema"))
     dim = _number(d["dim"], int, "dim")
-    mats = [_number(M, np.ndarray, "mats").reshape(dim, dim)
-            for M in _typed(d["mats"], list, "mats")]
-    return AffineSlice(mats, [_number(r, float, "rhs")
-                              for r in _typed(d["rhs"], list, "rhs")],
-                       _number(d["point"], np.ndarray, "point").reshape(dim, dim))
+    rows = _typed(d["mats"], list, "mats")
+    mats = _number(rows, np.ndarray, "mats").reshape(len(rows), dim, dim)
+    rhs = [_number(r, float, "rhs") for r in _typed(d["rhs"], list, "rhs")]
+    if len(rhs) != len(mats):
+        raise ValueError("slice has %d rows in mats but %d rhs values"
+                         % (len(mats), len(rhs)))
+    return AffineSlice(mats, np.array(rhs), _number(
+        d["point"], np.ndarray, "point").reshape(dim, dim))
 
 
 def stats_to_dict(st):

@@ -32,7 +32,7 @@ __all__ = [
 
 RANK_TOL = 1e-8  # relative eigenvalue cut of every reported rank
 # relative cut for pseudo-inverses, factor tails, face bases and the
-# tangent system of completion_rank.rank_reduce_affine
+# tangent system of completion_rank._rank_walk
 PINV_RCOND = 1e-10
 # floats gathered per step when row values read factor rows: at n = 2000 a
 # whole-problem gather at full rank would take hundreds of MB

@@ -886,6 +886,40 @@ def test_reduce_refuses_a_nan_in_the_slice(tmp_path, capsys, key):
     assert not (tmp_path / "red.json").exists()
 
 
+def _off_slice_psd(d):
+    """The point of a dim-4 slice file plus 5 times the direction its rows
+    annihilate: on every row still, but not PSD."""
+    S = np.array(d["mats"])
+    iu = np.triu_indices(4)
+    K = S[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
+    D = np.zeros((4, 4))
+    D[iu] = np.linalg.svd(K)[2][-1]
+    return (np.array(d["point"]) + 5.0 * (D + np.triu(D, 1).T)).tolist()
+
+
+@pytest.mark.parametrize("key, edit, named", [
+    ("rhs", lambda d: d["rhs"][:-2], "slice has 9 rows in mats but 7 rhs"),
+    ("rhs", lambda d: d["rhs"] + [0.0, 0.0],
+     "slice has 9 rows in mats but 11 rhs"),
+    ("point", _off_slice_psd, "slice point is not PSD: eigenvalue -"),
+], ids=["rhs short", "rhs long", "point not PSD"])
+def test_reduce_refuses_a_malformed_slice(tmp_path, capsys, key, edit, named):
+    # each exited 0 with rank 3 or 2: rows without an rhs value were
+    # dropped, and the factor of the point kept only its PSD part, which
+    # missed a row by 2.27
+    f = tmp_path / "phi.json"
+    assert run(["gen", "phi", "--ell", "2", "--out", str(f)]) == 0
+    d = _load(f)
+    d[key] = edit(d)
+    f.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["reduce", "--in", str(f),
+                "--out", str(tmp_path / "red.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: " + named), err
+    assert not (tmp_path / "red.json").exists()
+
+
 @pytest.mark.parametrize("params, named", [
     ('{"tol_primal": null}', "tol_primal"),
     ('{"rho": [1]}', "rho"),

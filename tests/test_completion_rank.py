@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
+from splrsdp import completion_rank
 from splrsdp.chordal_conversion import (BlockSdp, RecoveryError, assemble,
                                         convert_problem)
 from splrsdp.completion_rank import (AffineSlice, _block_rank, _face_bases,
@@ -12,6 +13,7 @@ from splrsdp.completion_rank import (AffineSlice, _block_rank, _face_bases,
                                      psd_complete_min_rank, rank_reduce_affine,
                                      recover_low_rank, reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
+from splrsdp.instances import gen_phi_witness
 from splrsdp.sdp_model import (PINV_RCOND, RANK_TOL, FactoredSolution,
                                eval_objective)
 from splrsdp.sparse_extension import canonical_relabel, extend_solution
@@ -162,23 +164,24 @@ def test_rank_rule_edge_cases():
     assert _block_rank(np.zeros((2, 0, 0))).tolist() == [0, 0]
 
 
-def _branching_ell0_lift(rng):
-    """An ell = 0 problem on a random valid decomposition whose rooted
-    binary tree has a two-child node, with the exact lift of a random
-    rank-2 point; returns (problem, ext, bs, point factor, lifted blocks)."""
+def _branching_lift(rng, ell=0, rank=2):
+    """A problem of factor width ell on a random valid decomposition whose
+    rooted binary tree has a two-child node, with the exact lift of a
+    random point of the given rank (None: full rank n); returns (problem,
+    ext, bs, point factor, lifted blocks)."""
     while True:
         g, td = random_valid_td(rng, int(rng.integers(4, 10)))
-        p = random_splr_problem(rng, g.n, 0, graph=g)
+        p = random_splr_problem(rng, g.n, ell, graph=g)
         ext, bs, _ = convert_problem(p, td=td)
         if any(len(ext.pattern.td.children(t)) == 2 for t in bs.blocks):
-            F = rng.standard_normal((g.n, 2))
+            F = rng.standard_normal((g.n, rank or g.n))
             return p, ext, bs, F, _lifted_blocks(ext, bs, F)
 
 
 def test_ell0_face_path_matches_the_plain_completion():
     rng = np.random.default_rng(43)
     for _ in range(6):
-        _, ext, bs, _, blocks = _branching_ell0_lift(rng)
+        _, ext, bs, _, blocks = _branching_lift(rng)
         assert all(C.shape == (len(bs.blocks[t]), 0)
                    for t, C in bs.null_mats.items())
         etd = ext.pattern.td
@@ -196,7 +199,7 @@ def test_ell0_face_path_matches_the_plain_completion():
 def test_recover_low_rank_ell0_branching_tree():
     rng = np.random.default_rng(47)
     for _ in range(6):
-        p, ext, bs, F, blocks = _branching_ell0_lift(rng)
+        p, ext, bs, F, blocks = _branching_lift(rng)
         sol, info = recover_low_rank(blocks, ext, bs, mode="tree")
         assert info["reduced_blocks"] == []
         assert info["rank"] <= min(2, info["certified_bound"])
@@ -205,6 +208,36 @@ def test_recover_low_rank_ell0_branching_tree():
             v0 = eval_constraint(p, i, ref) if i else eval_objective(p, ref)
             v1 = eval_constraint(p, i, sol) if i else eval_objective(p, sol)
             assert abs(v0 - v1) < 1e-9 * max(1.0, abs(v0))
+
+
+def test_recover_low_rank_reduces_two_child_blocks_on_random_trees(
+        monkeypatch):
+    # with ell >= 1 every two-child block goes through reduce_block.  An
+    # exact block's Schur complement has rank <= 2 ell, which bp_bound(1) = 2
+    # already meets, so only ell = 2 walks: 9 of its blocks here
+    walks = []
+
+    def counted(S, R):
+        walks.append(ell)
+        return walk(S, R)
+
+    walk = completion_rank._rank_walk
+    monkeypatch.setattr(completion_rank, "_rank_walk", counted)
+    rng = np.random.default_rng(53)
+    for ell in (1, 2):
+        for _ in range(6):
+            p, ext, bs, F, blocks = _branching_lift(rng, ell, None)
+            td = ext.pattern.td
+            sol, info = recover_low_rank(blocks, ext, bs)
+            assert info["reduced_blocks"] == [
+                t for t in sorted(td.nodes) if len(td.children(t)) == 2]
+            assert info["rank"] <= info["certified_bound"]
+            ref = FactoredSolution(F)
+            for i in range(p.m + 1):
+                v0 = eval_constraint(p, i, ref) if i else eval_objective(p, ref)
+                v1 = eval_constraint(p, i, sol) if i else eval_objective(p, sol)
+                assert abs(v0 - v1) < 1e-7 * max(1.0, abs(v0))
+    assert 2 in walks
 
 
 def _bag_layout(td, root=1):
@@ -351,6 +384,23 @@ def test_rank_reduce_affine_edge_cases():
     B = np.eye(3)
     with pytest.raises(ValueError):
         rank_reduce_affine(AffineSlice([B], [0.0], np.eye(3)))
+    # a point that meets its rows but is not PSD is refused: the walk's
+    # factor would drop its negative part and leave the slice
+    E = np.zeros((3, 3))
+    E[0, 1] = E[1, 0] = 1.0
+    Y = np.eye(3) + 2.0 * np.diag([1.0, -1.0, 0.0])  # eigenvalue -1
+    with pytest.raises(ValueError, match="not PSD: eigenvalue -1.000e"):
+        rank_reduce_affine(AffineSlice([E, B], [0.0, 3.0], Y))
+    # within 1e-6 of the largest eigenvalue it is taken as rounding
+    Y = np.diag([4.0, 1.0, -3e-6])
+    out = rank_reduce_affine(AffineSlice([E, B], [0.0, 5.0 - 3e-6], Y))
+    assert out.factor.shape[1] <= max_rank_for_constraints(2)
+    # a NaN point is refused also when no row gap carries the NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        rank_reduce_affine(AffineSlice([], [], np.diag([np.nan, 1.0])))
+    # the row count and the rhs length must agree
+    with pytest.raises(ValueError):
+        rank_reduce_affine(AffineSlice([E, B], [0.0], np.eye(3)))
 
 
 def test_unique_coupled_slice_is_fixed_point():
@@ -377,24 +427,44 @@ def test_unique_coupled_slice_is_fixed_point():
                 v[b] = v[ell + b] = 1.0
                 mats.append(0.5 * (np.outer(u, v) + np.outer(v, u)))
                 rhs.append(M[a, b])
+        # the stacked slice the package builds holds these rows, bitwise and
+        # in this order
+        sl = gen_phi_witness(ell)
+        assert np.asarray(sl.mats).tobytes() == np.array(mats).tobytes()
+        assert np.asarray(sl.rhs).tobytes() == np.array(rhs).tobytes()
+        assert np.array_equal(sl.point, Y0)
         out = rank_reduce_affine(AffineSlice(mats, rhs, Y0))
         assert np.abs(out.factor @ out.factor.T - Y0).max() < 1e-8
         assert out.factor.shape[1] == ell + 1
 
 
+def _reduction_input(rng, p, ell, r):
+    """A rank <= r block in reduce_block's order [bag | child-1 aux |
+    child-2 aux | own aux] that meets its accumulator identity, and its
+    v_part."""
+    vp = rng.standard_normal((p, ell))
+    Rv = rng.standard_normal((p, r))
+    R1 = rng.standard_normal((ell, r))
+    R2 = rng.standard_normal((ell, r))
+    R3 = vp.T @ Rv + R1 + R2
+    S = np.vstack([Rv, R1, R2, R3])
+    return S @ S.T, vp
+
+
 def test_reduce_block_keeps_data_and_certifies_rank():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        p = int(rng.integers(1, 7))
-        ell = int(rng.integers(1, 4))
-        r = int(rng.integers(p + 2 * ell, p + 3 * ell + 3))
-        vp = rng.standard_normal((p, ell))
-        Rv = rng.standard_normal((p, r))
-        R1 = rng.standard_normal((ell, r))
-        R2 = rng.standard_normal((ell, r))
-        R3 = vp.T @ Rv + R1 + R2
-        S = np.vstack([Rv, R1, R2, R3])
-        Z = S @ S.T
+
+    def shapes():
+        for _ in range(30):
+            p = int(rng.integers(1, 7))
+            ell = int(rng.integers(1, 4))
+            yield p, ell, int(rng.integers(p + 2 * ell, p + 3 * ell + 3))
+        # an empty bag: the walk gets the whole aux part, of rank 2 ell
+        yield 0, 2, 6
+        yield 0, 3, 9
+
+    for p, ell, r in shapes():
+        Z, vp = _reduction_input(rng, p, ell, r)
         Zr = reduce_block(Z, vp, ell)
         assert np.allclose(Zr[:p, :p], Z[:p, :p], atol=1e-8)
         assert np.allclose(Zr[p:, :p], Z[p:, :p], atol=1e-8)
@@ -412,14 +482,14 @@ def test_reduce_block_keeps_data_and_certifies_rank():
 def test_reduce_block_narrow_input_untouched():
     rng = np.random.default_rng(9)
     p, ell = 4, 2
-    vp = rng.standard_normal((p, ell))
-    Rv = rng.standard_normal((p, p))
-    R1 = rng.standard_normal((ell, p))
-    R2 = rng.standard_normal((ell, p))
-    R3 = vp.T @ Rv + R1 + R2
-    S = np.vstack([Rv, R1, R2, R3])
-    Z = S @ S.T  # residual after removing the bag part has rank 0
+    # residual after removing the bag part has rank 0
+    Z, vp = _reduction_input(rng, p, ell, p)
     assert np.abs(reduce_block(Z, vp, ell) - Z).max() < 1e-10
+    # with ell = 0 there is nothing to reduce: the symmetric block comes
+    # back bitwise
+    Z, vp = _reduction_input(rng, 5, 0, 7)
+    Z = 0.5 * (Z + Z.T)
+    assert reduce_block(Z, vp, 0).tobytes() == Z.tobytes()
 
 
 def test_reduce_block_rejects_broken_identity():

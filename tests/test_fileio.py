@@ -190,7 +190,7 @@ def test_slice_roundtrip():
     for A, B in zip(sl.mats, back.mats):
         assert np.array_equal(A, B)
     assert np.array_equal(back.point, sl.point)
-    assert back.rhs == sl.rhs
+    assert np.array_equal(back.rhs, sl.rhs)
 
 
 def test_solution_roundtrip_with_stats_and_problem():
