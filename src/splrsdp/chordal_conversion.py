@@ -324,22 +324,20 @@ def export_sdpa(bs, fh):
             rows.append((r, hi, +1))  # value + slack = hi
     rows += [(r, 0.0, 0) for r in range(len(bs.bounds) + 1, M.shape[0])]
 
-    # file row (matno) k copies row src[k] of M, whose entries sit at `at`
-    # in M's data; a row with a slack ends in its LP-block entry
+    # file row (matno) k copies row src[k] of M in its stored order (CSR
+    # row indexing keeps it); a row with a slack ends in its LP-block entry
     src = np.array([0] + [r for r, _, _ in rows], dtype=np.int64)
     sign = np.array([0] + [s for _, _, s in rows], dtype=float)
-    length = np.diff(M.indptr)[src]
-    skip = M.indptr[src] - (np.cumsum(length) - length)
-    at = np.repeat(skip, length) + np.arange(length.sum())
-    c = M.indices[at]
+    F = M[src]
+    c = F.indices
     slack = np.flatnonzero(sign)
     if slack.size:
         sizes.append(-slack.size)
     diag = np.arange(1, slack.size + 1)  # slack h at LP entry (h, h)
     cols = [np.concatenate(x) for x in (
-        (np.repeat(np.arange(src.size), length), slack),
+        (np.repeat(np.arange(src.size), np.diff(F.indptr)), slack),
         (blk[c] + 1, np.full(slack.size, len(block_ids) + 1)),
-        (i[c] + 1, diag), (j[c] + 1, diag), (M.data[at], sign[slack]))]
+        (i[c] + 1, diag), (j[c] + 1, diag), (F.data, sign[slack]))]
     order = np.argsort(cols[0], kind="stable")
     fh.write("%d\n%d\n%s\n%s\n" % (
         len(rows), len(sizes), " ".join(map(str, sizes)),

@@ -246,8 +246,8 @@ def _cmd_report(args):
         out.update(n=n, ell=ell, k=k, n_hat=n + ell * k)
     elif schema == fileio.SOLUTION_SCHEMA:
         out["blocks"] = len(typed(d["blocks"], dict, "blocks"))
-        if "stats" in d:
-            out.update(typed(d["stats"], dict, "stats"))
+        if "stats" in d:  # the report's own keys win over the stats'
+            out = dict(typed(d["stats"], dict, "stats"), **out)
     elif schema == fileio.RECOVERED_SCHEMA:
         out.update(rank=d["rank"], certified_bound=d["certified_bound"],
                    mode=d["mode"], residuals=d["residuals"])

@@ -411,22 +411,22 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
     """Turn a solved block problem into a low-rank factored solution.
 
     block_solution maps tree node -> PSD block matrix (indexed by
-    bs.blocks[t]).  In "tree" mode every two-child block is first reduced by
-    reduce_block, which takes it in its stored order (see BlockSdp); in
-    "path" mode (only valid when no node has two children) blocks are
-    already narrow enough and are used as-is.  The blocks are then made to
-    agree on their overlaps (chordal_conversion.assemble), completed at
+    bs.blocks[t]).  The shape of the rooted tree ext.pattern.td sets the
+    mode: "tree" when a node has two children, "path" otherwise.  In tree
+    mode every two-child block is first reduced by reduce_block, which
+    takes it in its stored order (see BlockSdp).  The blocks are then made
+    to agree on their overlaps (chordal_conversion.assemble), completed at
     minimum rank along the extended clique tree on the faces of the
     accumulator constraints, and restricted to the original rows.  Solver
     output too inexact for any of these steps raises RecoveryError, and a
     block_solution whose keys are not exactly bs's nodes, or whose blocks
-    hold a non-finite entry, ValueError.  mode defaults to "path" exactly
-    when no node of ext.pattern.td has two children.
+    hold a non-finite entry, ValueError, as does a mode other than None or
+    the tree's own.
 
     Returns (solution, info) where solution is a FactoredSolution on the
-    original index range and info reports block ranks and the certified
-    bound: width + ell + 1 on paths, width + bp_bound(ell) + 1 on trees,
-    width taken from the decomposition that produced the blocks.
+    original index range and info reports the mode, block ranks and the
+    certified bound: width + ell + 1 on paths, width + bp_bound(ell) + 1 on
+    trees, width taken from the decomposition that produced the blocks.
     """
     missing = [t for t in sorted(bs.blocks) if t not in block_solution]
     if missing:
@@ -443,16 +443,12 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
     if bad:
         raise ValueError("block %s has a non-finite entry" % min(bad))
     two_child = _two_child_nodes(td)
-    if mode is None:
-        mode = "tree" if two_child else "path"
-    if mode == "path":
-        if two_child:
-            raise ValueError("path mode needs a path decomposition; nodes %s have"
-                             " two children" % two_child)
-    elif mode != "tree":
-        raise ValueError("mode must be 'path' or 'tree'")
+    shape = "tree" if two_child else "path"
+    if mode not in (None, shape):
+        raise ValueError("mode %r contradicts the decomposition's shape %r"
+                         % (mode, shape))
 
-    reduced = two_child if mode == "tree" and pat.ell else []
+    reduced = two_child if pat.ell else []
     for t in reduced:
         p = len(td.bags[t])
         blocks[t] = reduce_block(blocks[t], ext.a_mats[t][:p], pat.ell)
@@ -471,17 +467,13 @@ def recover_low_rank(block_solution, ext, bs, mode=None, overlap_tol=1e-6,
                                  face_mats=ext.a_mats)
     restricted = restrict_solution(full, ext)
 
-    wid = width(td)
-    if mode == "path":
-        cert = wid + pat.ell + 1
-    else:
-        cert = wid + bp_bound(pat.ell) + 1
     info = {
-        "mode": mode,
+        "mode": shape,
         "block_ranks": _block_ranks(blocks),
         "reduced_blocks": reduced,
         "completed_rank": full.rank,
         "rank": restricted.numerical_rank(),
-        "certified_bound": cert,
+        "certified_bound": width(td) + 1 + (bp_bound(pat.ell) if two_child
+                                            else pat.ell),
     }
     return restricted, info

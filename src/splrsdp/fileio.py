@@ -1,8 +1,8 @@
 """JSON interchange for problems, decompositions, solutions and reports.
 
 All writers sort keys and refuse NaN so files are diffable; infinite
-constraint bounds travel as null.  Loaders take an open file object or a
-path.
+constraint bounds travel as null.  load takes an open file object or a
+path, save a path.
 """
 
 import json
@@ -316,12 +316,9 @@ def dump(d, fh):
     fh.write("\n")
 
 
-def save(d, path_or_file):
-    if hasattr(path_or_file, "write"):
-        dump(d, path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            dump(d, fh)
+def save(d, path):
+    with open(path, "w") as fh:
+        dump(d, fh)
 
 
 def load(path_or_file):

@@ -115,14 +115,10 @@ class TreeDecomposition:
         return list(self._oriented[2])
 
 
-def read_graph(path_or_file):
+def read_graph(path):
     """Read the plain text format: first line "n m", then m lines "i j"."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
-    tokens = text.split()
+    with open(path) as fh:
+        tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError("graph file too short")
     n, m = int(tokens[0]), int(tokens[1])

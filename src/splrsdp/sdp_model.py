@@ -222,30 +222,26 @@ def _entries(terms):
 
 
 def _core_gram(p, sol):
-    """factor.T @ X @ factor, shared by every row at one point; None if ell = 0."""
+    """factor.T @ X @ factor at the FactoredSolution sol, shared by every
+    row at one point; None if ell = 0."""
     if not p.ell:
         return None
-    if isinstance(sol, FactoredSolution):
-        G = p.factor.T @ sol.factor
-        return G @ G.T
-    return p.factor.T @ np.asarray(sol) @ p.factor
+    G = p.factor.T @ sol.factor
+    return G @ G.T
 
 
 def _values(terms, sol, core_gram, entries=None):
-    """Every term's <A, X> at once: the sparse part against X plus core .
-    core_gram (see _core_gram).  `sol` is a FactoredSolution or a dense X.
-    `entries` is _entries(terms) when the caller evaluates the same terms
-    at many points, so the entry dicts are read once.
+    """Every term's <A, X> at the FactoredSolution sol at once: the sparse
+    part against X plus core . core_gram (see _core_gram).  `entries` is
+    _entries(terms) when the caller evaluates the same terms at many
+    points, so the entry dicts are read once.
     """
     row, i, j, v = _entries(terms) if entries is None else entries
-    if isinstance(sol, FactoredSolution):
-        R = sol.factor
-        x = np.empty(i.size)
-        step = _GATHER // max(R.shape[1], 1) + 1
-        for s in range(0, i.size, step):
-            x[s:s + step] = np.einsum("ij,ij->i", R[i[s:s + step]], R[j[s:s + step]])
-    else:
-        x = np.asarray(sol)[i, j]
+    R = sol.factor
+    x = np.empty(i.size)
+    step = _GATHER // max(R.shape[1], 1) + 1
+    for s in range(0, i.size, step):
+        x[s:s + step] = np.einsum("ij,ij->i", R[i[s:s + step]], R[j[s:s + step]])
     # off-diagonal entries stand for (i, j) and (j, i)
     out = np.bincount(row, np.where(i == j, v, 2.0 * v) * x, len(terms)).astype(float)
     if core_gram is not None:
@@ -255,11 +251,13 @@ def _values(terms, sol, core_gram, entries=None):
 
 
 def eval_objective(p, sol):
+    """<A_0, X> at the FactoredSolution sol."""
     return float(_values([p.objective], sol, _core_gram(p, sol))[0])
 
 
 def is_feasible(p, sol, tol=1e-8):
-    """Check all constraint rows to absolute tolerance `tol`.
+    """Check all constraint rows at the FactoredSolution sol to absolute
+    tolerance `tol`.
 
     Returns (ok, report) where report carries per-row violations.  A NaN
     row value has a NaN violation, which is never within `tol`.

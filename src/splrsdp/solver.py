@@ -91,13 +91,11 @@ class SolveStats:
                                 repr=False)
 
 
-def _face_project(M, Q, QT=None):
+def _face_project(M, Q, QT):
     """Q clip(Q^T M Q) Q^T for stacks of symmetric M (..., d, d) and face
-    bases Q (..., d, f): one batched eigh.  QT, if given, is Q^T (the block
-    solver passes a contiguous copy it keeps).  The result is symmetrised,
-    as (W w) W^T is not bitwise symmetric."""
-    if QT is None:
-        QT = np.swapaxes(Q, -1, -2)
+    bases Q (..., d, f): one batched eigh.  QT is Q^T (the block solver
+    passes a contiguous copy it keeps).  The result is symmetrised, as
+    (W w) W^T is not bitwise symmetric."""
     w, V = np.linalg.eigh(QT @ M @ Q)
     W = Q @ V
     P = (W * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(W, -1, -2)

@@ -241,6 +241,13 @@ def eval_extended(ext, ext_sol):
     return float(vals[0]), vals[1:]
 
 
+def factored(X):
+    """The FactoredSolution of a PSD matrix X: its eigenvectors scaled by
+    the roots of its eigenvalues, negative ones clipped to zero."""
+    w, V = np.linalg.eigh(np.asarray(X, dtype=float))
+    return FactoredSolution(V * np.sqrt(np.maximum(w, 0.0)))
+
+
 def parse_sdpa(fh):
     """Reads a sparse SDPA (.dat-s) file: the row count m, the block count,
     the block sizes (negative for a diagonal block), the m right-hand sides,
@@ -288,8 +295,7 @@ def parse_sdpa(fh):
 
 
 def eval_constraint(p, i, sol):
-    """Value of constraint row i (1-based) at a FactoredSolution or a
-    dense X."""
+    """Value of constraint row i (1-based) at a FactoredSolution."""
     return float(_values([p.constraints[i - 1]], sol, _core_gram(p, sol))[0])
 
 
@@ -411,7 +417,8 @@ def project_null_psd(M, null_vectors):
     """
     M = np.asarray(M, dtype=float)
     M = 0.5 * (M + M.T)
-    return _face_project(M, face_basis(null_vectors, M.shape[0]))
+    Q = face_basis(null_vectors, M.shape[0])
+    return _face_project(M, Q, Q.T)
 
 
 class AdmmDivergence(RuntimeError):

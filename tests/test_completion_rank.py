@@ -520,7 +520,7 @@ def test_recover_low_rank_tree():
         p = random_splr_problem(rng, n, ell)
         ext, bs, report = convert_problem(p)
         F = rng.standard_normal((n, 3))
-        sol, info = recover_low_rank(_lifted_blocks(ext, bs, F), ext, bs, mode="tree")
+        sol, info = recover_low_rank(_lifted_blocks(ext, bs, F), ext, bs)
         assert info["rank"] <= info["certified_bound"]
         assert max(info["block_ranks"].values()) >= info["completed_rank"]
         ref = FactoredSolution(F)
@@ -563,3 +563,24 @@ def test_recover_path_mode_rejects_branching():
     F = rng.standard_normal((12, 2))
     with pytest.raises(ValueError):
         recover_low_rank(_lifted_blocks(ext, bs, F), ext, bs, mode="path")
+
+
+@pytest.mark.parametrize("branching", [False, True])
+def test_recover_mode_that_contradicts_the_tree_shape_raises(branching):
+    # the tree's shape alone picks the certificate: a mode passed as a
+    # check names both when it disagrees, instead of returning the other
+    # shape's bound
+    rng = np.random.default_rng(37)
+    if branching:
+        _, ext, bs, _, blocks = _branching_lift(rng, 1)
+    else:
+        band = Graph.from_edges(8, {(i, i + 1) for i in range(1, 8)})
+        ext, bs, _ = convert_problem(random_splr_problem(rng, 8, 1, graph=band))
+        blocks = _lifted_blocks(ext, bs, rng.standard_normal((8, 2)))
+    shape, other = ("tree", "path") if branching else ("path", "tree")
+    with pytest.raises(ValueError, match="mode '%s' contradicts the"
+                       " decomposition's shape '%s'" % (other, shape)):
+        recover_low_rank(blocks, ext, bs, mode=other)
+    _, info = recover_low_rank(blocks, ext, bs, mode=shape)
+    assert info == recover_low_rank(blocks, ext, bs)[1]
+    assert info["mode"] == shape

@@ -1,4 +1,3 @@
-import io
 from collections import deque
 from dataclasses import replace
 
@@ -49,17 +48,20 @@ def test_from_edges_normalizes_and_validates():
         Graph.from_edges(3, [(1, 4)])
 
 
-def test_graph_text_roundtrip():
+def test_graph_text_roundtrip(tmp_path):
     g = Graph.from_edges(5, [(1, 2), (2, 5), (3, 4)])
-    buf = io.StringIO()
-    write_graph(g, buf)
-    g2 = read_graph(io.StringIO(buf.getvalue()))
+    path = tmp_path / "g.txt"
+    with open(path, "w") as fh:
+        write_graph(g, fh)
+    g2 = read_graph(path)
     assert g2.n == g.n and g2.edges == g.edges
 
 
-def test_read_graph_rejects_bad_counts():
+def test_read_graph_rejects_bad_counts(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n1 2\n")
     with pytest.raises(ValueError):
-        read_graph(io.StringIO("3 2\n1 2\n"))
+        read_graph(path)
 
 
 def test_width_and_empty_bags():

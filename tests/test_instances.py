@@ -8,7 +8,7 @@ from splrsdp.instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
 from splrsdp.sdp_model import eval_objective, is_feasible, validate_problem
 
 from conftest import (brute_force_treewidth, coupling_singular_values,
-                      lb_tree_feasible_point)
+                      factored, lb_tree_feasible_point)
 
 
 def _rank(X, tol=1e-8):
@@ -22,7 +22,7 @@ def test_simex_defaults():
     assert p.ell == 1 and p.m == 13
     assert not p.pattern.edges
     assert abs(np.linalg.norm(p.factor) - 1.0) < 1e-12
-    ok, rep = is_feasible(p, np.eye(12), tol=1e-10)
+    ok, rep = is_feasible(p, factored(np.eye(12)), tol=1e-10)
     assert ok, rep
 
 
@@ -31,11 +31,11 @@ def test_simex_custom_vector():
     a = rng.normal(size=7) + 0.1
     p = gen_simex(7, a)  # default b keeps the identity feasible
     validate_problem(p)
-    ok, _ = is_feasible(p, np.eye(7), tol=1e-9)
+    ok, _ = is_feasible(p, factored(np.eye(7)), tol=1e-9)
     assert ok
     # with b = (sum a)^2 the all-ones matrix is the natural witness
     q = gen_simex(7, a, float(a.sum()) ** 2)
-    ok, rep = is_feasible(q, np.ones((7, 7)), tol=1e-8)
+    ok, rep = is_feasible(q, factored(np.ones((7, 7))), tol=1e-8)
     assert ok, rep
 
 
@@ -54,13 +54,13 @@ def test_min_bisection_relaxation_point():
         validate_problem(p)
         X = n / (n - 1.0) * (np.eye(n) - np.ones((n, n)) / n) if n > 2 \
             else np.array([[1.0, -1.0], [-1.0, 1.0]])
-        ok, rep = is_feasible(p, X, tol=1e-9)
+        ok, rep = is_feasible(p, factored(X), tol=1e-9)
         assert ok, rep
     # K2 objective at the cut point is the hand value 4
     g2 = Graph.from_edges(2, [(1, 2)])
     p2 = gen_min_bisection(g2)
     X2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert abs(eval_objective(p2, X2) - 4.0) < 1e-12
+    assert abs(eval_objective(p2, factored(X2)) - 4.0) < 1e-12
 
 
 def test_min_bisection_rejects_bad_graphs():
@@ -83,11 +83,11 @@ def test_bqp_lifted_point_feasible():
     x = np.array([1.0, 1.0, 0.0, 0.0])  # meets the budget, binary where asked
     v = np.concatenate([[1.0], x])
     Y = np.outer(v, v)
-    ok, rep = is_feasible(p, Y, tol=1e-9)
+    ok, rep = is_feasible(p, factored(Y), tol=1e-9)
     assert ok, rep
     Qs = 0.5 * (Q + Q.T)
     want = float(x @ Qs @ x + 2.0 * c @ x)
-    assert abs(eval_objective(p, Y) - want) < 1e-9
+    assert abs(eval_objective(p, factored(Y)) - want) < 1e-9
 
 
 def test_bqp_rank_one_row_measures_equalities():
@@ -164,7 +164,7 @@ def test_lb_small_identity_is_the_witness():
         validate_problem(p)
         assert p.n == ell + 1
         assert p.m == (ell + 1) + ell * (ell + 1) // 2
-        ok, rep = is_feasible(p, np.eye(ell + 1), tol=1e-10)
+        ok, rep = is_feasible(p, factored(np.eye(ell + 1)), tol=1e-10)
         assert ok, rep
     with pytest.raises(ValueError):
         gen_lb_small(0)
@@ -175,7 +175,7 @@ def test_lb_padded_identity_point_and_pattern():
     p = gen_lb_padded(base, sigma=2, n_hat=7)
     validate_problem(p)
     assert p.n == 7 and p.ell == base.ell
-    ok, rep = is_feasible(p, np.eye(7), tol=1e-10)
+    ok, rep = is_feasible(p, factored(np.eye(7)), tol=1e-10)
     assert ok, rep
     adj = p.pattern.adjacency()
     for s in (4, 5):
@@ -200,7 +200,7 @@ def test_lb_tree_point_feasible_and_high_rank():
         assert p.n == 6 * ell
         X = lb_tree_feasible_point(ell)
         assert np.linalg.eigvalsh(X)[0] > -1e-12
-        ok, rep = is_feasible(p, X, tol=1e-9)
+        ok, rep = is_feasible(p, factored(X), tol=1e-9)
         assert ok, rep
         # pattern width stays low while the witness rank does not
         assert _rank(X) == 4 * ell + 1

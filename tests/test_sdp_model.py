@@ -30,9 +30,6 @@ def test_sparse_sym_matrix_roundtrip_and_inner():
     p = SplrSdp(n=4, ell=0, pattern=Graph.from_edges(4, [(1, 2)]),
                 factor=np.zeros((4, 0)), objective=Term(A, np.zeros((0, 0))),
                 constraints=[])
-    X = rng.standard_normal((4, 4))
-    X = X + X.T
-    assert np.isclose(eval_objective(p, X), np.sum(D * X))
     R = rng.standard_normal((4, 2))
     assert np.isclose(eval_objective(p, FactoredSolution(R)),
                       np.sum(D * (R @ R.T)))
@@ -82,7 +79,6 @@ def test_eval_matches_dense_reconstruction():
         c = p.constraints[i - 1]
         A = term_dense(c.term, p.factor)
         assert np.isclose(eval_constraint(p, i, sol), np.sum(A * X), atol=1e-12)
-        assert np.isclose(eval_constraint(p, i, X), np.sum(A * X), atol=1e-12)
     A0 = term_dense(p.objective, p.factor)
     assert np.isclose(eval_objective(p, sol), np.sum(A0 * X))
 
@@ -109,7 +105,7 @@ def test_is_feasible_reports_a_nan_point():
 
 
 @given(seed=st.integers(0, 2**16), n=st.integers(2, 8), ell=st.integers(0, 3),
-       case=st.sampled_from(["gather steps", "dense X", "empty rows"]))
+       case=st.sampled_from(["gather steps", "empty rows"]))
 def test_row_values_match_dense_sums(seed, n, ell, case):
     # every row value against <A, X> on the dense A of Term.dense
     rng = np.random.default_rng(seed)
@@ -124,7 +120,7 @@ def test_row_values_match_dense_sums(seed, n, ell, case):
     r = _GATHER // 3 if case == "gather steps" else 3
     R = rng.standard_normal((n, r)) / np.sqrt(r)
     X = R @ R.T
-    sol = X if case == "dense X" else FactoredSolution(R)
+    sol = FactoredSolution(R)
     if case == "gather steps":
         # more entries than one gather step holds
         assume(sum(len(c.sparse.entries) for c in p.constraints)

@@ -67,7 +67,8 @@ def test_face_project_stack_matches_per_matrix_reference(q):
     a = rng.standard_normal((k, d, q))
     M = rng.standard_normal((k, d, d))
     M = M + np.swapaxes(M, 1, 2)
-    P = _face_project(M, np.stack([face_basis(a[b], d) for b in range(k)]))
+    Q = np.stack([face_basis(a[b], d) for b in range(k)])
+    P = _face_project(M, Q, np.swapaxes(Q, 1, 2))
     assert P.shape == (k, d, d)
     assert (P == np.swapaxes(P, 1, 2)).all()
     for b in range(k):
