@@ -10,7 +10,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -150,11 +149,9 @@ def _load_extended(d):
 
 
 def _solver_params(args):
-    par = fileio.params_from_dict(fileio.load(args.params)) if args.params \
-        else AdmmParams()
     over = {"tol_primal": args.tol, "tol_dual": args.tol,
-            "max_iter": args.max_iter, "rho": args.rho, "seed": args.seed}
-    return replace(par, **{k: v for k, v in over.items() if v is not None})
+            "max_iter": args.max_iter, "rho": args.rho}
+    return AdmmParams(**{k: v for k, v in over.items() if v is not None})
 
 
 def _cmd_solve(args):
@@ -168,8 +165,7 @@ def _cmd_solve(args):
     if args.stats:
         _write_json(fileio.stats_to_dict(stats), args.stats)
     if not stats.converged:
-        log.error("solver hit the iteration cap before the tolerances")
-        return 2
+        raise RuntimeError("solver hit the iteration cap before the tolerances")
     return 0
 
 
@@ -328,11 +324,9 @@ def _build_parser():
 
     sp = sub.add_parser("solve", help="run the block solver")
     sp.add_argument("--in", dest="infile", default=None)
-    sp.add_argument("--params", default=None, help="solver parameter JSON")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--max-iter", type=int, default=None)
     sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--stats", default=None)
     sp.set_defaults(func=_cmd_solve)

@@ -7,7 +7,6 @@ path, save a path.
 
 import json
 import math
-from dataclasses import fields
 from itertools import chain, islice
 
 import numpy as np
@@ -16,7 +15,6 @@ from .completion_rank import AffineSlice
 from .graph_core import Graph, TreeDecomposition
 from .sdp_model import (Constraint, SparseSymMatrix, SplrSdp, Term, _number,
                         validate_problem)
-from .solver import AdmmParams
 from .sparse_extension import build_extension
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "solution_to_dict",
     "solution_from_dict",
     "stats_to_dict",
-    "params_from_dict",
     "dump",
     "load",
     "save",
@@ -291,18 +288,14 @@ def solution_from_dict(d):
     for t, Y in _typed(d["blocks"], dict, "blocks").items():
         blocks[_node_key(t, "solution blocks")] = _number(
             Y, np.ndarray, "solution block %s" % t)
+    stats = d.get("stats")
+    try:  # the writers' rule: stats that dump would refuse are refused
+        json.dumps(stats, allow_nan=False)
+    except ValueError as err:
+        raise ValueError("solution stats: %s" % err) from None
     ext = extended_from_dict(_typed(d["extended"], dict, "extended")) \
         if "extended" in d else None
-    return blocks, d.get("stats"), ext
-
-
-def params_from_dict(d):
-    """AdmmParams from a params-file object; a missing key takes its
-    default, and AdmmParams checks the values."""
-    unknown = set(d) - {f.name for f in fields(AdmmParams)}
-    if unknown:
-        raise ValueError("unknown solver parameters: %s" % sorted(unknown))
-    return AdmmParams(**d)
+    return blocks, stats, ext
 
 
 def dump(d, fh):

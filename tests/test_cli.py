@@ -370,27 +370,44 @@ def test_convert_path_mode_only_checks_the_shape(tmp_path, capsys):
     assert err.count("unrecognized arguments") == 2
 
 
-def test_solve_iteration_cap_returns_numerical_failure(tmp_path):
+def test_solve_iteration_cap_returns_numerical_failure(tmp_path, capsys):
     p = tmp_path / "p.json"
     e = tmp_path / "e.json"
     s = tmp_path / "s.json"
     assert run(["gen", "simex", "-n", "10", "--out", str(p)]) == 0
     assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    capsys.readouterr()
     assert run(["solve", "--in", str(e), "--max-iter", "5",
                 "--out", str(s), "--stats", str(tmp_path / "st.json")]) == 2
+    # reported like every other numerical failure, on the current stderr
+    assert capsys.readouterr().err == (
+        "splrsdp: numerical failure: solver hit the iteration cap before"
+        " the tolerances\n")
     assert _load(tmp_path / "st.json")["converged"] is False
     # the partial solution is still written for inspection
     assert _load(s)["schema"] == fileio.SOLUTION_SCHEMA
 
 
-@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--rho", "nan"],
-                                   ["--params", "nan.json"]])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--params", "{f}"]],
+                         ids=" ".join)
+def test_solve_has_no_seed_and_no_params_file(tmp_path, capsys, flag):
+    # the start is fixed and the flags are the one way to set the solver
+    p, f, s = (tmp_path / name for name in ("p.json", "f.json", "s.json"))
+    assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
+    f.write_text('{"rho": 2.0}')
+    capsys.readouterr()
+    assert run(["solve", "--in", str(p), "--out", str(s)]
+               + [a.format(f=f) for a in flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: error: unrecognized arguments: ")
+    assert "Traceback" not in err
+    assert not s.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--rho", "nan"]])
 def test_solve_rejects_non_finite_parameters(tmp_path, capsys, flags):
     p = tmp_path / "p.json"
     assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
-    # json.load accepts the NaN literal, so a params file can carry one
-    (tmp_path / "nan.json").write_text('{"rho": NaN}')
-    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
     assert run(["solve", "--in", str(p), "--out", str(tmp_path / "s.json")]
                + flags) == 1
     err = capsys.readouterr().err
@@ -574,7 +591,7 @@ def test_gen_refuses_values_it_cannot_write_as_given(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv", [
     ["report"], ["report", "--in", "{bad}"], ["convert", "--in", "-"],
     ["convert", "--in", "{bad}"], ["convert", "--in", "{p}", "--td", "{bad}"],
-    ["solve", "--in", "{bad}"], ["solve", "--in", "{p}", "--params", "{bad}"],
+    ["solve", "--in", "{bad}"],
     ["export", "--in", "{bad}"], ["recover", "--extended-solution", "{bad}"],
     ["recover", "--extended-solution", "{s}", "--problem", "{bad}"],
     ["verify", "--problem", "{bad}", "--extension", "{e}"],
@@ -748,6 +765,24 @@ def _solved_simex(tmp_path):
     assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
     assert run(["solve", "--in", str(e), "--out", str(s)]) == 0
     return s
+
+
+@pytest.mark.parametrize("key, value", [("iterations", math.inf),
+                                        ("aa_accepted", math.nan),
+                                        ("objective", -math.inf)])
+def test_recover_refuses_stats_the_writers_would_refuse(tmp_path, capsys,
+                                                         key, value):
+    # recover exited 0 on these: it never read the stats
+    s, r = _solved_simex(tmp_path), tmp_path / "r.json"
+    d = _load(s)
+    d["stats"][key] = value
+    s.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["recover", "--extended-solution", str(s),
+                "--out", str(r)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: invalid input: solution stats: ")
+    assert not r.exists()
 
 
 def test_report_of_solution_keeps_its_own_keys_over_the_stats(tmp_path):
@@ -939,31 +974,6 @@ def test_reduce_refuses_a_malformed_slice(tmp_path, capsys, key, edit, named):
     assert not (tmp_path / "red.json").exists()
 
 
-@pytest.mark.parametrize("params, named", [
-    ('{"tol_primal": null}', "tol_primal"),
-    ('{"rho": [1]}', "rho"),
-    ('{"max_iter": 1e400}', "max_iter"),
-    ("[1, 2]", "must be a JSON object"),
-    # values the type cast would change: 2.7 ran 2 iterations, the strings
-    # were taken as numbers, and -1 failed later without naming the key
-    ('{"max_iter": 2.7}', "max_iter must be an integer, got 2.7"),
-    ('{"seed": "4"}', "seed must be a number, got '4'"),
-    ('{"rho": "1.0"}', "rho must be a number, got '1.0'"),
-    ('{"seed": -1}', "seed must be non-negative, got -1"),
-])
-def test_solve_rejects_malformed_params_files(tmp_path, capsys, params, named):
-    p = tmp_path / "p.json"
-    assert run(["gen", "simex", "-n", "5", "--out", str(p)]) == 0
-    (tmp_path / "par.json").write_text(params)
-    capsys.readouterr()
-    assert run(["solve", "--in", str(p), "--params", str(tmp_path / "par.json"),
-                "--out", str(tmp_path / "s.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("splrsdp: invalid input: ")
-    assert named in err
-    assert "Traceback" not in err
-
-
 # the numeric extremes and the values of the wrong type one JSON leaf is
 # replaced with; JSON text spells NaN and the infinities as Python does
 EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 0, -1]
@@ -977,10 +987,10 @@ EDITED_RUNS = [
                   "--problem"]),
     ("solution", ["recover", "--extended-solution"]),
 ]
-# leaves a command does not read, so a non-finite value there may exit 0:
-# recover ignores a solution's stats (a known gap of the exit-code
-# contract, ROADMAP item 20)
-KNOWN_GAPS = {("recover", "solution", "stats")}
+# the message class each exit code starts its stderr with
+EXIT_MESSAGES = {0: ("",),
+                 1: ("splrsdp: invalid input: ", "splrsdp: error: "),
+                 2: ("splrsdp: numerical failure: ",)}
 
 
 def _leaves(d, path=()):
@@ -1037,9 +1047,10 @@ def pipeline_files(tmp_path_factory):
 
 def test_one_edited_json_leaf_keeps_the_exit_code_contract(
         tmp_path, capsys, pipeline_files):
-    # exit 1 is bad input and 2 a numerical failure, neither with a
-    # traceback, and a NaN, or an infinity that is no bound on its own
-    # side, in a leaf the command reads never exits 0: about 300 runs
+    # exit 1 is bad input and 2 a numerical failure, each with its own
+    # message class and neither with a traceback, and a NaN, or an
+    # infinity that is no bound on its own side, never exits 0: about 300
+    # runs
     rng = np.random.default_rng(20)
     edited = tmp_path / "edited.json"
     broken = []
@@ -1063,13 +1074,14 @@ def test_one_edited_json_leaf_keeps_the_exit_code_contract(
                     continue
                 broken += ["%s warned %r" % (case, w.message)
                            for w in caught if w.category is not UserWarning]
-                if code not in (0, 1, 2) \
-                        or "Traceback" in capsys.readouterr().err:
-                    broken.append("%s exited %r with a traceback or an"
-                                  " unknown code" % (case, code))
+                err = capsys.readouterr().err
+                if code not in EXIT_MESSAGES \
+                        or not err.startswith(EXIT_MESSAGES[code]) \
+                        or "Traceback" in err:
+                    broken.append("%s exited %r with stderr %r"
+                                  % (case, code, err[:200]))
                 bound = {"lower": -math.inf, "upper": math.inf}.get(path[-1])
                 if code == 0 and isinstance(value, float) \
-                        and not math.isfinite(value) and value != bound \
-                        and (argv[0], kind, path[0]) not in KNOWN_GAPS:
+                        and not math.isfinite(value) and value != bound:
                     broken.append("%s exited 0" % case)
     assert not broken, "\n".join(broken)

@@ -94,6 +94,18 @@ def test_psd_complete_rejects_misfit_face_matrix():
                               face_mats={1: np.ones((3, 1))})
 
 
+def test_psd_complete_raises_when_the_face_drops_known_entries():
+    # the face of e1 keeps only the second coordinate of I2, so the
+    # completion misses the (1, 1) entry by all of it
+    td = TreeDecomposition(nodes=(1,), edges=frozenset(),
+                           bags={1: frozenset({1, 2})}, root=1)
+    with pytest.raises(RecoveryError, match="reproduces known entries only"
+                       " to 1.000e") as err:
+        psd_complete_min_rank({1: np.eye(2)}, td,
+                              face_mats={1: np.array([[1.0], [0.0]])})
+    assert err.value.reproduction_error == 1.0
+
+
 def test_psd_complete_names_the_indefinite_bag_nearest_the_root():
     # path 3 - 2 - 1 rooted at 3; bags 2 and 1 share a size (one batch), and
     # the deeper bag 1 is the more indefinite one

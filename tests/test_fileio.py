@@ -1,6 +1,6 @@
 import io
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from splrsdp.cli import run
 from splrsdp.graph_core import Graph
 from splrsdp.instances import (gen_bqp_relaxation, gen_lb_tree,
                                gen_min_bisection, gen_phi_witness, gen_simex)
-from splrsdp.solver import AdmmParams, SolveStats
+from splrsdp.solver import SolveStats
 
 from conftest import random_splr_problem, random_valid_td
 
@@ -210,21 +210,6 @@ def test_solution_roundtrip_with_stats_and_problem():
     assert ext2 is not None
     assert np.array_equal(ext2.pattern.bag_verts, ext.pattern.bag_verts)
     assert np.array_equal(ext2.pattern.bag_sizes, ext.pattern.bag_sizes)
-
-
-def test_params_defaults_and_unknown_keys():
-    par = fileio.params_from_dict({"rho": 3.0})
-    assert par.rho == 3.0
-    assert par.max_iter == AdmmParams().max_iter
-    with pytest.raises(ValueError):
-        fileio.params_from_dict({"rho": 1.0, "momentum": 0.9})
-    # the thread-pool option is gone; old params files naming it are refused
-    with pytest.raises(ValueError):
-        fileio.params_from_dict({"threads": 2})
-    back = fileio.params_from_dict(_rt(asdict(
-        AdmmParams(rho=0.5, max_iter=42, seed=3))))
-    assert back.rho == 0.5 and back.max_iter == 42
-    assert back.seed == 3
 
 
 def test_dump_is_deterministic_and_rejects_nan():

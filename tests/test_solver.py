@@ -36,15 +36,13 @@ def test_admm_params_validation():
                         ("tol_primal", np.nan)):
         with pytest.raises(ValueError, match=name):
             AdmmParams(**{name: value})
-    # the values a params file may carry, refused with the texts the CLI
-    # prints for them (json.load reads 1e400 as inf)
+    # values of the wrong type or out of range, refused with the texts the
+    # CLI prints for them
     for name, value, why in (
             ("tol_primal", None, "must be a number, got None"),
             ("rho", [1], "must be a number, got [1]"),
             ("max_iter", 2.7, "must be an integer, got 2.7"),
-            ("seed", "4", "must be a number, got '4'"),
             ("rho", "1.0", "must be a number, got '1.0'"),
-            ("seed", -1, "must be non-negative, got -1"),
             ("max_iter", 1e400, "must be an integer, got inf"),
             ("rho", 10 ** 400, "is out of range"),
             ("max_iter", True, "must be a number, got True")):
@@ -53,10 +51,12 @@ def test_admm_params_validation():
         assert str(err.value).startswith("solver parameter %s %s"
                                          % (name, why))
     # numpy scalars are numbers, cast to the field's type
-    par = AdmmParams(max_iter=np.int64(10), rho=np.float64(0.5), seed=3.0)
-    assert (par.max_iter, par.rho, par.seed) == (10, 0.5, 3)
+    par = AdmmParams(max_iter=np.int64(10), rho=np.float64(0.5))
+    assert (par.max_iter, par.rho) == (10, 0.5)
     assert type(par.max_iter) is int and type(par.rho) is float
-    assert type(par.seed) is int
+    # the start is fixed: there is no seed to set
+    with pytest.raises(TypeError):
+        AdmmParams(seed=0)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -413,14 +413,6 @@ def test_block_residuals_are_bounded_so_no_divergence_exit_is_needed():
         assert stats.converged
         assert (pri <= 2.0 * (1 + 1e-12)).all()
         assert (dua <= (np.linalg.norm(c) + 1.0) * (1 + 1e-12)).all()
-
-
-def test_admm_seed_moves_the_start():
-    p = gen_simex(8)
-    ext, bs, rep = convert_problem(p)
-    _, s0 = admm_solve(bs, AdmmParams(max_iter=300, seed=0))
-    _, s1 = admm_solve(bs, AdmmParams(max_iter=300, seed=1))
-    assert (s0.history[0] != s1.history[0]).any()
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,8 @@ none is private: `dataclasses.replace` copies every field, so state
 derived from the others would go stale in the copy.
 Every import in `src/` sits at module level, and the modules' imports
 of each other form no cycle.
+Random numbers are drawn only where the caller sets the seed (RANDOM_USERS),
+so `convert`, `solve` and `recover` are functions of their input alone.
 """
 
 import ast
@@ -20,6 +22,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splrsdp"
+
+# the only functions that may read np.random, each drawing from a seed its
+# caller passes: gen's instances and verify's sample points
+RANDOM_USERS = {"cli._cmd_gen", "sparse_extension.verify_extension"}
 
 # fields kept for the library's callers, each with its reason
 UNREAD_FIELDS = {
@@ -193,3 +199,32 @@ def test_no_dataclass_field_is_private():
     private = [f for f in _dataclass_fields(_trees())
                if f.rsplit(".", 1)[1].startswith("_")]
     assert private == [], "private dataclass fields: %s" % private
+
+
+def _random_reads(node):
+    """Line of every np.random read under node, and of every import of a
+    random module, which would let a bare name draw."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            hit = n.attr == "random" and isinstance(n.value, ast.Name) \
+                and n.value.id in ("np", "numpy")
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in n.names]
+            if isinstance(n, ast.ImportFrom):
+                names.append(n.module or "")
+            hit = any("random" in name.split(".") for name in names)
+        else:
+            continue
+        if hit:
+            yield n.lineno
+
+
+def test_random_numbers_are_drawn_only_from_a_callers_seed():
+    readers = sorted(
+        "%s.%s:%d" % (path.stem, getattr(node, "name", "<module>"), line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if "%s.%s" % (path.stem, getattr(node, "name", "")) not in RANDOM_USERS
+        for line in _random_reads(node))
+    assert readers == [], "random numbers outside %s: %s" % (
+        sorted(RANDOM_USERS), readers)
