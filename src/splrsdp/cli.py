@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands chain over stdin/stdout so `gen ... | convert | solve | recover`
-works without temp files.  Exit codes: 0 success, 1 bad input, 2 numerical
-failure.  Set SPLR_LOG=info (or debug) for progress on stderr.
+works without temp files; each reads one file kind, through its fileio
+reader.  Exit codes: 0 success, 1 bad input, 2 numerical failure.  Set
+SPLR_LOG=info (or debug) for progress on stderr.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .graph_core import Graph, read_graph
 from .instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
                         gen_lb_tree, gen_min_bisection, gen_phi_witness,
                         gen_simex)
-from .sdp_model import _number, eval_objective, is_feasible
+from .sdp_model import eval_objective, is_feasible
 from .solver import AdmmParams, admm_solve
 from .sparse_extension import verify_extension
 
@@ -138,16 +139,6 @@ def _cmd_convert(args):
     return 0
 
 
-def _load_extended(d):
-    """Accept an extended file, or a raw problem and convert it on the fly."""
-    if d.get("schema") == fileio.EXTENDED_SCHEMA:
-        return fileio.extended_from_dict(d)
-    p = fileio.problem_from_dict(d)
-    log.info("input is an unconverted problem; converting with defaults")
-    ext, _, _ = convert_problem(p)
-    return ext
-
-
 def _solver_params(args):
     over = {"tol_primal": args.tol, "tol_dual": args.tol,
             "max_iter": args.max_iter, "rho": args.rho}
@@ -155,7 +146,7 @@ def _solver_params(args):
 
 
 def _cmd_solve(args):
-    ext = _load_extended(_read_json(args.infile))
+    ext = fileio.extended_from_dict(_read_json(args.infile))
     bs = convert(ext)
     blocks, stats = admm_solve(bs, _solver_params(args))
     log.info("solved: %d iterations, residuals %.2e/%.2e, objective %.6g",
@@ -170,15 +161,8 @@ def _cmd_solve(args):
 
 
 def _cmd_recover(args):
-    d = _read_json(args.extended_solution)
-    if args.problem:
-        # --problem replaces the embedded extension, which is never built
-        d.pop("extended", None)
-    blocks, _, ext = fileio.solution_from_dict(d)
-    if args.problem:
-        ext = fileio.extended_from_dict(fileio.load(args.problem))
-    if ext is None:
-        raise ValueError("solution file has no embedded problem; pass --problem")
+    blocks, _, ext = fileio.solution_from_dict(
+        _read_json(args.extended_solution))
     bs = convert(ext)
     # tolerances sized for first-order solver output
     sol, info = recover_low_rank(blocks, ext, bs, overlap_tol=1e-3,
@@ -206,15 +190,13 @@ def _cmd_recover(args):
 def _cmd_verify(args):
     p = fileio.problem_from_dict(fileio.load(args.problem))
     ext = fileio.extended_from_dict(fileio.load(args.extension))
-    report = verify_extension(p, ext, samples=args.samples, seed=args.seed,
-                              tol=args.tol)
+    report = verify_extension(p, ext, samples=args.samples)
     _write_json(dict(report, schema=fileio.REPORT_SCHEMA), args.out)
     return 0 if report["ok"] else 1
 
 
 def _cmd_export(args):
-    ext = _load_extended(_read_json(args.infile))
-    bs = convert(ext)
+    bs = convert(fileio.extended_from_dict(_read_json(args.infile)))
     if args.out is None or args.out == "-":
         export_sdpa(bs, sys.stdout)
     else:
@@ -227,28 +209,26 @@ def _cmd_report(args):
     d = _read_json(args.infile)
     schema = d.get("schema", "")
     out = {"schema": fileio.REPORT_SCHEMA, "kind": schema}
-    typed = fileio._typed  # the containers a count indexes
+    # read, and so checked, as the pipeline reads it; cli alone writes the
+    # recovered and report files
     if schema == fileio.PROBLEM_SCHEMA:
-        n, ell = (_number(d[key], int, key) for key in ("n", "ell"))
-        # m is optional in a problem file; the constraints are not
-        out.update(n=n, ell=ell,
-                   m=len(typed(d["constraints"], list, "constraints")),
-                   pattern_edges=len(typed(d["pattern_edges"], list,
-                                           "pattern_edges")))
+        p = fileio.problem_from_dict(d)
+        out.update(n=p.n, ell=p.ell, m=p.m,
+                   pattern_edges=len(p.pattern.edges))
     elif schema == fileio.EXTENDED_SCHEMA:
-        base = typed(d["base"], dict, "base")
-        n, ell = (_number(base[key], int, key) for key in ("n", "ell"))
-        k = len(typed(typed(d["tree"], dict, "tree")["nodes"], list, "nodes"))
-        out.update(n=n, ell=ell, k=k, n_hat=n + ell * k)
+        pat = fileio.extended_from_dict(d).pattern
+        out.update(n=pat.n, ell=pat.ell, k=pat.k, n_hat=pat.n_ext)
     elif schema == fileio.SOLUTION_SCHEMA:
-        out["blocks"] = len(typed(d["blocks"], dict, "blocks"))
-        if "stats" in d:  # the report's own keys win over the stats'
-            out = dict(typed(d["stats"], dict, "stats"), **out)
+        blocks, stats, _ = fileio.solution_from_dict(d)
+        out["blocks"] = len(blocks)
+        if stats is not None:  # the report's own keys win over the stats'
+            out = dict(stats, **out)
     elif schema == fileio.RECOVERED_SCHEMA:
         out.update(rank=d["rank"], certified_bound=d["certified_bound"],
                    mode=d["mode"], residuals=d["residuals"])
     elif schema == fileio.SLICE_SCHEMA:
-        out.update(dim=d["dim"], rows=len(typed(d["mats"], list, "mats")))
+        sl = fileio.slice_from_dict(d)
+        out.update(dim=sl.point.shape[0], rows=len(sl.mats))
     elif schema == fileio.REPORT_SCHEMA:
         out.update({k: v for k, v in d.items() if k != "schema"})
     else:
@@ -333,7 +313,6 @@ def _build_parser():
 
     sp = sub.add_parser("recover", help="rebuild a low-rank original solution")
     sp.add_argument("--extended-solution", default=None)
-    sp.add_argument("--problem", default=None, help="extended problem JSON")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_recover)
 
@@ -341,8 +320,6 @@ def _build_parser():
     sp.add_argument("--problem", required=True)
     sp.add_argument("--extension", required=True)
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
 
@@ -369,13 +346,19 @@ _PARSER = _build_parser()
 
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
                "warning": logging.WARNING, "error": logging.ERROR}
+_LOG_FORMAT = logging.Formatter("splrsdp: %(levelname)s: %(message)s")
 
 
 def run(argv=None):
-    level = _LOG_LEVELS.get(os.environ.get("SPLR_LOG", "").lower(),
-                            logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="splrsdp: %(levelname)s: %(message)s")
+    # for this run only, the package logger gets one handler on the current
+    # stderr and its level from SPLR_LOG; the root logger is left alone, so
+    # an in-process caller keeps its own logging
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LOG_FORMAT)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(_LOG_LEVELS.get(os.environ.get("SPLR_LOG", "").lower(),
+                                 logging.WARNING))
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
@@ -387,10 +370,17 @@ def run(argv=None):
         log.debug("numerical failure", exc_info=True)
         print("splrsdp: numerical failure: %s" % err, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except KeyError as err:
+        log.debug("input failure", exc_info=True)
+        print("splrsdp: invalid input: missing key %s" % err, file=sys.stderr)
+        return 1
+    except (ValueError, OSError, json.JSONDecodeError) as err:
         log.debug("input failure", exc_info=True)
         print("splrsdp: invalid input: %s" % err, file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def main():

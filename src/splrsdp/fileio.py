@@ -1,8 +1,10 @@
 """JSON interchange for problems, decompositions, solutions and reports.
 
 All writers sort keys and refuse NaN so files are diffable; infinite
-constraint bounds travel as null.  load takes an open file object or a
-path, save a path.
+constraint bounds travel as null.  Every command reads a file kind
+through its one reader here, which checks it; a solution file always
+embeds its extended problem.  load takes an open file object or a path,
+save a path.
 """
 
 import json
@@ -267,35 +269,40 @@ def stats_to_dict(st):
     }
 
 
-def solution_to_dict(blocks, stats=None, extended=None):
+def solution_to_dict(blocks, stats=None, *, extended):
     d = {
         "schema": SOLUTION_SCHEMA,
         "blocks": {str(t): np.asarray(Y, dtype=float).tolist()
                    for t, Y in sorted(blocks.items())},
+        "extended": extended_to_dict(extended),
     }
     if stats is not None:
         d["stats"] = stats_to_dict(stats)
-    if extended is not None:
-        d["extended"] = extended_to_dict(extended)
     return d
 
 
 def solution_from_dict(d):
-    """Returns (blocks dict, stats dict or None, ExtendedSdp or None)."""
+    """Returns (blocks dict, stats dict or None, ExtendedSdp).
+
+    By the writers' own rule, a NaN or infinity in a block or in the stats
+    raises ValueError.
+    """
     if d.get("schema") != SOLUTION_SCHEMA:
         raise ValueError("not a solution file (schema %r)" % d.get("schema"))
     blocks = {}
     for t, Y in _typed(d["blocks"], dict, "blocks").items():
         blocks[_node_key(t, "solution blocks")] = _number(
             Y, np.ndarray, "solution block %s" % t)
-    stats = d.get("stats")
-    try:  # the writers' rule: stats that dump would refuse are refused
+    bad = [t for t, Y in blocks.items() if not np.isfinite(Y).all()]
+    if bad:  # the message of recover_low_rank's own check
+        raise ValueError("block %s has a non-finite entry" % min(bad))
+    stats = _typed(d["stats"], dict, "stats") if "stats" in d else None
+    try:
         json.dumps(stats, allow_nan=False)
     except ValueError as err:
         raise ValueError("solution stats: %s" % err) from None
-    ext = extended_from_dict(_typed(d["extended"], dict, "extended")) \
-        if "extended" in d else None
-    return blocks, stats, ext
+    return blocks, stats, extended_from_dict(_typed(d["extended"], dict,
+                                                    "extended"))
 
 
 def dump(d, fh):

@@ -31,6 +31,9 @@ __all__ = [
 
 # verify_extension's samples have rank uniform in 1..min(n, ell + this)
 SAMPLE_RANK_EXTRA = 2
+# verify_extension's gate on the accumulator rows; a value gap passes
+# within 10 times this times max(1, |value|)
+VERIFY_TOL = 1e-10
 
 
 @dataclass
@@ -76,10 +79,6 @@ class ExtendedSdp:
     base: object  # SplrSdp
     pattern: ExtendedPattern
     a_mats: dict  # node -> ndarray (len(ext_bag) x ell), rows follow sorted(ext_bag)
-
-    @property
-    def n_ext(self):
-        return self.pattern.n_ext
 
 
 def canonical_relabel(td):
@@ -198,25 +197,24 @@ def _root_gram(ext, ext_sol):
     return rows_j @ rows_j.T
 
 
-def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
+def verify_extension(p, ext, samples=100):
     """Certify the extension numerically on random lifted points.
 
-    For each sample X = RR^T: accumulator constraints vanish to tol, every
-    extended objective/constraint value equals the original to 10 tol
-    times max(1, |original|), and restriction gives R back bit-exactly.
-    Each identity is linear in X, so a generic R of any rank tests it with
-    probability one: R has rank uniform in 1..min(n, ell +
-    SAMPLE_RANK_EXTRA), O(n + k ell) memory.  Returns a report dict whose
-    max_value_mismatch is the largest absolute gap; "ok" is the overall
-    verdict.  samples must be an integer >= 1 and tol positive and finite,
-    as a check of no point or at no tolerance certifies nothing.
+    For each sample X = RR^T: accumulator constraints vanish to VERIFY_TOL,
+    every extended objective/constraint value equals the original to 10
+    VERIFY_TOL times max(1, |original|), and restriction gives R back
+    bit-exactly.  Each identity is linear in X, so a generic R of any rank
+    tests it with probability one: R has rank uniform in 1..min(n, ell +
+    SAMPLE_RANK_EXTRA), O(n + k ell) memory.  The samples come from
+    default_rng(0), so the report is a function of (p, ext, samples).
+    Returns a report dict whose max_value_mismatch is the largest absolute
+    gap; "ok" is the overall verdict.  samples must be an integer >= 1, as
+    a check of no point certifies nothing.
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
             or samples < 1:
         raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # the extension is evaluated on its own copy of the problem, so a
     # mismatched pair shows as a value gap
     terms = [p.objective, *p.constraints]
@@ -230,11 +228,11 @@ def verify_extension(p, ext, samples=100, seed=0, tol=1e-10):
         lifted = extend_solution(ext, sol)
         value = _values(terms, sol, _core_gram(p, sol), entries)
         gap = _values(ext_terms, lifted, _root_gram(ext, lifted), ext_entries) - value
-        values_ok &= bool((np.abs(gap) <= 10 * tol * np.fmax(1.0, np.abs(value))).all())
+        values_ok &= bool((np.abs(gap) <= 10 * VERIFY_TOL * np.fmax(1.0, np.abs(value))).all())
         back = restrict_solution(lifted, ext).factor
         worst = np.fmax(worst, [max(null_residuals(ext, lifted).values(), default=0.0),
                                 np.abs(gap).max(), np.abs(back - sol.factor).max()])
     null, val, restrict = worst.tolist()
     return {"samples": samples, "max_null_residual": null,
             "max_value_mismatch": val, "max_restriction_error": restrict,
-            "ok": null <= tol and values_ok and restrict == 0.0}
+            "ok": null <= VERIFY_TOL and values_ok and restrict == 0.0}

@@ -107,8 +107,9 @@ def test_extension_value_equivalence():
         ell = int(rng.integers(1, 4))
         prob = random_splr_problem(rng, n, ell, p_edge=0.2, m_extra=4)
         ext, _, _ = convert_problem(prob)
-        rep = verify_extension(prob, ext, samples=25,
-                               seed=int(rng.integers(1 << 30)), tol=1e-10)
+        # the draw that was verify's seed keeps the later problems as they were
+        rng.integers(1 << 30)
+        rep = verify_extension(prob, ext, samples=25)
         assert rep["max_null_residual"] <= 1e-10
         assert rep["max_value_mismatch"] <= 1e-9
         assert rep["max_restriction_error"] == 0.0

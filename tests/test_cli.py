@@ -1,10 +1,13 @@
+import contextlib
 import copy
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -45,7 +48,7 @@ def test_gen_convert_solve_recover_files(tmp_path):
                 "--report", str(tmp_path / "rep.json")]) == 0
     assert run(["solve", "--in", str(e), "--tol", "1e-9",
                 "--max-iter", "20000", "--out", str(s), "--stats", str(st)]) == 0
-    assert run(["recover", "--extended-solution", str(s), "--problem", str(e),
+    assert run(["recover", "--extended-solution", str(s),
                 "--out", str(r)]) == 0
     rec = _load(r)
     assert rec["schema"] == fileio.RECOVERED_SCHEMA
@@ -68,8 +71,8 @@ def test_simex_160_recovers_at_the_default_solver_settings(tmp_path):
     assert run(["gen", "simex", "-n", "160", "--out", f["p.json"]]) == 0
     assert run(["convert", "--in", f["p.json"], "--out", f["e.json"]]) == 0
     assert run(["solve", "--in", f["e.json"], "--out", f["s.json"]]) == 0
-    assert run(["recover", "--extended-solution", f["s.json"], "--problem",
-                f["e.json"], "--out", f["r.json"]]) == 0
+    assert run(["recover", "--extended-solution", f["s.json"],
+                "--out", f["r.json"]]) == 0
     assert _load(f["r.json"])["residuals"]["feasible_at_1e-4"] is True
 
 
@@ -163,27 +166,41 @@ def test_verify_fails_on_an_extension_with_a_perturbed_factor_row(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "0"),
-                                         ("--samples", "-3"),
-                                         ("--tol", "nan"), ("--tol", "0"),
-                                         ("--tol", "-0.5"), ("--tol", "inf")])
+                                         ("--samples", "-3")])
 def test_verify_refuses_a_check_that_certifies_nothing(tmp_path, capsys,
                                                        flag, value):
-    # no sample, or no finite positive tolerance, checks nothing; the parent
-    # reported --samples 0 as "ok" and --tol nan as a failed verification
+    # no sample checks nothing; the parent reported --samples 0 as "ok"
     p, e, v = (tmp_path / name for name in ("p.json", "e.json", "v.json"))
     assert run(["gen", "simex", "-n", "5", "--out", str(p)]) == 0
     assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
     capsys.readouterr()
     assert run(["verify", "--problem", str(p), "--extension", str(e), flag,
                 value, "--out", str(v)]) == 1
-    name = flag[2:]
     err = capsys.readouterr().err
-    assert err.startswith("splrsdp: invalid input: %s must be" % name)
+    assert err.startswith("splrsdp: invalid input: samples must be")
     assert not v.exists()
-    arg = {"samples": int, "tol": float}[name](value)
-    with pytest.raises(ValueError, match="%s must be" % name):
+    with pytest.raises(ValueError, match="samples must be"):
         verify_extension(fileio.problem_from_dict(_load(p)),
-                         fileio.extended_from_dict(_load(e)), **{name: arg})
+                         fileio.extended_from_dict(_load(e)),
+                         samples=int(value))
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--extended-solution", "{s}", "--problem", "{e}"],
+    ["verify", "--problem", "{p}", "--extension", "{e}", "--seed", "1"],
+    ["verify", "--problem", "{p}", "--extension", "{e}", "--tol", "1e-9"],
+], ids=" ".join)
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    # the extension comes only from the solution file, and verify draws
+    # from a fixed seed and gates at sparse_extension.VERIFY_TOL; the
+    # arguments are parsed before any file is read
+    files = {name: str(tmp_path / ("%s.json" % name))
+             for name in ("p", "e", "s")}
+    out = tmp_path / "out.json"
+    assert run([a.format(**files) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("splrsdp: error: unrecognized arguments: ")
+    assert not out.exists()
 
 
 def _save_exact_lift(path, ext, bs, R):
@@ -227,8 +244,8 @@ def test_recover_defaults_to_tree_mode_on_a_branching_tree(tmp_path):
 
 
 def test_recover_problem_replaces_a_broken_embedded_extension(tmp_path):
-    # the embedded extension is not built when --problem supplies one, so
-    # a broken embedded tree no longer fails the run
+    # the embedded extension is the only one recover reads, so a broken
+    # embedded tree is bad input
     p = gen_lb_tree(1)
     ext, bs, _ = convert_problem(p)
     R = np.random.default_rng(1).standard_normal((p.n, 2))
@@ -238,20 +255,9 @@ def test_recover_problem_replaces_a_broken_embedded_extension(tmp_path):
         rows = L[[v - 1 for v in idx]]
         blocks[t] = rows @ rows.T
     d = fileio.solution_to_dict(blocks, extended=ext)
-    good, broken, e = (tmp_path / x for x in ("good.json", "broken.json",
-                                              "e.json"))
-    fileio.save(d, str(good))
+    broken = tmp_path / "broken.json"
     d["extended"]["tree"]["bags"]["1"] = []  # vertices left uncovered
     fileio.save(d, str(broken))
-    fileio.save(fileio.extended_to_dict(ext), str(e))
-    outs = []
-    for sol in (good, broken):
-        out = tmp_path / ("r-%s" % sol.name)
-        assert run(["recover", "--extended-solution", str(sol), "--problem",
-                    str(e), "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    # without --problem the broken embedded extension is bad input
     assert run(["recover", "--extended-solution", str(broken),
                 "--out", str(tmp_path / "r.json")]) == 1
 
@@ -407,8 +413,10 @@ def test_solve_has_no_seed_and_no_params_file(tmp_path, capsys, flag):
 @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--rho", "nan"]])
 def test_solve_rejects_non_finite_parameters(tmp_path, capsys, flags):
     p = tmp_path / "p.json"
+    e = tmp_path / "e.json"
     assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
-    assert run(["solve", "--in", str(p), "--out", str(tmp_path / "s.json")]
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    assert run(["solve", "--in", str(e), "--out", str(tmp_path / "s.json")]
                + flags) == 1
     err = capsys.readouterr().err
     assert "invalid input" in err
@@ -456,15 +464,18 @@ def test_recover_of_indefinite_block_is_a_numerical_failure(tmp_path, capsys):
     assert "numerical failure: bag %d submatrix has eigenvalue" % t in err
 
 
-def test_solve_accepts_unconverted_problem(tmp_path):
+def test_solve_and_export_refuse_an_unconverted_problem(tmp_path, capsys):
+    # each command reads one file kind; convert is the one way to lift
     p = tmp_path / "p.json"
-    s = tmp_path / "s.json"
+    out = tmp_path / "out"
     assert run(["gen", "lb-small", "--ell", "2", "--out", str(p)]) == 0
-    assert run(["solve", "--in", str(p), "--tol", "1e-8",
-                "--max-iter", "5000", "--out", str(s)]) == 0
-    blocks, stats, ext = fileio.solution_from_dict(_load(s))
-    assert stats["converged"] is True
-    assert ext is not None
+    for command in ("solve", "export"):
+        capsys.readouterr()
+        assert run([command, "--in", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "splrsdp: invalid input: not an extended-problem file"
+            " (schema 'splr-problem/1')\n")
+        assert not out.exists()
 
 
 def test_export_writes_sdpa_text(tmp_path):
@@ -563,11 +574,108 @@ def test_bad_inputs_exit_1(tmp_path):
     assert run(["gen"]) == 1  # family required
     # --threads was removed; on a valid input it is a usage error, not a
     # capped solve (which would exit 2)
-    prob = tmp_path / "p.json"
+    prob, ext = tmp_path / "p.json", tmp_path / "e.json"
     assert run(["gen", "simex", "-n", "4", "--out", str(prob)]) == 0
-    assert run(["solve", "--in", str(prob), "--threads", "2", "--max-iter",
+    assert run(["convert", "--in", str(prob), "--out", str(ext)]) == 0
+    assert run(["solve", "--in", str(ext), "--threads", "2", "--max-iter",
                 "1", "--out", str(tmp_path / "s.json")]) == 1
     assert run(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("command, d, key", [
+    ("convert", {"schema": "splr-problem/1", "ell": 0}, "n"),
+    ("report", {"schema": "splr-recovered/1"}, "rank"),
+], ids=["convert", "report"])
+def test_a_missing_key_names_itself(tmp_path, capsys, command, d, key):
+    # the bare KeyError printed only "invalid input: 'n'"
+    f, out = tmp_path / "f.json", tmp_path / "out.json"
+    fileio.save(d, str(f))
+    assert run([command, "--in", str(f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "splrsdp: invalid input: missing key '%s'\n" % key)
+    assert not out.exists()
+
+
+def test_report_reads_each_file_kind_as_the_pipeline_does(tmp_path, capsys,
+                                                           simex6_solution):
+    # report parsed the files itself and exited 0 on each of these
+    p = tmp_path / "p.json"
+    assert run(["gen", "minbisect", "-n", "6", "--out", str(p)]) == 0
+    prob = _load(p)
+    nan_core = copy.deepcopy(prob)
+    nan_core["constraints"][0]["core"][0][0] = math.nan
+    nan_block = copy.deepcopy(simex6_solution)
+    nan_block["blocks"]["2"][0][0] = math.nan
+    bare = copy.deepcopy(simex6_solution)
+    del bare["extended"]
+    f, out = tmp_path / "f.json", tmp_path / "out.json"
+    for d, command, named in (
+            (nan_core, "report", "constraint 1 core has a non-finite entry"),
+            (nan_block, "report", "block 2 has a non-finite entry"),
+            (bare, "report", "missing key 'extended'"),
+            (bare, "recover", "missing key 'extended'")):
+        f.write_text(json.dumps(d))  # fileio.save refuses NaN
+        flag = "--extended-solution" if command == "recover" else "--in"
+        capsys.readouterr()
+        assert run([command, flag, str(f), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "splrsdp: invalid input: %s\n" % named)
+        assert not out.exists()
+    # a problem file's pattern is a set of edges, and report counts them
+    n_edges = len(prob["pattern_edges"])
+    prob["pattern_edges"].append(prob["pattern_edges"][0][::-1])
+    fileio.save(prob, str(f))
+    assert run(["report", "--in", str(f), "--out", str(out)]) == 0
+    assert _load(out)["pattern_edges"] == n_edges
+
+
+def test_each_run_logs_to_the_stderr_it_is_given(tmp_path, monkeypatch):
+    # logging.basicConfig bound one root handler per process, to the stderr
+    # of the first run, so a later run's lines went to that stream
+    monkeypatch.setenv("SPLR_LOG", "info")
+    package = logging.getLogger("splrsdp")
+    before = (list(logging.getLogger().handlers), list(package.handlers),
+              package.level)
+    bufs = [io.StringIO(), io.StringIO()]
+    for buf in bufs:
+        with contextlib.redirect_stderr(buf):
+            assert run(["gen", "simex", "-n", "4",
+                        "--out", str(tmp_path / "p.json")]) == 0
+    for buf in bufs:
+        assert buf.getvalue() == (
+            "splrsdp: INFO: generated simex: n=4 ell=1 m=5\n")
+    assert (list(logging.getLogger().handlers), list(package.handlers),
+            package.level) == before
+
+
+def _readme_commands():
+    """The `splrsdp ...` lines of README's "Command line" section, each
+    with its continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line.strip() for line in section.replace("\\\n", "").splitlines()
+            if line.startswith("    splrsdp ")]
+
+
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch):
+    # each stage of a pipeline reads the previous stage's output as stdin
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_commands()
+    assert len(lines) == 7
+    for line in lines:
+        text = ""
+        for stage in line.split("|"):
+            argv = shlex.split(stage)
+            assert argv[0] == "splrsdp", line
+            out = io.StringIO()
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdout", out)
+            assert run(argv[1:]) == 0, stage
+            text = out.getvalue()
+        if "|" in line:
+            assert json.loads(text)["rank"] == 2
+    rec = _load(tmp_path / "rec.json")
+    assert rec["rank"] <= rec["certified_bound"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -593,7 +701,6 @@ def test_gen_refuses_values_it_cannot_write_as_given(tmp_path, capsys, argv,
     ["convert", "--in", "{bad}"], ["convert", "--in", "{p}", "--td", "{bad}"],
     ["solve", "--in", "{bad}"],
     ["export", "--in", "{bad}"], ["recover", "--extended-solution", "{bad}"],
-    ["recover", "--extended-solution", "{s}", "--problem", "{bad}"],
     ["verify", "--problem", "{bad}", "--extension", "{e}"],
     ["verify", "--problem", "{p}", "--extension", "{bad}"],
     ["reduce", "--in", "{bad}"],
@@ -601,13 +708,12 @@ def test_gen_refuses_values_it_cannot_write_as_given(tmp_path, capsys, argv,
 ], ids=" ".join)
 def test_json_input_that_is_not_an_object_exits_1(tmp_path, capsys,
                                                   monkeypatch, argv):
-    # {p} a problem, {e} its extension, {s} a solution with no blocks and
-    # {bad} a list; stdin holds a list too
+    # {p} a problem, {e} its extension and {bad} a list; stdin holds a
+    # list too
     files = {name: str(tmp_path / ("%s.json" % name))
-             for name in ("p", "e", "s", "bad")}
+             for name in ("p", "e", "bad")}
     assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
     assert run(["convert", "--in", files["p"], "--out", files["e"]]) == 0
-    fileio.save({"schema": fileio.SOLUTION_SCHEMA, "blocks": {}}, files["s"])
     (tmp_path / "bad.json").write_text("[1, 2]")
     monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))
     argv = [a.format(**files) for a in argv]
@@ -624,6 +730,7 @@ def test_json_input_that_is_not_an_object_exits_1(tmp_path, capsys,
     ("p", "objective", [1, 2], "convert"),
     ("e", "base", [1, 2], "report"),
     ("s", "blocks", [1, 2], "recover"),
+    ("s", "stats", [1, 2], "recover"),
     ("sl", "mats", 7, "report"),
     ("sl", "mats", 7, "reduce"),
 ], ids=lambda v: str(v))
@@ -747,10 +854,12 @@ def test_report_counts_m_and_casts_sizes(tmp_path):
 
 def test_report_of_solution_carries_stats(tmp_path):
     p = tmp_path / "p.json"
+    e = tmp_path / "e.json"
     s = tmp_path / "s.json"
     rep = tmp_path / "rep.json"
     assert run(["gen", "simex", "-n", "6", "--out", str(p)]) == 0
-    assert run(["solve", "--in", str(p), "--max-iter", "8000",
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
+    assert run(["solve", "--in", str(e), "--max-iter", "8000",
                 "--out", str(s)]) == 0
     assert run(["report", "--in", str(s), "--out", str(rep)]) == 0
     d = _load(rep)
@@ -840,10 +949,12 @@ def test_linalg_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     p = tmp_path / "p.json"
+    e = tmp_path / "e.json"
     assert run(["gen", "simex", "-n", "4", "--out", str(p)]) == 0
+    assert run(["convert", "--in", str(p), "--out", str(e)]) == 0
     monkeypatch.setattr("splrsdp.cli.admm_solve", fail)
     capsys.readouterr()
-    assert run(["solve", "--in", str(p), "--out", str(tmp_path / "s.json")]) == 2
+    assert run(["solve", "--in", str(e), "--out", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("splrsdp: numerical failure: Eigenvalues did not")
     assert not (tmp_path / "s.json").exists()
@@ -978,14 +1089,15 @@ def test_reduce_refuses_a_malformed_slice(tmp_path, capsys, key, edit, named):
 # replaced with; JSON text spells NaN and the infinities as Python does
 EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 0, -1]
 WRONG_TYPES = ["1", True, None, [1.0], {"a": 1.0}]
-# each command on each file it reads, the file last on the command line
+# each command on each file kind it reads, the file last on the command line
 EDITED_RUNS = [
     ("problem", ["convert", "--in"]),
-    ("problem", ["solve", "--max-iter", "50", "--in"]),
+    ("problem", ["report", "--in"]),
     ("extended", ["solve", "--max-iter", "50", "--in"]),
-    ("extended", ["recover", "--extended-solution", "{solution}",
-                  "--problem"]),
+    ("extended", ["export", "--in"]),
+    ("extended", ["report", "--in"]),
     ("solution", ["recover", "--extended-solution"]),
+    ("solution", ["report", "--in"]),
 ]
 # the message class each exit code starts its stderr with
 EXIT_MESSAGES = {0: ("",),

@@ -254,7 +254,7 @@ def test_verify_extension_report():
     h, _ = chordal_complete(p.pattern)
     td = root_binary(to_binary(clique_tree(h)))
     ext = build_extension(p, td)
-    rep = verify_extension(p, ext, samples=25, seed=5)
+    rep = verify_extension(p, ext, samples=25)
     assert rep["ok"]
     assert rep["max_null_residual"] <= 1e-10
     assert rep["max_value_mismatch"] <= 1e-9
@@ -345,7 +345,7 @@ def test_verify_extension_fails_on_a_broken_accumulator(monkeypatch, fault):
         return extend_solution(ext, sol)
 
     monkeypatch.setattr(sparse_extension, "extend_solution", recording)
-    rep = verify_extension(p, ext, samples=5, seed=3)
+    rep = verify_extension(p, ext, samples=5)
     assert 1 <= min(ranks) and max(ranks) <= p.ell + 2
     assert rep["ok"] is False
     assert rep["max_null_residual"] > 1e-3

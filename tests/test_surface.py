@@ -4,7 +4,8 @@ Every name a module lists in `__all__`, and every method or property of
 a class in `src/`, is reached from `src/` or the benchmark, apart from
 its own definition and its `__all__` entry; a re-export by the package's
 `__init__.py` does not count as a use.  A method counts as reached when
-an attribute of its name is read, whatever the object.  A use inside a
+an attribute of its name is read, whatever the object, so no two classes
+in `src/` define a method or property of the same name.  A use inside a
 definition counts only when that definition is itself reached, so a
 helper of dead code is dead too.  Test oracles live in `conftest.py`.
 Every field of a dataclass in `src/` is read as an attribute somewhere
@@ -13,8 +14,8 @@ none is private: `dataclasses.replace` copies every field, so state
 derived from the others would go stale in the copy.
 Every import in `src/` sits at module level, and the modules' imports
 of each other form no cycle.
-Random numbers are drawn only where the caller sets the seed (RANDOM_USERS),
-so `convert`, `solve` and `recover` are functions of their input alone.
+Random numbers are drawn only in RANDOM_USERS, each from a fixed or a
+caller's seed, so every command is a function of its input alone.
 """
 
 import ast
@@ -23,8 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splrsdp"
 
-# the only functions that may read np.random, each drawing from a seed its
-# caller passes: gen's instances and verify's sample points
+# the only functions that may read np.random: gen's instances, drawn from
+# the seed its caller passes, and verify's sample points, drawn from seed 0
 RANDOM_USERS = {"cli._cmd_gen", "sparse_extension.verify_extension"}
 
 # fields kept for the library's callers, each with its reason
@@ -141,6 +142,20 @@ def test_every_method_is_reached_outside_the_tests():
     unreached = _unreached()[1]
     assert unreached == [], \
         "methods or properties only tests reach: %s" % unreached
+
+
+def test_no_two_classes_share_a_method_name():
+    # the reach rule goes by name, so a dead method passes as reached when
+    # a namesake in another class is read, as ExtendedSdp.n_ext did
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for f in _methods(cls):
+                    owners.setdefault(f.name, set()).add(
+                        "%s.%s" % (path.stem, cls.name))
+    shared = {name: sorted(qs) for name, qs in owners.items() if len(qs) > 1}
+    assert shared == {}, "methods or properties of one name: %s" % shared
 
 
 def _package_imports():
