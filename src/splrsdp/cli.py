@@ -7,7 +7,6 @@ SPLR_LOG=info (or debug) for progress on stderr.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -210,7 +209,7 @@ def _cmd_report(args):
     schema = d.get("schema", "")
     out = {"schema": fileio.REPORT_SCHEMA, "kind": schema}
     # read, and so checked, as the pipeline reads it; cli alone writes the
-    # recovered and report files
+    # report files
     if schema == fileio.PROBLEM_SCHEMA:
         p = fileio.problem_from_dict(d)
         out.update(n=p.n, ell=p.ell, m=p.m,
@@ -224,6 +223,7 @@ def _cmd_report(args):
         if stats is not None:  # the report's own keys win over the stats'
             out = dict(stats, **out)
     elif schema == fileio.RECOVERED_SCHEMA:
+        d = fileio.recovered_from_dict(d)
         out.update(rank=d["rank"], certified_bound=d["certified_bound"],
                    mode=d["mode"], residuals=d["residuals"])
     elif schema == fileio.SLICE_SCHEMA:
@@ -374,7 +374,7 @@ def run(argv=None):
         log.debug("input failure", exc_info=True)
         print("splrsdp: invalid input: missing key %s" % err, file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # json's decode errors included
         log.debug("input failure", exc_info=True)
         print("splrsdp: invalid input: %s" % err, file=sys.stderr)
         return 1

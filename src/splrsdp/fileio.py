@@ -1,17 +1,21 @@
 """JSON interchange for problems, decompositions, solutions and reports.
 
-All writers sort keys and refuse NaN so files are diffable; infinite
-constraint bounds travel as null.  Every command reads a file kind
-through its one reader here, which checks it; a solution file always
-embeds its extended problem.  load takes an open file object or a path,
-save a path.
+All writers sort keys, indent by two and refuse NaN and the infinities
+so files are diffable; infinite constraint bounds travel as null.  Text
+is written by orjson and read by the stdlib's json, and no other module
+touches the format.  Every command reads a file kind through its one
+reader here, which checks it; a solution file always embeds its extended
+problem.  load takes an open file object or a path, save a path.
 """
 
+import io
 import json
 import math
+import re
 from itertools import chain, islice
 
 import numpy as np
+import orjson
 
 from .completion_rank import AffineSlice
 from .graph_core import Graph, TreeDecomposition
@@ -36,6 +40,7 @@ __all__ = [
     "slice_from_dict",
     "solution_to_dict",
     "solution_from_dict",
+    "recovered_from_dict",
     "stats_to_dict",
     "dump",
     "load",
@@ -298,27 +303,99 @@ def solution_from_dict(d):
         raise ValueError("block %s has a non-finite entry" % min(bad))
     stats = _typed(d["stats"], dict, "stats") if "stats" in d else None
     try:
-        json.dumps(stats, allow_nan=False)
+        _refuse_nonfinite(stats)
     except ValueError as err:
         raise ValueError("solution stats: %s" % err) from None
     return blocks, stats, extended_from_dict(_typed(d["extended"], dict,
                                                     "extended"))
 
 
+def recovered_from_dict(d):
+    """The recovered file's dict.  By the writers' own rule, a NaN or
+    infinity anywhere in it raises ValueError."""
+    if d.get("schema") != RECOVERED_SCHEMA:
+        raise ValueError("not a recovered file (schema %r)" % d.get("schema"))
+    try:
+        _refuse_nonfinite(d)
+    except ValueError as err:
+        raise ValueError("recovered file: %s" % err) from None
+    return d
+
+
+def _refuse_nonfinite(v):
+    """Raise ValueError, in the stdlib writer's words, at a NaN or infinity
+    anywhere in v, and TypeError at a value of a type it refused.
+
+    A list or tuple whose sum is a finite number holds only finite
+    numbers, so it is summed at C speed and walked item by item only when
+    the sum is not finite or cannot be taken.  A number type the sum lets
+    through is left to the encoder's own type check.
+    """
+    if isinstance(v, dict):
+        for x in v.values():
+            _refuse_nonfinite(x)
+    elif isinstance(v, (list, tuple)):
+        try:
+            s = sum(v)
+            if isinstance(s, (int, float)) and math.isfinite(s):
+                return
+        except (OverflowError, TypeError):  # a huge int, a non-number
+            pass
+        for x in v:
+            _refuse_nonfinite(x)
+    elif isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError("Out of range float values are not JSON"
+                             " compliant: %r" % float(v))
+    elif not (v is None or isinstance(v, (str, int))):
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(v).__name__)
+
+
+def _default(o):
+    """What orjson cannot write itself but the stdlib writer wrote: a
+    float subclass such as numpy.float64, and a named tuple."""
+    if isinstance(o, float):
+        return float(o)
+    if isinstance(o, tuple):
+        return list(o)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(o).__name__)
+
+
+_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+
+def _encoded(d):
+    """The file text of d as ASCII bytes, laid out as json.dumps(d,
+    indent=2, sort_keys=True) + newline and with the same values; a float
+    is spelled in its shortest round-trip form, 1e-05 as 0.00001 and 1e+16
+    as 1e16.  Keys must be strings, and an int beyond 64 bits or a string
+    with a lone surrogate raises TypeError."""
+    _refuse_nonfinite(d)
+    out = orjson.dumps(d, default=_default, option=_OPTIONS)
+    if out.isascii() and b"\x7f" not in out:
+        return out
+    # orjson writes these characters as UTF-8, the stdlib as \u escapes
+    return re.sub("[^\x00-\x7e]", lambda m: json.dumps(m.group())[1:-1],
+                  out.decode()).encode()
+
+
 def dump(d, fh):
-    # the indenting encoder is pure Python and yields one short string per
-    # token, which json.dump writes one by one; joined in batches they make
-    # a few large writes, and unlike json.dumps the whole text is never held
-    chunks = json.JSONEncoder(indent=2, sort_keys=True,
-                              allow_nan=False).iterencode(d)
-    for part in iter(lambda: "".join(islice(chunks, 1 << 14)), ""):
-        fh.write(part)
-    fh.write("\n")
+    # orjson holds the whole text, 10-15 times faster than the stdlib's
+    # pure-Python indenting encoder; fh may be a text or a binary file
+    out = _encoded(d)
+    fh.write(out.decode() if isinstance(fh, io.TextIOBase) else out)
 
 
 def save(d, path):
-    with open(path, "w") as fh:
-        dump(d, fh)
+    # encoded in full before the path is opened, so a refused value
+    # leaves no file; through dump, so the benchmark's trace, which counts
+    # the bytes dump writes, sees every file
+    buf = io.BytesIO()
+    dump(d, buf)
+    with open(path, "wb") as fh:
+        fh.write(buf.getbuffer())
 
 
 def load(path_or_file):

@@ -242,8 +242,11 @@ def _values(terms, sol, core_gram, entries=None):
     step = _GATHER // max(R.shape[1], 1) + 1
     for s in range(0, i.size, step):
         x[s:s + step] = np.einsum("ij,ij->i", R[i[s:s + step]], R[j[s:s + step]])
-    # off-diagonal entries stand for (i, j) and (j, i)
-    out = np.bincount(row, np.where(i == j, v, 2.0 * v) * x, len(terms)).astype(float)
+    # off-diagonal entries stand for (i, j) and (j, i); a value beyond the
+    # float range reads inf, which is_feasible never accepts
+    with np.errstate(over="ignore"):
+        out = np.bincount(row, np.where(i == j, v, 2.0 * v) * x,
+                          len(terms)).astype(float)
     if core_gram is not None:
         cores = np.array([t.core for t in terms], dtype=float)
         out += cores.reshape(len(terms), core_gram.size) @ core_gram.ravel()

@@ -1098,6 +1098,7 @@ EDITED_RUNS = [
     ("extended", ["report", "--in"]),
     ("solution", ["recover", "--extended-solution"]),
     ("solution", ["report", "--in"]),
+    ("recovered", ["report", "--in"]),
 ]
 # the message class each exit code starts its stderr with
 EXIT_MESSAGES = {0: ("",),
@@ -1140,19 +1141,22 @@ def _with_leaf(d, path, value):
 
 @pytest.fixture(scope="module")
 def pipeline_files(tmp_path_factory):
-    """gen | convert | solve --max-iter 50 of a path (simex -n 4) and of a
-    tree with two-child nodes (lb-tree --ell 1): file kind -> path."""
+    """gen | convert | solve --max-iter 50 | recover of a path (simex -n 4)
+    and of a tree with two-child nodes (lb-tree --ell 1): file kind ->
+    path."""
     out = {}
     for name, gen in (("simex", ["simex", "-n", "4"]),
                       ("lbtree", ["lb-tree", "--ell", "1"])):
         d = tmp_path_factory.mktemp(name)
-        files = {kind: str(d / (kind + ".json"))
-                 for kind in ("problem", "extended", "solution")}
+        files = {kind: str(d / (kind + ".json")) for kind in
+                 ("problem", "extended", "solution", "recovered")}
         assert run(["gen", *gen, "--out", files["problem"]]) == 0
         assert run(["convert", "--in", files["problem"],
                     "--out", files["extended"]]) == 0
         assert run(["solve", "--max-iter", "50", "--in", files["extended"],
                     "--out", files["solution"]]) in (0, 2)
+        assert run(["recover", "--extended-solution", files["solution"],
+                    "--out", files["recovered"]]) == 0
         out[name] = files
     return out
 
@@ -1161,18 +1165,20 @@ def test_one_edited_json_leaf_keeps_the_exit_code_contract(
         tmp_path, capsys, pipeline_files):
     # exit 1 is bad input and 2 a numerical failure, each with its own
     # message class and neither with a traceback, and a NaN, or an
-    # infinity that is no bound on its own side, never exits 0: about 300
-    # runs
+    # infinity that is no bound on its own side, never exits 0, and an
+    # exit 1 leaves no --out file: about 350 runs
     rng = np.random.default_rng(20)
     edited = tmp_path / "edited.json"
+    out = tmp_path / "out.json"
     broken = []
     for name, files in sorted(pipeline_files.items()):
         for kind, argv in EDITED_RUNS:
             d = _load(files[kind])
             argv = [a.format(**files) for a in argv] + [
-                str(edited), "--out", str(tmp_path / "out.json")]
+                str(edited), "--out", str(out)]
             for path, value in _edits(rng, d):
                 edited.write_text(json.dumps(_with_leaf(d, path, value)))
+                out.unlink(missing_ok=True)
                 case = "%s %s %s=%r" % (name, argv[0],
                                         "/".join(map(str, path)), value)
                 try:
@@ -1192,6 +1198,8 @@ def test_one_edited_json_leaf_keeps_the_exit_code_contract(
                         or "Traceback" in err:
                     broken.append("%s exited %r with stderr %r"
                                   % (case, code, err[:200]))
+                if code == 1 and out.exists():
+                    broken.append("%s exited 1 but wrote --out" % case)
                 bound = {"lower": -math.inf, "upper": math.inf}.get(path[-1])
                 if code == 0 and isinstance(value, float) \
                         and not math.isfinite(value) and value != bound:

@@ -1,9 +1,18 @@
+import collections
+import datetime
+import enum
 import io
 import json
+import math
+import re
+import struct
+import uuid
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splrsdp import fileio
 from splrsdp.chordal_conversion import convert, convert_problem
@@ -222,3 +231,148 @@ def test_dump_is_deterministic_and_rejects_nan():
     bad["factor"][0][0] = float("nan")
     with pytest.raises(ValueError):
         fileio.dump(bad, io.StringIO())
+
+
+# the writer's inputs: JSON trees of every kind of value, floats subnormal,
+# signed zero, below 1e-4 and from 1e16 up included, strings of any
+# character but a lone surrogate, which orjson refuses
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -0.0, 0.0, 1e-5, -8.40255384132908e-05, 8.710670930064717e-07,
+     1e16, -1.2345e22, 1.7976931348623157e308])
+_TREES = st.recursive(
+    _FLOATS | st.integers(-2 ** 63, 2 ** 63 - 1) | st.booleans() | st.none()
+    | _TEXT,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=40)
+# one line of indented JSON holding a number, after an optional key
+_NUMBER_LINE = re.compile(r'(\s*(?:".*": )?)([-+.0-9eE]+)(,?)')
+
+
+def _dumped(d):
+    buf = io.StringIO()
+    fileio.dump(d, buf)
+    return buf.getvalue()
+
+
+def _assert_same(a, b):
+    """a and b are equal JSON values of equal types, floats bitwise."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_same(a[k], b[k])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b), (a, b)
+    else:
+        assert a == b
+
+
+@given(st.dictionaries(_TEXT, _TREES, max_size=6))
+def test_dump_keeps_the_stdlib_layout_and_every_value(d):
+    text = _dumped(d)
+    _assert_same(json.loads(text), d)
+    old = json.dumps(d, indent=2, sort_keys=True) + "\n"
+    assert text.isascii()
+    new_lines, old_lines = text.split("\n"), old.split("\n")
+    assert len(new_lines) == len(old_lines)
+    for a, b in zip(new_lines, old_lines):
+        if a != b:  # only a float's spelling may differ
+            ma, mb = _NUMBER_LINE.fullmatch(a), _NUMBER_LINE.fullmatch(b)
+            assert ma and mb, (a, b)
+            assert ma.group(1, 3) == mb.group(1, 3)
+            assert re.search("[.eE]", ma.group(2) + mb.group(2))
+            _assert_same(float(ma.group(2)), float(mb.group(2)))
+
+
+def test_dump_spells_floats_in_shortest_round_trip_form():
+    text = _dumped({"a": [8.710670930064717e-07, -8.40255384132908e-05,
+                          1e16, 0.5]})
+    assert text == ('{\n  "a": [\n    8.710670930064717e-7,\n'
+                    '    -0.0000840255384132908,\n    1e16,\n    0.5\n'
+                    '  ]\n}\n')
+
+
+def test_dump_writes_a_finite_list_whose_sum_overflows():
+    d = {"a": [1e308, 1e308], "b": [2 ** 63 - 1, 1e308, 1e308]}
+    assert json.loads(_dumped(d)) == d
+
+
+NONFINITE = {
+    "top level": math.nan,
+    "nested list": {"a": [[1.0, 2.0], [3.0, [4.0, math.inf]]]},
+    "dict value": {"a": {"b": -math.inf}},
+    "tuple": {"a": (1.0, math.nan)},
+    "numpy.float64": {"a": [1.0, np.float64("nan")]},
+    "after a huge int": {"a": [10 ** 400, math.inf]},
+    "after a string": {"a": ["x", math.nan]},
+}
+
+
+@pytest.mark.parametrize("d", NONFINITE.values(), ids=NONFINITE)
+def test_dump_and_save_refuse_a_nan_or_infinity(tmp_path, d):
+    words = r"^Out of range float values are not JSON compliant: -?(nan|inf)$"
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=words):
+        fileio.dump(d, buf)
+    assert buf.getvalue() == ""
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=words):
+        fileio.save(d, str(path))
+    assert not path.exists()
+
+
+def test_solution_stats_refuse_what_the_writer_refuses():
+    d = fileio.solution_to_dict({1: np.eye(2)}, extended=convert_problem(
+        gen_simex(3))[0])
+    d["stats"] = {"history": [[1.0, math.inf]]}
+    with pytest.raises(ValueError, match="^solution stats: Out of range"
+                       " float values are not JSON compliant: inf$"):
+        fileio.solution_from_dict(d)
+
+
+def test_numpy_float64_is_written_as_its_float(tmp_path):
+    d = {"a": np.float64(1e-7), "b": [np.float64(0.1), 2.5]}
+    path = tmp_path / "out.json"
+    fileio.save(d, str(path))
+    back = fileio.load(str(path))
+    _assert_same(back, {"a": 1e-7, "b": [0.1, 2.5]})
+
+
+class _Colour(enum.Enum):
+    RED = 1
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+_Pair = collections.namedtuple("_Pair", "x y")
+
+
+def test_subclasses_and_escapes_are_written_as_the_stdlib_wrote_them():
+    d = collections.OrderedDict(
+        z=_Level.HIGH, y=_Pair(1, [2.5]), x=type("S", (str,), {})("s"),
+        w="caf\u00e9 \x7f \U0001f600 \x00\t\"\\")
+    d["\u00e9"] = True
+    assert _dumped(d) == json.dumps(d, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    object(), {1, 2}, b"x", datetime.date(2020, 1, 1), uuid.UUID(int=1),
+    _Colour.RED, SolveStats(iterations=1, primal_residual=0.0,
+                            dual_residual=0.0, objective=0.0, block_ranks={},
+                            rho=1.0, converged=True),
+    np.float32(1.0), np.int64(1), np.array([1.0])],
+    ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("where", ["value", "list"])
+def test_a_type_the_stdlib_refused_still_raises_type_error(value, where):
+    d = {"a": value} if where == "value" else {"a": [1.0, value]}
+    with pytest.raises(TypeError):
+        json.dumps(d)
+    with pytest.raises(TypeError):
+        fileio.dump(d, io.StringIO())

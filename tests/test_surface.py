@@ -14,6 +14,7 @@ none is private: `dataclasses.replace` copies every field, so state
 derived from the others would go stale in the copy.
 Every import in `src/` sits at module level, and the modules' imports
 of each other form no cycle.
+Only `fileio` imports a JSON library, so one module owns the format.
 Random numbers are drawn only in RANDOM_USERS, each from a fixed or a
 caller's seed, so every command is a function of its input alone.
 """
@@ -27,6 +28,9 @@ PACKAGE = ROOT / "src" / "splrsdp"
 # the only functions that may read np.random: gen's instances, drawn from
 # the seed its caller passes, and verify's sample points, drawn from seed 0
 RANDOM_USERS = {"cli._cmd_gen", "sparse_extension.verify_extension"}
+
+# the JSON libraries, which only fileio imports
+JSON_LIBRARIES = {"json", "orjson"}
 
 # fields kept for the library's callers, each with its reason
 UNREAD_FIELDS = {
@@ -200,6 +204,18 @@ def test_imports_sit_at_module_level_and_form_no_cycle():
     for m in sorted(graph):
         if m not in state:
             visit(m, [])
+
+
+def test_only_fileio_imports_a_json_library():
+    importers = sorted(
+        path.stem for path in PACKAGE.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Import) and any(
+            a.name.split(".")[0] in JSON_LIBRARIES for a in n.names)
+        or isinstance(n, ast.ImportFrom) and not n.level
+        and n.module.split(".")[0] in JSON_LIBRARIES)
+    assert set(importers) <= {"fileio"}, \
+        "modules importing %s: %s" % (sorted(JSON_LIBRARIES), importers)
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
