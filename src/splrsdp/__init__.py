@@ -34,11 +34,9 @@ from .sparse_extension import (
 from .chordal_conversion import (RecoveryError, assemble, convert,
                                  convert_problem, export_sdpa)
 from .completion_rank import (
-    AffineSlice,
     bp_bound,
     max_rank_for_constraints,
     psd_complete_min_rank,
-    rank_reduce_affine,
     recover_low_rank,
     reduce_block,
 )
@@ -53,9 +51,7 @@ from .instances import (
     gen_lb_small,
     gen_lb_tree,
     gen_min_bisection,
-    gen_phi_witness,
     gen_simex,
-    phi_witness_matrix,
 )
 
 __version__ = "0.1.0"

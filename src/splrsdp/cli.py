@@ -15,12 +15,10 @@ import numpy as np
 
 from . import fileio
 from .chordal_conversion import convert, convert_problem, export_sdpa
-from .completion_rank import (max_rank_for_constraints, rank_reduce_affine,
-                              recover_low_rank)
+from .completion_rank import recover_low_rank
 from .graph_core import Graph, read_graph
 from .instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
-                        gen_lb_tree, gen_min_bisection, gen_phi_witness,
-                        gen_simex)
+                        gen_lb_tree, gen_min_bisection, gen_simex)
 from .sdp_model import eval_objective, is_feasible
 from .solver import AdmmParams, admm_solve
 from .sparse_extension import verify_extension
@@ -105,9 +103,6 @@ def _cmd_gen(args):
             p = gen_bqp_relaxation(Q, c, Aeq, Aeq @ x0, binary_set=binary)
         else:
             p = gen_bqp_relaxation(Q, c, binary_set=binary)
-    elif fam == "phi":
-        _write_json(fileio.slice_to_dict(gen_phi_witness(args.ell)), args.out)
-        return 0
     elif fam == "lb-small":
         p = gen_lb_small(args.ell)
     elif fam == "lb-padded":
@@ -226,26 +221,11 @@ def _cmd_report(args):
         d = fileio.recovered_from_dict(d)
         out.update(rank=d["rank"], certified_bound=d["certified_bound"],
                    mode=d["mode"], residuals=d["residuals"])
-    elif schema == fileio.SLICE_SCHEMA:
-        sl = fileio.slice_from_dict(d)
-        out.update(dim=sl.point.shape[0], rows=len(sl.mats))
     elif schema == fileio.REPORT_SCHEMA:
         out.update({k: v for k, v in d.items() if k != "schema"})
     else:
         raise ValueError("unrecognized file (schema %r)" % schema)
     _write_json(out, args.out)
-    return 0
-
-
-def _cmd_reduce(args):
-    sl = fileio.slice_from_dict(_read_json(args.infile))
-    sol = rank_reduce_affine(sl)
-    rank = sol.numerical_rank()
-    log.info("rank reduced to %d (bound %d)", rank,
-             max_rank_for_constraints(len(sl.mats)))
-    _write_json({"schema": fileio.REPORT_SCHEMA, "kind": "rank-reduction",
-                 "rank": rank, "bound": max_rank_for_constraints(len(sl.mats)),
-                 "point": (sol.factor @ sol.factor.T).tolist()}, args.out)
     return 0
 
 
@@ -279,9 +259,6 @@ def _build_parser():
     sp.add_argument("--eq", type=int, default=0, help="number of equality rows")
     sp.add_argument("--binary", action="store_true")
     gcommon(sp, seeded=True)
-    sp = gsub.add_parser("phi", help="coupled slice with a unique rank l+1 element")
-    sp.add_argument("--ell", type=int, required=True)
-    gcommon(sp)
     sp = gsub.add_parser("lb-small", help="full-rank-forced instance of size l+1")
     sp.add_argument("--ell", type=int, required=True)
     gcommon(sp)
@@ -332,11 +309,6 @@ def _build_parser():
     sp.add_argument("--in", dest="infile", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_report)
-
-    sp = sub.add_parser("reduce", help="rank reduction on an affine slice file")
-    sp.add_argument("--in", dest="infile", default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_reduce)
     return top
 
 

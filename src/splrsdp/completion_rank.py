@@ -2,10 +2,9 @@
 
 Contains:
 - minimum-rank PSD completion of bag matrices along a clique tree,
-- rank reduction over an affine slice of the PSD cone down to the classic
-  feasibility bound r(r+1)/2 <= #constraints,
 - the block-level reduction used on two-child blocks of the converted
-  problem, and
+  problem, which walks a coupled slice of the PSD cone down to the classic
+  feasibility bound r(r+1)/2 <= #constraints, and
 - end-to-end low-rank recovery for a solved block problem.
 
 Recovery starts from chordal_conversion.assemble, whose RecoveryError
@@ -14,7 +13,7 @@ every later check raises too; the cuts come from sdp_model.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -25,27 +24,12 @@ from .sdp_model import PINV_RCOND, RANK_TOL, FactoredSolution, _rank_mask, _sym
 from .sparse_extension import restrict_solution
 
 __all__ = [
-    "AffineSlice",
     "bp_bound",
     "max_rank_for_constraints",
     "psd_complete_min_rank",
-    "rank_reduce_affine",
     "reduce_block",
     "recover_low_rank",
 ]
-
-SLICE_TOL = 1e-6  # rank_reduce_affine's slack on a point's rows and cone
-
-
-@dataclass
-class AffineSlice:
-    """{Y PSD : <mats[j], Y> = rhs[j]} with a known feasible point; mats a
-    (q, d, d) stack (or list of matrices), rhs q values."""
-
-    mats: np.ndarray
-    rhs: np.ndarray
-    point: np.ndarray
-
 
 def max_rank_for_constraints(q):
     """Largest r with r(r+1)/2 <= q: a PSD set cut by q affine constraints
@@ -252,31 +236,6 @@ def psd_complete_min_rank(bags, td, psd_tol=1e-6, face_mats=None):
     return FactoredSolution(R[:, live])
 
 
-def rank_reduce_affine(slc):
-    """Walk the point of an affine PSD slice down in rank (_rank_walk).
-
-    The point must be finite, meet every row within SLICE_TOL and have no
-    eigenvalue below -SLICE_TOL * max(1, largest eigenvalue); a point that
-    fails one of these (a NaN row gap counts as off the slice), or an rhs
-    whose length is not the row count, raises ValueError.
-    """
-    Y = _sym(np.asarray(slc.point, dtype=float))
-    S = _sym(np.asarray(slc.mats, dtype=float)
-             .reshape(len(slc.mats), *Y.shape))
-    rhs = np.asarray(slc.rhs, dtype=float).reshape(len(S))
-    # np.max keeps a NaN gap, where max() may skip it
-    worst = float(np.max(np.abs(np.sum(S * Y, axis=(1, 2)) - rhs),
-                         initial=0.0))
-    if not worst <= SLICE_TOL:
-        raise ValueError("slice point infeasible by %.3e" % worst)
-    if not np.isfinite(Y).all():  # without rows no gap carries it
-        raise ValueError("slice point has a non-finite entry")
-    w = np.linalg.eigvalsh(Y)
-    if w.min(initial=0.0) < -SLICE_TOL * w.max(initial=1.0):
-        raise ValueError("slice point is not PSD: eigenvalue %.3e" % w[0])
-    return FactoredSolution(_rank_walk(S, _psd_factor(Y)))
-
-
 def _rank_walk(S, R):
     """Walk the PSD point R R^T down in rank, keeping its value on every
     symmetric row of the (q, d, d) stack S; returns the last factor.
@@ -316,20 +275,20 @@ def _rank_walk(S, R):
     return R
 
 
-def _coupled_slice(G, target, point):
-    """{Y PSD, 2l x 2l : both diagonal blocks I, sym(G Y G^T) = target}
-    for l x 2l G, with the feasible point given, as one stack of rows, each
-    group in np.triu_indices(l) order of (a, b): the identity rows of the
-    first and then the second diagonal block (two unit entries and rhs 0
-    off the diagonal), then the coupling rows sym(G[a] G[b]^T) with rhs
-    target[a, b]."""
+def _coupled_slice(G):
+    """The rows of {Y PSD, 2l x 2l : both diagonal blocks I, sym(G Y G^T)
+    fixed} for l x 2l G, as one (q, 2l, 2l) stack, each group in
+    np.triu_indices(l) order of (a, b): the identity rows of the first and
+    then the second diagonal block (two unit entries off the diagonal),
+    then the coupling rows sym(G[a] G[b]^T).  _rank_walk keeps the row
+    values of the point it is given, so the right-hand sides are never
+    built."""
     ell = G.shape[0]
     a, b = np.triu_indices(ell)
     k, i, j = np.arange(2 * a.size), np.r_[a, a + ell], np.r_[b, b + ell]
     unit = np.zeros((k.size, 2 * ell, 2 * ell))
     unit[k, i, j] = unit[k, j, i] = 1.0
-    mats = np.concatenate([unit, _sym(G[a, :, None] * G[b, None, :])])
-    return AffineSlice(mats, np.r_[a == b, a == b, target[a, b]], point)
+    return np.concatenate([unit, _sym(G[a, :, None] * G[b, None, :])])
 
 
 def reduce_block(Z, v_part, ell):
@@ -375,8 +334,8 @@ def reduce_block(Z, v_part, ell):
     q, l = np.linalg.qr(np.swapaxes(R.reshape(3, ell, -1), 1, 2))
     Q, L = np.swapaxes(q, 1, 2), np.swapaxes(l, 1, 2)
     Q12 = np.vstack([Q[0], Q[1]])
-    slc = _coupled_slice(np.hstack([L[0], L[1]]), L[2] @ L[2].T, Q12 @ Q12.T)
-    W = _rank_walk(slc.mats, _psd_factor(slc.point))
+    W = _rank_walk(_coupled_slice(np.hstack([L[0], L[1]])),
+                   _psd_factor(Q12 @ Q12.T))
     F1, F2 = L[0] @ W[:ell], L[1] @ W[ell:]
     F3 = L[2] @ (np.linalg.pinv(L[2], rcond=PINV_RCOND) @ (F1 + F2))
     F = np.vstack([F1, F2, F3])

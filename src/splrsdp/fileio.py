@@ -17,7 +17,6 @@ from itertools import chain, islice
 import numpy as np
 import orjson
 
-from .completion_rank import AffineSlice
 from .graph_core import Graph, TreeDecomposition
 from .sdp_model import (Constraint, SparseSymMatrix, SplrSdp, Term, _number,
                         validate_problem)
@@ -28,7 +27,6 @@ __all__ = [
     "EXTENDED_SCHEMA",
     "SOLUTION_SCHEMA",
     "RECOVERED_SCHEMA",
-    "SLICE_SCHEMA",
     "REPORT_SCHEMA",
     "problem_to_dict",
     "problem_from_dict",
@@ -36,8 +34,6 @@ __all__ = [
     "td_from_dict",
     "extended_to_dict",
     "extended_from_dict",
-    "slice_to_dict",
-    "slice_from_dict",
     "solution_to_dict",
     "solution_from_dict",
     "recovered_from_dict",
@@ -51,7 +47,6 @@ PROBLEM_SCHEMA = "splr-problem/1"
 EXTENDED_SCHEMA = "splr-extended/1"
 SOLUTION_SCHEMA = "splr-solution/1"
 RECOVERED_SCHEMA = "splr-recovered/1"
-SLICE_SCHEMA = "splr-slice/1"
 REPORT_SCHEMA = "splr-report/1"
 
 
@@ -233,31 +228,6 @@ def extended_from_dict(d):
                          % d.get("schema"))
     base = problem_from_dict(_typed(d["base"], dict, "base"))
     return build_extension(base, td_from_dict(_typed(d["tree"], dict, "tree")))
-
-
-def slice_to_dict(sl):
-    dim = sl.point.shape[0]
-    return {
-        "schema": SLICE_SCHEMA,
-        "dim": dim,
-        "mats": np.asarray(sl.mats, dtype=float).tolist(),
-        "rhs": [float(r) for r in sl.rhs],
-        "point": np.asarray(sl.point, dtype=float).tolist(),
-    }
-
-
-def slice_from_dict(d):
-    if d.get("schema") != SLICE_SCHEMA:
-        raise ValueError("not a slice file (schema %r)" % d.get("schema"))
-    dim = _number(d["dim"], int, "dim")
-    rows = _typed(d["mats"], list, "mats")
-    mats = _number(rows, np.ndarray, "mats").reshape(len(rows), dim, dim)
-    rhs = [_number(r, float, "rhs") for r in _typed(d["rhs"], list, "rhs")]
-    if len(rhs) != len(mats):
-        raise ValueError("slice has %d rows in mats but %d rhs values"
-                         % (len(mats), len(rhs)))
-    return AffineSlice(mats, np.array(rhs), _number(
-        d["point"], np.ndarray, "point").reshape(dim, dim))
 
 
 def stats_to_dict(st):

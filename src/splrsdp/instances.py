@@ -1,15 +1,13 @@
 """Concrete problem generators.
 
 Covers the running feasibility example, two application relaxations
-(minimum bisection and box-constrained quadratic programs), the coupled
-slice whose unique element pins the rank floor, and a family of
-worst-case instances whose optimal solutions cannot drop below the
+(minimum bisection and quadratic programs over x >= 0), and a family
+of worst-case instances whose optimal solutions cannot drop below the
 certified rank bound.
 """
 
 import numpy as np
 
-from .completion_rank import _coupled_slice
 from .graph_core import Graph
 from .sdp_model import Constraint, SparseSymMatrix, SplrSdp, Term
 
@@ -17,8 +15,6 @@ __all__ = [
     "gen_simex",
     "gen_min_bisection",
     "gen_bqp_relaxation",
-    "gen_phi_witness",
-    "phi_witness_matrix",
     "gen_lb_small",
     "gen_lb_padded",
     "gen_lb_tree",
@@ -194,24 +190,6 @@ def _witness_d(ell):
     D = np.eye(ell)
     D[ell - 1, ell - 1] = 0.5
     return D
-
-
-def phi_witness_matrix(ell):
-    """The unique element of the coupled slice: identity diagonal blocks
-    linked by diag(1, ..., 1, 1/2)."""
-    D = _witness_d(ell)
-    return np.block([[np.eye(ell), D], [D, np.eye(ell)]])
-
-
-def gen_phi_witness(ell):
-    """Affine slice over 2l x 2l PSD matrices whose every element has rank
-    exactly l+1: both diagonal blocks pinned to I, and the sum-coupling
-    U^T Y U = diag(4, ..., 4, 3) with U = [I; I]."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    target = np.diag(np.r_[np.full(ell - 1, 4.0), 3.0])
-    return _coupled_slice(np.hstack([np.eye(ell), np.eye(ell)]), target,
-                          phi_witness_matrix(ell))
 
 
 def gen_lb_small(ell):

@@ -5,11 +5,12 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import settings
 
-from splrsdp.completion_rank import _face_bases
+from splrsdp.completion_rank import (_coupled_slice, _face_bases,
+                                     _psd_factor, _rank_walk)
 from splrsdp.graph_core import (Graph, TreeDecomposition, _mcs_order,
                                 _top_nodes)
 from splrsdp.instances import _witness_d, gen_min_bisection
-from splrsdp.sdp_model import FactoredSolution, _core_gram, _values
+from splrsdp.sdp_model import FactoredSolution, _core_gram, _sym, _values
 from splrsdp.solver import AdmmParams, SolveStats, _face_project
 from splrsdp.sparse_extension import _root_gram
 
@@ -385,6 +386,36 @@ def coupling_singular_values(alpha, beta):
     hi = np.sqrt((mid + disc) / 2.0)
     lo = np.sqrt(max((mid - disc) / 2.0, 0.0))
     return hi, lo
+
+
+def phi_witness_matrix(ell):
+    """The unique element of the coupled slice: identity diagonal blocks
+    linked by diag(1, ..., 1, 1/2)."""
+    D = _witness_d(ell)
+    return np.block([[np.eye(ell), D], [D, np.eye(ell)]])
+
+
+def phi_witness_slice(ell):
+    """(mats, rhs, point) of the affine slice over 2l x 2l PSD matrices
+    whose every element has rank exactly l+1: both diagonal blocks pinned
+    to I, and the sum-coupling U^T Y U = diag(4, ..., 4, 3) with
+    U = [I; I].  mats is the stack reduce_block walks (_coupled_slice) and
+    point phi_witness_matrix(ell)."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    target = np.diag(np.r_[np.full(ell - 1, 4.0), 3.0])
+    a, b = np.triu_indices(ell)
+    return (_coupled_slice(np.hstack([np.eye(ell), np.eye(ell)])),
+            np.r_[a == b, a == b, target[a, b]], phi_witness_matrix(ell))
+
+
+def rank_walk(mats, point):
+    """The package's rank walk (_rank_walk) from a PSD point, keeping its
+    value on each row of mats, a list or (q, d, d) stack of d x d matrices;
+    returns a FactoredSolution."""
+    Y = _sym(np.asarray(point, dtype=float))
+    S = _sym(np.asarray(mats, dtype=float).reshape(len(mats), *Y.shape))
+    return FactoredSolution(_rank_walk(S, _psd_factor(Y)))
 
 
 def lb_tree_feasible_point(ell):

@@ -11,16 +11,15 @@ import numpy as np
 
 from conftest import (CHORDAL12_CLIQUES, brute_force_treewidth,
                       coupling_singular_values, dense_reference_solve,
-                      random_splr_problem, random_valid_td)
+                      phi_witness_matrix, phi_witness_slice,
+                      random_splr_problem, random_valid_td, rank_walk)
 from splrsdp.chordal_conversion import convert_problem
-from splrsdp.completion_rank import (AffineSlice, max_rank_for_constraints,
-                                     psd_complete_min_rank, rank_reduce_affine,
-                                     recover_low_rank)
+from splrsdp.completion_rank import (max_rank_for_constraints,
+                                     psd_complete_min_rank, recover_low_rank)
 from splrsdp.graph_core import (Graph, TreeDecomposition, clique_tree,
                                 to_binary, width)
 from splrsdp.instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
-                               gen_lb_tree, gen_min_bisection, gen_phi_witness,
-                               gen_simex, phi_witness_matrix)
+                               gen_lb_tree, gen_min_bisection, gen_simex)
 from splrsdp.sdp_model import is_feasible
 from splrsdp.solver import AdmmParams, admm_solve
 from splrsdp.sparse_extension import verify_extension
@@ -175,7 +174,7 @@ def test_constraint_count_rank_cap():
             B = rng.standard_normal((d, d))
             mats.append(0.5 * (B + B.T))
         rhs = [float(np.sum(B * X0)) for B in mats]
-        sol = rank_reduce_affine(AffineSlice(mats, rhs, X0))
+        sol = rank_walk(mats, X0)
         assert sol.factor.shape[1] <= max_rank_for_constraints(q)
         Xr = sol.factor @ sol.factor.T
         drift = max(abs(float(np.sum(B * Xr)) - c) for B, c in zip(mats, rhs))
@@ -186,7 +185,7 @@ def test_constraint_count_rank_cap():
 def test_unique_slice_element_and_closed_form():
     rng = np.random.default_rng(5)
     for ell in (1, 2):
-        sl = gen_phi_witness(ell)
+        mats = phi_witness_slice(ell)[0]
         W = phi_witness_matrix(ell)
         for _ in range(50):
             # random start: a full-rank nudge off the anchor, kept inside the
@@ -194,7 +193,7 @@ def test_unique_slice_element_and_closed_form():
             # so the scale sits below that regime
             G = rng.standard_normal(W.shape)
             X0 = W + 1e-11 * (G @ G.T) / W.shape[0]
-            sol = rank_reduce_affine(AffineSlice(sl.mats, sl.rhs, X0))
+            sol = rank_walk(mats, X0)
             X = sol.factor @ sol.factor.T
             assert np.abs(X - W).max() <= 1e-6
             assert sol.factor.shape[1] == ell + 1

@@ -21,7 +21,7 @@ import pytest
 import splrsdp
 from splrsdp import fileio
 from splrsdp.chordal_conversion import convert, convert_problem
-from splrsdp.cli import run
+from splrsdp.cli import _PARSER, run
 from splrsdp.completion_rank import bp_bound
 from splrsdp.graph_core import Graph, TreeDecomposition
 from splrsdp.instances import gen_lb_tree, gen_simex
@@ -185,21 +185,33 @@ def test_verify_refuses_a_check_that_certifies_nothing(tmp_path, capsys,
                          samples=int(value))
 
 
-@pytest.mark.parametrize("argv", [
-    ["recover", "--extended-solution", "{s}", "--problem", "{e}"],
-    ["verify", "--problem", "{p}", "--extension", "{e}", "--seed", "1"],
-    ["verify", "--problem", "{p}", "--extension", "{e}", "--tol", "1e-9"],
-], ids=" ".join)
-def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
-    # the extension comes only from the solution file, and verify draws
-    # from a fixed seed and gates at sparse_extension.VERIFY_TOL; the
-    # arguments are parsed before any file is read
+# removed flags, commands and gen families, each with its usage error
+REMOVED_FORMS = [
+    (["recover", "--extended-solution", "{s}", "--problem", "{e}"],
+     "unrecognized arguments: --problem "),
+    (["verify", "--problem", "{p}", "--extension", "{e}", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["verify", "--problem", "{p}", "--extension", "{e}", "--tol", "1e-9"],
+     "unrecognized arguments: --tol 1e-9"),
+    (["reduce", "--in", "{p}"], "argument command: invalid choice: 'reduce'"),
+    (["gen", "phi", "--ell", "1"], "argument family: invalid choice: 'phi'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REMOVED_FORMS,
+                         ids=[" ".join(argv) for argv, _ in REMOVED_FORMS])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    # the extension comes only from the solution file, verify draws from a
+    # fixed seed and gates at sparse_extension.VERIFY_TOL, and the slice
+    # file kind went with reduce and gen phi; the arguments are parsed
+    # before any file is read
     files = {name: str(tmp_path / ("%s.json" % name))
              for name in ("p", "e", "s")}
     out = tmp_path / "out.json"
     assert run([a.format(**files) for a in argv] + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("splrsdp: error: unrecognized arguments: ")
+    assert err.startswith("splrsdp: error: " + message), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -505,7 +517,7 @@ def test_gen_takes_seed_only_for_families_that_draw_random_numbers(
         tmp_path, capsys):
     out = tmp_path / "p.json"
     for argv in (["lb-tree", "--ell", "1"], ["lb-small", "--ell", "1"],
-                 ["lb-padded", "--sigma", "1"], ["phi", "--ell", "1"]):
+                 ["lb-padded", "--sigma", "1"]):
         capsys.readouterr()
         assert run(["gen"] + argv + ["--seed", "3", "--out", str(out)]) == 1
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
@@ -554,15 +566,6 @@ def test_gen_seed_changes_random_instances(tmp_path):
     assert _load(a)["objective"] != _load(b)["objective"]
 
 
-def test_reduce_cli_hits_the_constraint_bound(tmp_path):
-    f = tmp_path / "phi.json"
-    out = tmp_path / "red.json"
-    assert run(["gen", "phi", "--ell", "1", "--out", str(f)]) == 0
-    assert run(["reduce", "--in", str(f), "--out", str(out)]) == 0
-    d = _load(out)
-    assert d["rank"] <= d["bound"]
-
-
 def test_bad_inputs_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -608,12 +611,17 @@ def test_report_reads_each_file_kind_as_the_pipeline_does(tmp_path, capsys,
     nan_block["blocks"]["2"][0][0] = math.nan
     bare = copy.deepcopy(simex6_solution)
     del bare["extended"]
+    # no command writes or reads the slice file kind any more
+    slice_file = {"schema": "splr-slice/1", "dim": 1, "mats": [[[1.0]]],
+                  "rhs": [1.0], "point": [[1.0]]}
     f, out = tmp_path / "f.json", tmp_path / "out.json"
     for d, command, named in (
             (nan_core, "report", "constraint 1 core has a non-finite entry"),
             (nan_block, "report", "block 2 has a non-finite entry"),
             (bare, "report", "missing key 'extended'"),
-            (bare, "recover", "missing key 'extended'")):
+            (bare, "recover", "missing key 'extended'"),
+            (slice_file, "report",
+             "unrecognized file (schema 'splr-slice/1')")):
         f.write_text(json.dumps(d))  # fileio.save refuses NaN
         flag = "--extended-solution" if command == "recover" else "--in"
         capsys.readouterr()
@@ -648,11 +656,16 @@ def test_each_run_logs_to_the_stderr_it_is_given(tmp_path, monkeypatch):
             package.level) == before
 
 
+def _readme_section():
+    """The text of README's "Command line" section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_commands():
     """The `splrsdp ...` lines of README's "Command line" section, each
     with its continuation lines joined."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme_section()
     return [line.strip() for line in section.replace("\\\n", "").splitlines()
             if line.startswith("    splrsdp ")]
 
@@ -676,6 +689,27 @@ def test_readme_command_lines_run_as_written(tmp_path, monkeypatch):
             assert json.loads(text)["rank"] == 2
     rec = _load(tmp_path / "rec.json")
     assert rec["rank"] <= rec["certified_bound"]
+
+
+def _subparsers(parser, dest):
+    """Name -> subparser, of those parser builds for the positional dest."""
+    return next(a.choices for a in parser._actions if a.dest == dest)
+
+
+def test_readme_names_exactly_the_commands_and_families_the_parser_builds():
+    # a deleted command or family must leave the docs with the code; a
+    # command is named as `splrsdp <command>`, a family as `gen <family>`
+    # or as a code span of the "Generators:" sentence, outside the
+    # parentheses that describe each family
+    section = " ".join(_readme_section().split())
+    commands = set(re.findall(r"\bsplrsdp ([a-z][a-z-]*)", section))
+    sentence = re.sub(r"\([^()]*\)", "",
+                      section.split("Generators:", 1)[1]).split(".", 1)[0]
+    families = set(re.findall(r"`([a-z][a-z-]*)`", sentence)) | set(
+        re.findall(r"\bgen ([a-z][a-z-]*)", section))
+    parsers = _subparsers(_PARSER, "command")
+    assert commands == set(parsers)
+    assert families == set(_subparsers(parsers["gen"], "family"))
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -703,7 +737,6 @@ def test_gen_refuses_values_it_cannot_write_as_given(tmp_path, capsys, argv,
     ["export", "--in", "{bad}"], ["recover", "--extended-solution", "{bad}"],
     ["verify", "--problem", "{bad}", "--extension", "{e}"],
     ["verify", "--problem", "{p}", "--extension", "{bad}"],
-    ["reduce", "--in", "{bad}"],
     ["gen", "lb-padded", "--sigma", "1", "--base", "{bad}"],
 ], ids=" ".join)
 def test_json_input_that_is_not_an_object_exits_1(tmp_path, capsys,
@@ -731,18 +764,15 @@ def test_json_input_that_is_not_an_object_exits_1(tmp_path, capsys,
     ("e", "base", [1, 2], "report"),
     ("s", "blocks", [1, 2], "recover"),
     ("s", "stats", [1, 2], "recover"),
-    ("sl", "mats", 7, "report"),
-    ("sl", "mats", 7, "reduce"),
 ], ids=lambda v: str(v))
 def test_nested_json_value_of_the_wrong_type_exits_1(tmp_path, capsys, kind,
                                                      key, value, command):
     # each of these indexed a list or an int and died with a traceback
     files = {name: str(tmp_path / ("%s.json" % name))
-             for name in ("p", "e", "s", "sl")}
+             for name in ("p", "e", "s")}
     assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
     assert run(["convert", "--in", files["p"], "--out", files["e"]]) == 0
     assert run(["solve", "--in", files["e"], "--out", files["s"]]) == 0
-    assert run(["gen", "phi", "--ell", "1", "--out", files["sl"]]) == 0
     d = _load(files[kind])
     d[key] = value
     fileio.save(d, files[kind])
@@ -771,7 +801,6 @@ def test_nested_json_value_of_the_wrong_type_exits_1(tmp_path, capsys, kind,
      "solution block 1 must be an array of"),
     ("e", ["tree", "root"], [1], "export", "root must be a number"),
     ("e", ["base", "ell"], [1], "report", "ell must be a number"),
-    ("sl", ["dim"], [1, 2], "reduce", "dim must be a number"),
 ], ids=lambda v: str(v))
 def test_wrong_typed_json_number_exits_1(tmp_path, capsys, kind, path, value,
                                         command, named):
@@ -783,11 +812,10 @@ def _edited_file_exits_1(tmp_path, capsys, kind, path, value, command, named):
     """Set one value of a generated file; `command` on it exits 1 with an
     input error that starts with `named`."""
     files = {name: str(tmp_path / ("%s.json" % name))
-             for name in ("p", "e", "s", "sl")}
+             for name in ("p", "e", "s")}
     assert run(["gen", "simex", "-n", "4", "--out", files["p"]]) == 0
     assert run(["convert", "--in", files["p"], "--out", files["e"]]) == 0
     assert run(["solve", "--in", files["e"], "--out", files["s"]]) == 0
-    assert run(["gen", "phi", "--ell", "1", "--out", files["sl"]]) == 0
     d = _load(files[kind])
     inner = d
     for key in path[:-1]:
@@ -824,8 +852,6 @@ def _edited_file_exits_1(tmp_path, capsys, kind, path, value, command, named):
     ("e", ["base", "n"], "4", "report", "n must be a number, got '4'"),
     ("s", ["blocks", "1", 0, 0], "1", "recover",
      "solution block 1 must be an array of"),
-    ("sl", ["dim"], 2.5, "reduce", "dim must be an integer, got 2.5"),
-    ("sl", ["rhs", 0], "0", "reduce", "rhs must be a number, got '0'"),
 ], ids=lambda v: str(v))
 def test_json_number_that_the_cast_would_change_exits_1(
         tmp_path, capsys, kind, path, value, command, named):
@@ -1032,57 +1058,6 @@ def test_recover_of_a_finite_block_near_the_float_range_exits_2(
     # the measured value is finite
     assert re.search(r"\b(nan|inf)\b", out.stderr) is None, out.stderr
     assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("key", ["point", "mats"])
-def test_reduce_refuses_a_nan_in_the_slice(tmp_path, capsys, key):
-    f = tmp_path / "phi.json"
-    assert run(["gen", "phi", "--ell", "2", "--out", str(f)]) == 0
-    d = _load(f)
-    # the last row: max() over the row gaps skipped a NaN after the first
-    (d["point"] if key == "point" else d["mats"][-1])[0][0] = float("nan")
-    f.write_text(json.dumps(d))
-    capsys.readouterr()
-    assert run(["reduce", "--in", str(f),
-                "--out", str(tmp_path / "red.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("splrsdp: invalid input: slice point infeasible by"
-                          " nan")
-    assert not (tmp_path / "red.json").exists()
-
-
-def _off_slice_psd(d):
-    """The point of a dim-4 slice file plus 5 times the direction its rows
-    annihilate: on every row still, but not PSD."""
-    S = np.array(d["mats"])
-    iu = np.triu_indices(4)
-    K = S[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
-    D = np.zeros((4, 4))
-    D[iu] = np.linalg.svd(K)[2][-1]
-    return (np.array(d["point"]) + 5.0 * (D + np.triu(D, 1).T)).tolist()
-
-
-@pytest.mark.parametrize("key, edit, named", [
-    ("rhs", lambda d: d["rhs"][:-2], "slice has 9 rows in mats but 7 rhs"),
-    ("rhs", lambda d: d["rhs"] + [0.0, 0.0],
-     "slice has 9 rows in mats but 11 rhs"),
-    ("point", _off_slice_psd, "slice point is not PSD: eigenvalue -"),
-], ids=["rhs short", "rhs long", "point not PSD"])
-def test_reduce_refuses_a_malformed_slice(tmp_path, capsys, key, edit, named):
-    # each exited 0 with rank 3 or 2: rows without an rhs value were
-    # dropped, and the factor of the point kept only its PSD part, which
-    # missed a row by 2.27
-    f = tmp_path / "phi.json"
-    assert run(["gen", "phi", "--ell", "2", "--out", str(f)]) == 0
-    d = _load(f)
-    d[key] = edit(d)
-    f.write_text(json.dumps(d))
-    capsys.readouterr()
-    assert run(["reduce", "--in", str(f),
-                "--out", str(tmp_path / "red.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("splrsdp: invalid input: " + named), err
-    assert not (tmp_path / "red.json").exists()
 
 
 # the numeric extremes and the values of the wrong type one JSON leaf is

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from splrsdp import completion_rank
 from splrsdp.chordal_conversion import (BlockSdp, RecoveryError, assemble,
                                         convert_problem)
-from splrsdp.completion_rank import (AffineSlice, _block_rank, _face_bases,
-                                     bp_bound, max_rank_for_constraints,
-                                     psd_complete_min_rank, rank_reduce_affine,
-                                     recover_low_rank, reduce_block)
+from splrsdp.completion_rank import (_block_rank, _face_bases, bp_bound,
+                                     max_rank_for_constraints,
+                                     psd_complete_min_rank, recover_low_rank,
+                                     reduce_block)
 from splrsdp.graph_core import Graph, TreeDecomposition, chordal_complete, clique_tree
-from splrsdp.instances import gen_phi_witness
 from splrsdp.sdp_model import (PINV_RCOND, RANK_TOL, FactoredSolution,
                                eval_objective)
 from splrsdp.sparse_extension import canonical_relabel, extend_solution
 
-from conftest import (copy_down, eval_constraint, random_graph,
-                      random_splr_problem, random_valid_td)
+from conftest import (copy_down, eval_constraint, phi_witness_slice,
+                      random_graph, random_splr_problem, random_valid_td,
+                      rank_walk)
 
 
 def test_rank_bounds_table():
@@ -378,7 +378,7 @@ def test_rank_reduce_affine_reaches_feasibility_bound():
         R0 = rng.standard_normal((d, d))
         Y0 = R0 @ R0.T
         rhs = [float(np.sum(B * Y0)) for B in mats]
-        out = rank_reduce_affine(AffineSlice(mats, rhs, Y0))
+        out = rank_walk(mats, Y0)
         r = out.factor.shape[1]
         assert r <= max_rank_for_constraints(q)
         Y = out.factor @ out.factor.T
@@ -390,29 +390,8 @@ def test_rank_reduce_affine_reaches_feasibility_bound():
 def test_rank_reduce_affine_edge_cases():
     # no constraints: everything collapses to zero
     Y = np.eye(4) * 2.0
-    out = rank_reduce_affine(AffineSlice([], [], Y))
+    out = rank_walk([], Y)
     assert out.factor.shape[1] == 0
-    # infeasible start is refused
-    B = np.eye(3)
-    with pytest.raises(ValueError):
-        rank_reduce_affine(AffineSlice([B], [0.0], np.eye(3)))
-    # a point that meets its rows but is not PSD is refused: the walk's
-    # factor would drop its negative part and leave the slice
-    E = np.zeros((3, 3))
-    E[0, 1] = E[1, 0] = 1.0
-    Y = np.eye(3) + 2.0 * np.diag([1.0, -1.0, 0.0])  # eigenvalue -1
-    with pytest.raises(ValueError, match="not PSD: eigenvalue -1.000e"):
-        rank_reduce_affine(AffineSlice([E, B], [0.0, 3.0], Y))
-    # within 1e-6 of the largest eigenvalue it is taken as rounding
-    Y = np.diag([4.0, 1.0, -3e-6])
-    out = rank_reduce_affine(AffineSlice([E, B], [0.0, 5.0 - 3e-6], Y))
-    assert out.factor.shape[1] <= max_rank_for_constraints(2)
-    # a NaN point is refused also when no row gap carries the NaN
-    with pytest.raises(ValueError, match="non-finite"):
-        rank_reduce_affine(AffineSlice([], [], np.diag([np.nan, 1.0])))
-    # the row count and the rhs length must agree
-    with pytest.raises(ValueError):
-        rank_reduce_affine(AffineSlice([E, B], [0.0], np.eye(3)))
 
 
 def test_unique_coupled_slice_is_fixed_point():
@@ -441,11 +420,13 @@ def test_unique_coupled_slice_is_fixed_point():
                 rhs.append(M[a, b])
         # the stacked slice the package builds holds these rows, bitwise and
         # in this order
-        sl = gen_phi_witness(ell)
-        assert np.asarray(sl.mats).tobytes() == np.array(mats).tobytes()
-        assert np.asarray(sl.rhs).tobytes() == np.array(rhs).tobytes()
-        assert np.array_equal(sl.point, Y0)
-        out = rank_reduce_affine(AffineSlice(mats, rhs, Y0))
+        sl_mats, sl_rhs, sl_point = phi_witness_slice(ell)
+        assert sl_mats.tobytes() == np.array(mats).tobytes()
+        assert sl_rhs.tobytes() == np.array(rhs).tobytes()
+        assert np.array_equal(sl_point, Y0)
+        assert np.abs(np.sum(np.array(mats) * Y0, axis=(1, 2))
+                      - rhs).max() <= 1e-12
+        out = rank_walk(mats, Y0)
         assert np.abs(out.factor @ out.factor.T - Y0).max() < 1e-8
         assert out.factor.shape[1] == ell + 1
 

@@ -19,7 +19,7 @@ from splrsdp.chordal_conversion import convert, convert_problem
 from splrsdp.cli import run
 from splrsdp.graph_core import Graph
 from splrsdp.instances import (gen_bqp_relaxation, gen_lb_tree,
-                               gen_min_bisection, gen_phi_witness, gen_simex)
+                               gen_min_bisection, gen_simex)
 from splrsdp.solver import SolveStats
 
 from conftest import random_splr_problem, random_valid_td
@@ -190,16 +190,6 @@ def test_extended_roundtrip_rebuilds_identical_data():
         bs2 = convert(back)
         assert bs2.blocks == bs.blocks
         assert np.array_equal(bs2.bounds, bs.bounds)
-
-
-def test_slice_roundtrip():
-    sl = gen_phi_witness(2)
-    back = fileio.slice_from_dict(_rt(fileio.slice_to_dict(sl)))
-    assert len(back.mats) == len(sl.mats)
-    for A, B in zip(sl.mats, back.mats):
-        assert np.array_equal(A, B)
-    assert np.array_equal(back.point, sl.point)
-    assert np.array_equal(back.rhs, sl.rhs)
 
 
 def test_solution_roundtrip_with_stats_and_problem():

@@ -3,12 +3,12 @@ import pytest
 
 from splrsdp.graph_core import Graph
 from splrsdp.instances import (gen_bqp_relaxation, gen_lb_padded, gen_lb_small,
-                               gen_lb_tree, gen_min_bisection, gen_phi_witness,
-                               gen_simex, phi_witness_matrix)
+                               gen_lb_tree, gen_min_bisection, gen_simex)
 from splrsdp.sdp_model import eval_objective, is_feasible, validate_problem
 
 from conftest import (brute_force_treewidth, coupling_singular_values,
-                      factored, lb_tree_feasible_point)
+                      factored, lb_tree_feasible_point, phi_witness_matrix,
+                      phi_witness_slice)
 
 
 def _rank(X, tol=1e-8):
@@ -149,13 +149,12 @@ def test_coupling_singular_values_match_svd():
 
 def test_phi_witness_slice_pins_its_point():
     for ell in (1, 2, 3):
-        sl = gen_phi_witness(ell)
-        assert len(sl.mats) == 3 * ell * (ell + 1) // 2
-        X = sl.point
-        for M, r in zip(sl.mats, sl.rhs):
+        mats, rhs, X = phi_witness_slice(ell)
+        assert len(mats) == 3 * ell * (ell + 1) // 2
+        for M, r in zip(mats, rhs):
             assert abs(float(np.sum(M * X)) - r) < 1e-12
     with pytest.raises(ValueError):
-        gen_phi_witness(0)
+        phi_witness_slice(0)
 
 
 def test_lb_small_identity_is_the_witness():
